@@ -1,43 +1,25 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels.
 
 The Monte Carlo sweeps spend almost all of their time in three places:
 collapsing a user's multipath channel into the combined row v^H H, taking
 inner products of that row with segment precoders, and sampling beam
-patterns over dense angle grids.  Each kernel exists twice (a numba njit
-loop and a vectorized numpy twin); MBNOMA_BACKEND selects which set the
-package uses:
+patterns over dense angle grids.  Each kernel is vectorized numpy, and its
+results are deterministic regardless of thread count.
 
-    MBNOMA_BACKEND=auto    numba when importable, numpy otherwise (default)
-    MBNOMA_BACKEND=numba   require numba, fail loudly if missing
-    MBNOMA_BACKEND=numpy   force the fallback
-
-Backends agree to ~1e-12 relative; they are not bit-identical because the
-njit loops accumulate phases by recurrence.  Results for a fixed backend
-are deterministic regardless of thread count.
+Callers look the kernels up on this module at call time
+(``_kernels.vhh_row(...)``), so a wrapper patched onto the module sees
+every call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------- numpy ----
-
-
-def vhh_row_numpy(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
-                  m_ue: int, m_bs: int) -> np.ndarray:
+def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
+            m_ue: int, m_bs: int) -> np.ndarray:
     """Row vector v^H H for a matched combiner v = a_UE(aoas[0]) / sqrt(M_UE).
 
     H is never materialized: each path contributes its receive inner
@@ -52,8 +34,8 @@ def vhh_row_numpy(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
     return (gains * rx) @ tx_conj
 
 
-def segment_gains_numpy(row: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
-                        lengths: np.ndarray, m_bs: int) -> complex:
+def segment_gains(row: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
+                  lengths: np.ndarray, m_bs: int) -> complex:
     """Effective channel of one user under a multi-segment precoder."""
     inv = 1.0 / math.sqrt(m_bs)
     total = 0.0 + 0.0j
@@ -64,8 +46,8 @@ def segment_gains_numpy(row: np.ndarray, cos_steers: np.ndarray, offsets: np.nda
     return total
 
 
-def two_segment_sweep_numpy(row: np.ndarray, cos_a: float, cos_b: float,
-                            m1_values: np.ndarray, m_bs: int) -> np.ndarray:
+def two_segment_sweep(row: np.ndarray, cos_a: float, cos_b: float,
+                      m1_values: np.ndarray, m_bs: int) -> np.ndarray:
     """Effective channels for every split (m1, m_bs - m1) of a two-user chain.
 
     Prefix sums turn the whole sweep into O(M_BS + len(m1_values)) work:
@@ -83,134 +65,13 @@ def two_segment_sweep_numpy(row: np.ndarray, cos_a: float, cos_b: float,
     return seg_a + seg_b
 
 
-def pattern_mags_numpy(w_embedded: np.ndarray, cos_angles: np.ndarray) -> np.ndarray:
+def pattern_mags(w_embedded: np.ndarray, cos_angles: np.ndarray) -> np.ndarray:
     m_bs = w_embedded.shape[0]
     ramp = (m_bs - 1) / 2.0 - np.arange(m_bs)
     steer_conj = np.exp(-1j * math.pi * np.asarray(cos_angles)[:, None] * ramp[None, :])
     return np.abs(steer_conj @ w_embedded)
 
 
-# ---------------------------------------------------------------- numba ----
-
-
-def _vhh_row_loop(gains, aods, aoas, m_ue, m_bs):
-    row = np.zeros(m_bs, dtype=np.complex128)
-    half_ue = (m_ue - 1) / 2.0
-    half_bs = (m_bs - 1) / 2.0
-    cos0 = math.cos(aoas[0])
-    for l in range(gains.shape[0]):
-        dphi = math.pi * (math.cos(aoas[l]) - cos0)
-        z = cmath.exp(1j * half_ue * dphi)
-        step = cmath.exp(-1j * dphi)
-        rx = 0.0 + 0.0j
-        for _ in range(m_ue):
-            rx += z
-            z *= step
-        coef = gains[l] * rx / math.sqrt(m_ue)
-        pb = math.pi * math.cos(aods[l])
-        z = cmath.exp(-1j * half_bs * pb)
-        step = cmath.exp(1j * pb)
-        for m in range(m_bs):
-            row[m] += coef * z
-            z *= step
-    return row
-
-
-def _segment_gains_loop(row, cos_steers, offsets, lengths, m_bs):
-    inv = 1.0 / math.sqrt(m_bs)
-    total = 0.0 + 0.0j
-    for s in range(cos_steers.shape[0]):
-        ph = math.pi * cos_steers[s]
-        z = inv * cmath.exp(1j * 0.5 * (lengths[s] - 1) * ph)
-        step = cmath.exp(-1j * ph)
-        for m in range(lengths[s]):
-            total += row[offsets[s] + m] * z
-            z *= step
-    return total
-
-
-def _two_segment_sweep_loop(row, cos_a, cos_b, m1_values, m_bs):
-    n = m1_values.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    inv = 1.0 / math.sqrt(m_bs)
-    ph_a = math.pi * cos_a
-    ph_b = math.pi * cos_b
-    step_a = cmath.exp(-1j * ph_a)
-    step_b = cmath.exp(-1j * ph_b)
-    for i in range(n):
-        m1 = m1_values[i]
-        acc = 0.0 + 0.0j
-        z = inv * cmath.exp(1j * 0.5 * (m1 - 1) * ph_a)
-        for m in range(m1):
-            acc += row[m] * z
-            z *= step_a
-        m2 = m_bs - m1
-        z = inv * cmath.exp(1j * 0.5 * (m2 - 1) * ph_b)
-        for m in range(m2):
-            acc += row[m1 + m] * z
-            z *= step_b
-        out[i] = acc
-    return out
-
-
-def _pattern_mags_loop(w_embedded, cos_angles):
-    m_bs = w_embedded.shape[0]
-    n = cos_angles.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    half = (m_bs - 1) / 2.0
-    for i in range(n):
-        ph = math.pi * cos_angles[i]
-        z = cmath.exp(-1j * half * ph)
-        step = cmath.exp(1j * ph)
-        acc = 0.0 + 0.0j
-        for m in range(m_bs):
-            acc += z * w_embedded[m]
-            z *= step
-        out[i] = abs(acc)
-    return out
-
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True, nogil=True)
-    vhh_row_numba = _jit(_vhh_row_loop)
-    segment_gains_numba = _jit(_segment_gains_loop)
-    two_segment_sweep_numba = _jit(_two_segment_sweep_loop)
-    pattern_mags_numba = _jit(_pattern_mags_loop)
-else:  # pragma: no cover
-    vhh_row_numba = None
-    segment_gains_numba = None
-    two_segment_sweep_numba = None
-    pattern_mags_numba = None
-
-
-# ------------------------------------------------------------- dispatch ----
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("MBNOMA_BACKEND", "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise RuntimeError(f"MBNOMA_BACKEND must be auto, numba or numpy, got {requested!r}")
-    if requested == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("MBNOMA_BACKEND=numba but numba is not importable")
-    if requested == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return requested
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    vhh_row = vhh_row_numba
-    segment_gains = segment_gains_numba
-    two_segment_sweep = two_segment_sweep_numba
-    pattern_mags = pattern_mags_numba
-else:
-    vhh_row = vhh_row_numpy
-    segment_gains = segment_gains_numpy
-    two_segment_sweep = two_segment_sweep_numpy
-    pattern_mags = pattern_mags_numpy
-
-
 def get_backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

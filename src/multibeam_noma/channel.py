@@ -102,6 +102,8 @@ class ScenarioConfig:
             raise ValueError("num_users must be positive")
         if self.num_nlos_paths < 0:
             raise ValueError("num_nlos_paths must be nonnegative")
+        if not all(map(math.isfinite, (self.cell_radius_m, self.max_power_w, self.noise_w))):
+            raise ValueError("cell radius and powers must be finite")
         if self.cell_radius_m < MIN_USER_DISTANCE_M:
             raise ValueError("cell radius smaller than the minimum user distance")
         if self.max_power_w <= 0.0 or self.noise_w <= 0.0:

@@ -8,6 +8,7 @@ experiment is infeasible (e.g. an antenna split that cannot fit).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -63,13 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-antennas", help="two-user antenna split sweep")
     common(p, "antenna_sweep.csv")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker threads (output is identical for any count)")
+                   help="worker threads, capped at the core count "
+                        "(output is identical for any count)")
     p.set_defaults(func=cmd_sweep_antennas)
 
     p = sub.add_parser("sweep-power", help="power budget sweep vs baselines")
     common(p, "power_sweep.csv")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker threads (output is identical for any count)")
+                   help="worker threads, capped at the core count "
+                        "(output is identical for any count)")
     p.set_defaults(func=cmd_sweep_power)
 
     return parser
@@ -84,9 +87,13 @@ def _load(args) -> dict:
     if args.trials is not None:
         cfg["trials"] = args.trials
     if args.ratio is not None:
+        if not math.isfinite(args.ratio):
+            raise ConfigError(f"ratio must be finite, got {args.ratio}")
         cfg["ratio"] = args.ratio
     if cfg.get("trials", 1) < 1:
         raise ConfigError("trials must be positive")
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError("workers must be positive")
     return cfg
 
 

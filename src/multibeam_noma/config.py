@@ -8,6 +8,7 @@ range form ("start:stop:step").
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 
@@ -24,9 +25,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_list(text: str, element: Callable):

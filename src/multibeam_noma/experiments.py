@@ -10,6 +10,7 @@ scenario, so each file can be recomputed in isolation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -86,13 +87,14 @@ def monte_carlo(trials: int, evaluator: Callable[[int], np.ndarray],
                 workers: int = 1) -> MonteCarloResult:
     """Evaluate ``evaluator(trial_index)`` for every trial and aggregate.
 
-    Trials are independent and may run on a thread pool; results are
-    stacked in trial order before the mean/standard-error reduction, so
-    the outcome does not depend on ``workers``.  With one trial the
-    standard error is reported as zero.
+    Trials are independent and may run on a thread pool of at most
+    ``os.cpu_count()`` threads; results are stacked in trial order before
+    the mean/standard-error reduction, so the outcome does not depend on
+    ``workers``.  With one trial the standard error is reported as zero.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    workers = min(workers, os.cpu_count() or 1)
     indices = range(trials)
     if workers <= 1:
         results = [np.asarray(evaluator(t), dtype=np.float64) for t in indices]

@@ -142,6 +142,10 @@ def test_scenario_validation():
         ScenarioConfig(cell_radius_m=MIN_USER_DISTANCE_M / 2)
     with pytest.raises(ValueError):
         ScenarioConfig(noise_w=0.0)
+    for field in ("cell_radius_m", "max_power_w", "noise_w"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ScenarioConfig(**{field: value})
 
 
 def test_draw_path_angles_stay_inside_open_interval():

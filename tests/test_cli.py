@@ -113,9 +113,15 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_bad_seed_and_trials_exit_2(tmp_path):
+def test_bad_seed_and_trials_exit_2(tmp_path, capsys):
     assert main(["rates", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["rates", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    for command, workers in (("sweep-antennas", "0"), ("sweep-power", "-3")):
+        capsys.readouterr()
+        assert main([command, "--workers", workers, "--trials", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "config error: workers must be positive\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_infeasible_antenna_split_exits_3(tmp_path, capsys):
@@ -133,8 +139,21 @@ def test_oversized_alloc_exits_3(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 3
 
 
-def test_bad_scenario_value_exits_2(tmp_path):
+def test_bad_scenario_value_exits_2(tmp_path, capsys):
+    cases = [
+        ("rates", "cell_radius_m = 1.0", []),
+        ("rates", "pmax_dbm = nan", []),
+        ("sweep-antennas", "pmax_dbm = nan", []),
+        ("sweep-power", "noise_dbm = inf", []),
+        ("rates", "cell_radius_m = inf", []),
+        ("sweep-antennas", "", ["--ratio", "nan"]),
+    ]
     cfg = tmp_path / "bad2.cfg"
-    cfg.write_text("cell_radius_m = 1.0\n")
-    assert main(["rates", "--config", str(cfg), "--trials", "1",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+    out = tmp_path / "x.csv"
+    for command, text, flags in cases:
+        cfg.write_text(text + "\n")
+        assert main([command, "--config", str(cfg), "--trials", "1",
+                     "--out", str(out), *flags]) == 2, (command, text, flags)
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err

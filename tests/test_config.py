@@ -71,6 +71,13 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("pmax_dbm = loud")
 
 
+def test_non_finite_numbers_are_rejected():
+    for text in ("pmax_dbm = nan", "noise_dbm = inf", "cell_radius_m = -inf",
+                 "pmax_dbm_values = 30, nan", "ratio = NaN"):
+        with pytest.raises(ConfigError, match=":1: expected a finite number"):
+            parse_config_text(text)
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 42\nratio = 5.0\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from multibeam_noma import experiments
 from multibeam_noma.beams import PlanError
 from multibeam_noma.channel import ScenarioConfig, UlaConfig, user_rng
 from multibeam_noma.experiments import (
@@ -83,6 +84,31 @@ def test_monte_carlo_result_is_independent_of_workers():
     threaded = monte_carlo(64, evaluator, workers=4)
     np.testing.assert_array_equal(serial.mean, threaded.mean)
     np.testing.assert_array_equal(serial.stderr, threaded.stderr)
+
+
+def test_monte_carlo_caps_workers_at_core_count(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monte_carlo(4, lambda t: np.array([float(t)]), workers=10_000)
+    assert pools == [3]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    result = monte_carlo(4, lambda t: np.array([float(t)]), workers=10_000)
+    assert pools == [3] and result.mean[0] == 1.5
 
 
 def test_monte_carlo_stderr_shrinks_like_root_n():
