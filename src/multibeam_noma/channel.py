@@ -24,9 +24,17 @@ MIN_USER_DISTANCE_M = 10.0
 # NLOS paths are drawn this many dB below the LOS path (uniformly).
 NLOS_EXTRA_LOSS_DB = (10.0, 20.0)
 
+_TWO_PI = 2.0 * math.pi
+# Drawn angles are kept this far inside the open interval (0, pi).
+_ANGLE_EPS = 1e-12
+
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Power in watt; ValueError when it is too large for a float."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm} dBm is too large a power") from None
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,8 @@ class ScenarioConfig:
             raise ValueError("num_nlos_paths must be nonnegative")
         if not all(map(math.isfinite, (self.cell_radius_m, self.max_power_w, self.noise_w))):
             raise ValueError("cell radius and powers must be finite")
+        if not math.isfinite(self.cell_radius_m * self.cell_radius_m):
+            raise ValueError("cell radius too large: its square is not finite")
         if self.cell_radius_m < MIN_USER_DISTANCE_M:
             raise ValueError("cell radius smaller than the minimum user distance")
         if self.max_power_w <= 0.0 or self.noise_w <= 0.0:
@@ -136,15 +146,8 @@ def channel_matrix(channel: UserChannel) -> np.ndarray:
     return h
 
 
-def draw_path_angles(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Departure/arrival angles, i.i.d. uniform over (0, pi).
-
-    Isolated here so a different angular distribution can be swapped in
-    without touching the rest of the generator.
-    """
-    angles = rng.uniform(0.0, math.pi, size=count)
-    # keep strictly inside the open interval expected by array_response
-    return np.clip(angles, 1e-12, math.pi - 1e-12)
+def _clip_angle(angle: float) -> float:
+    return min(max(angle, _ANGLE_EPS), math.pi - _ANGLE_EPS)
 
 
 def los_gain_magnitude(distance_m: float) -> float:
@@ -158,27 +161,42 @@ def generate_user_channel(
     """Draw one user's LOS + NLOS paths at the given distance.
 
     The LOS amplitude follows free-space loss at 28 GHz; each NLOS path is
-    attenuated a further 10-20 dB (uniform) and all phases are uniform.
-    Draw order is fixed (LOS phase, LOS angles, then per-NLOS-path loss,
-    phase, angles) so a seeded generator reproduces the same channel.
+    attenuated a further 10-20 dB (uniform) and all phases are uniform over
+    [0, 2 pi).  Angles are uniform over (0, pi), clipped 1e-12 inside the
+    open interval that ``array_response`` expects.
+
+    One ``rng.random(3 + 4 L)`` block holds every draw, in this order: LOS
+    phase, LOS AoD, LOS AoA, then (loss, phase, AoD, AoA) for each NLOS
+    path.  A draw u becomes ``lo + (hi - lo) * u``, which is how
+    ``rng.uniform(lo, hi)`` scales it, so the block reproduces the stream of
+    one scalar ``uniform`` call per value.
     """
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     if distance_m > scenario.cell_radius_m:
         raise ValueError("user placed outside the cell")
 
+    num_nlos = scenario.num_nlos_paths
+    block = rng.random(3 + 4 * num_nlos)
     g_los = los_gain_magnitude(distance_m)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    aod, aoa = draw_path_angles(rng, 2)
-    paths = [PathComponent(g_los * np.exp(1j * phase), aod, aoa, is_los=True)]
+    # The LOS draws stay Python floats: small numpy ops would cost more than
+    # the whole draw of a LOS-only user.
+    u_phase, u_aod, u_aoa = block[:3].tolist()
+    phase = _TWO_PI * u_phase
+    paths = [PathComponent(g_los * np.exp(1j * phase), _clip_angle(math.pi * u_aod),
+                           _clip_angle(math.pi * u_aoa), is_los=True)]
 
-    lo, hi = NLOS_EXTRA_LOSS_DB
-    for _ in range(scenario.num_nlos_paths):
-        loss_db = rng.uniform(lo, hi)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        aod, aoa = draw_path_angles(rng, 2)
-        mag = g_los * 10.0 ** (-loss_db / 20.0)
-        paths.append(PathComponent(mag * np.exp(1j * phase), aod, aoa))
+    if num_nlos:
+        u = block[3:].reshape(num_nlos, 4)
+        lo, hi = NLOS_EXTRA_LOSS_DB
+        loss_db = lo + (hi - lo) * u[:, 0]
+        # Python float ** calls libm pow; numpy's vectorized power differs
+        # from it in the last bit for some values.
+        atten = [10.0 ** x for x in (-loss_db / 20.0).tolist()]
+        gains = g_los * np.array(atten) * np.exp(1j * (_TWO_PI * u[:, 1]))
+        angles = np.clip(math.pi * u[:, 2:], _ANGLE_EPS, math.pi - _ANGLE_EPS)
+        paths += [PathComponent(g, aod, aoa)
+                  for g, (aod, aoa) in zip(gains.tolist(), angles.tolist())]
 
     return UserChannel(tuple(paths), scenario.ue_config, scenario.bs_config)
 

@@ -188,14 +188,21 @@ def cmd_rates(args) -> int:
     return 0
 
 
+def _sweep_spec(**fields) -> SweepSpec:
+    try:
+        return SweepSpec(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_sweep_antennas(args) -> int:
     cfg = _load(args)
     scenario = _scenario(cfg, default_users=2)
     m_bs = scenario.bs_config.num_antennas
     values = cfg.get("m1_values", tuple(range(2, m_bs, 2)))
-    spec = SweepSpec(kind="antennas", scenario=scenario,
-                     trials=cfg.get("trials", 10000), values=tuple(values),
-                     gain_ratio=cfg.get("ratio"))
+    spec = _sweep_spec(kind="antennas", scenario=scenario,
+                       trials=cfg.get("trials", 10000), values=tuple(values),
+                       gain_ratio=cfg.get("ratio"))
     run_antenna_sweep(spec, workers=args.workers, out_path=args.out)
     return 0
 
@@ -207,10 +214,10 @@ def cmd_sweep_power(args) -> int:
         raise ConfigError("the power sweep does not take a gain ratio")
     values = cfg.get("pmax_dbm_values", tuple(float(v) for v in range(30, 47, 2)))
     alloc = cfg.get("antenna_alloc")
-    spec = SweepSpec(kind="power", scenario=scenario,
-                     trials=cfg.get("trials", 10000), values=tuple(values),
-                     antenna_alloc=None if alloc is None else tuple(alloc),
-                     max_group_size=cfg.get("max_group_size"))
+    spec = _sweep_spec(kind="power", scenario=scenario,
+                       trials=cfg.get("trials", 10000), values=tuple(values),
+                       antenna_alloc=None if alloc is None else tuple(alloc),
+                       max_group_size=cfg.get("max_group_size"))
     run_power_sweep(spec, workers=args.workers, out_path=args.out)
     return 0
 

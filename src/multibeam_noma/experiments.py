@@ -158,6 +158,8 @@ class SweepSpec:
             raise ValueError("trials must be positive")
         if len(self.values) == 0:
             raise InfeasibleSpecError("sweep needs at least one value")
+        if self.gain_ratio is not None and not math.isfinite(self.gain_ratio):
+            raise ValueError(f"gain ratio must be finite, got {self.gain_ratio}")
         m_bs = self.scenario.bs_config.num_antennas
         if self.kind == "antennas":
             if self.scenario.num_users != 2:
@@ -166,6 +168,9 @@ class SweepSpec:
             if (vals < 1).any() or (vals > m_bs - 1).any():
                 raise InfeasibleSpecError("antenna counts must leave both users a segment")
         else:
+            for dbm in self.values:
+                if not math.isfinite(dbm) or dbm_to_watt(float(dbm)) <= 0.0:
+                    raise ValueError(f"power budget {dbm} dBm is not a positive finite power")
             alloc = self.antenna_alloc
             if alloc is not None:
                 if len(alloc) != self.scenario.num_users:
@@ -222,6 +227,7 @@ def _scenario_meta(scenario: ScenarioConfig) -> dict:
 
 def _user_arrays(users: Sequence[DroppedUser]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LOS gain magnitudes, LOS departure angles, and v^H H rows per user."""
+    # scalar abs: numpy's vectorized complex abs differs from it in the last bit
     mags = np.array([abs(u.channel.los.gain) for u in users])
     aods = np.array([u.channel.los.aod for u in users])
     scenario_ue = users[0].channel.ue_config.num_antennas
@@ -332,6 +338,7 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     pmax_w = np.array([dbm_to_watt(v) for v in pmax_dbm])
     group_size = k if spec.max_group_size is None else spec.max_group_size
     shares = equal_time_shares(k)
+    powers = np.tile(pmax_w / k, (k, 1))   # equal split of every budget
 
     def evaluate(trial: int) -> np.ndarray:
         users = drop_users(scenario, trial)
@@ -345,13 +352,14 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
         asym = _asym_scenario(mags, alloc_arr, scenario, float(pmax_w[0]))
         pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
         out = np.empty((len(pmax_w), 4))
+        # (budget, user) rows, summed along the user axis like a (K,) vector
+        noma = noma_rates_from_gains(split_gains, powers, scenario.noise_w).T.copy()
+        out[:, 0] = noma.sum(axis=1)
+        out[:, 1] = single_beam_noma_baseline(
+            aods, mags, m_ue, m_bs, group_size, pmax_w, scenario.noise_w).system_sum
         for i, p in enumerate(pmax_w):
-            noma = noma_rates_from_gains(split_gains, np.full(k, p / k),
-                                         scenario.noise_w).sum()
-            baseline = single_beam_noma_baseline(
-                aods, mags, m_ue, m_bs, group_size, p, scenario.noise_w).system_sum
-            tdma = float(shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w))
-            out[i] = (noma, baseline, tdma, pred)
+            out[i, 2] = shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w)
+        out[:, 3] = pred
         return out
 
     result = monte_carlo(spec.trials, evaluate, workers)
@@ -404,6 +412,8 @@ class BeamPatternConfig:
             raise InfeasibleSpecError("segments exceed the array")
         if self.num_points < 2:
             raise InfeasibleSpecError("the angle grid needs at least two points")
+        if not all(0.0 < a < 180.0 for a in (*self.split_angles_deg, self.full_angle_deg)):
+            raise InfeasibleSpecError("steering angles must lie strictly inside (0, 180) deg")
 
 
 def run_beam_pattern(config: BeamPatternConfig = BeamPatternConfig(),

@@ -170,16 +170,21 @@ def noma_rates_from_gains(gains_sq: np.ndarray, powers: np.ndarray,
                           noise_w: float) -> np.ndarray:
     """Single-chain NOMA rates from effective gains already in SIC order.
 
-    ``gains_sq`` is (K,) or (K, n) for n scenarios sharing one power split;
-    row k is the strongest-but-k user.  Used by the sweep evaluators where
+    Row k belongs to the strongest-but-k user.  ``gains_sq`` is (K,) or
+    (K, n) for n scenarios; ``powers`` is (K,), one power split shared by
+    every scenario, or (K, n), one split per column.  The result has the
+    broadcast shape of the two.  Used by the sweep evaluators where
     building full plan objects per trial would dominate the runtime.
     """
     gains_sq = np.asarray(gains_sq, dtype=np.float64)
     powers = np.asarray(powers, dtype=np.float64)
-    stronger = np.concatenate(([0.0], np.cumsum(powers)[:-1]))
-    shape = (-1,) + (1,) * (gains_sq.ndim - 1)
-    sinr = (powers.reshape(shape) * gains_sq
-            / (gains_sq * stronger.reshape(shape) + noise_w))
+    stronger = np.zeros_like(powers)
+    np.cumsum(powers[:-1], axis=0, out=stronger[1:])
+    if powers.ndim < gains_sq.ndim:
+        powers, stronger = powers[:, None], stronger[:, None]
+    elif gains_sq.ndim < powers.ndim:
+        gains_sq = gains_sq[:, None]
+    sinr = powers * gains_sq / (gains_sq * stronger + noise_w)
     return np.log2(1.0 + sinr)
 
 
@@ -232,40 +237,57 @@ def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
 
 def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,
                               m_ue: int, m_bs: int, max_group_size: int,
-                              max_power_w: float, noise_w: float) -> RateReport:
+                              max_power_w, noise_w: float) -> RateReport:
     """Single-RF baseline: one full-array beam per cluster, clusters TDMA'd.
 
     Users whose LOS departure angles fall inside one 3 dB beamwidth share
     a beam pointed at the strongest member and superpose with equal power;
     clusters split the frame evenly.  With every user angularly isolated
     this collapses to plain TDMA.
+
+    ``max_power_w`` is one budget or a 1-D array of n budgets.  The
+    clustering and the beam gains do not depend on power, so they are built
+    once; with an array, ``per_user`` is (K, n), ``system_sum`` and
+    ``sic_feasible`` are (n,), ``group_sums`` is (1, n), and ``sic_checks``
+    holds the checks of budget 0, then those of budget 1, and so on.
     """
     los_aods = np.asarray(los_aods, dtype=np.float64)
     los_gains = np.asarray(los_gains)
+    budgets = np.atleast_1d(np.asarray(max_power_w, dtype=np.float64))
     beamwidth_rad = math.radians(beamwidth_3db_deg(m_bs))
     clusters = cluster_users(los_aods, los_gains, beamwidth_rad, max_group_size)
     share = 1.0 / len(clusters)
 
     num_users = len(los_aods)
-    per_user = np.zeros(num_users)
-    checks = []
+    # (budget, user): each row sums along its contiguous axis exactly as a
+    # single budget's (K,) vector does.
+    per_user = np.zeros((len(budgets), num_users))
+    checks = [[] for _ in budgets]
     for chain, members in enumerate(clusters):
         head = members[0]
-        power = max_power_w / len(members)
         x = 0.5 * math.pi * (math.cos(los_aods[head]) - np.cos(los_aods[members]))
         gains_sq = (np.abs(los_gains[members]) ** 2 * (m_ue / m_bs)
                     * np.asarray(dirichlet(m_bs, x)) ** 2)
-        powers = np.full(len(members), power)
+        powers = np.tile(budgets / len(members), (len(members), 1))
         rates = noma_rates_from_gains(gains_sq, powers, noise_w)
-        per_user[members] = share * rates
+        per_user[:, members] = share * rates.T
+        if len(members) < 2:
+            continue
         # decode-and-cancel audit within the cluster, same algebra as above
-        stronger = np.concatenate(([0.0], np.cumsum(powers)[:-1]))
-        for i, decoder in enumerate(members):
-            for j in range(i + 1, len(members)):
-                decode = math.log2(1.0 + powers[j] * gains_sq[i]
-                                   / (gains_sq[i] * stronger[j] + noise_w))
-                checks.append(SicCheck(decoder, members[j], chain, decode,
-                                       float(rates[j]), decode >= rates[j]))
-    total = float(per_user.sum())
-    return RateReport(per_user, np.array([total]), total, tuple(checks),
-                      all(c.ok for c in checks))
+        stronger = np.cumsum(powers, axis=0).tolist()
+        powers, rates, gains = powers.tolist(), rates.tolist(), gains_sq.tolist()
+        for b, budget_checks in enumerate(checks):
+            for i, decoder in enumerate(members):
+                for j in range(i + 1, len(members)):
+                    decode = math.log2(1.0 + powers[j][b] * gains[i]
+                                       / (gains[i] * stronger[j - 1][b] + noise_w))
+                    budget_checks.append(SicCheck(decoder, members[j], chain, decode,
+                                                  rates[j][b], decode >= rates[j][b]))
+    totals = per_user.sum(axis=1)
+    feasible = np.array([all(c.ok for c in cs) for cs in checks])
+    all_checks = tuple(c for cs in checks for c in cs)
+    if np.ndim(max_power_w) == 0:
+        total = float(totals[0])
+        return RateReport(per_user[0], np.array([total]), total, all_checks,
+                          bool(feasible[0]))
+    return RateReport(per_user.T, totals[None, :], totals, all_checks, feasible)

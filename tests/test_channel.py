@@ -8,6 +8,7 @@ import pytest
 from multibeam_noma.channel import (
     CARRIER_HZ,
     MIN_USER_DISTANCE_M,
+    NLOS_EXTRA_LOSS_DB,
     SPEED_OF_LIGHT,
     WAVELENGTH_M,
     PathComponent,
@@ -17,7 +18,6 @@ from multibeam_noma.channel import (
     array_response,
     channel_matrix,
     dbm_to_watt,
-    draw_path_angles,
     generate_user_channel,
     los_gain_magnitude,
     paths_as_arrays,
@@ -35,6 +35,8 @@ def test_dbm_to_watt_reference_points():
     assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-12)
     assert dbm_to_watt(46.0) == pytest.approx(39.810717055349734, rel=1e-12)
     assert dbm_to_watt(-88.0) == pytest.approx(1.5848931924611134e-12, rel=1e-12)
+    with pytest.raises(ValueError, match="too large"):
+        dbm_to_watt(4000.0)
 
 
 def test_wavelength_at_28ghz():
@@ -146,13 +148,43 @@ def test_scenario_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 ScenarioConfig(**{field: value})
+    with pytest.raises(ValueError, match="square is not finite"):
+        ScenarioConfig(cell_radius_m=1e300)
 
 
-def test_draw_path_angles_stay_inside_open_interval():
-    rng = np.random.default_rng(5)
-    angles = draw_path_angles(rng, 1000)
-    assert angles.shape == (1000,)
-    assert (angles > 0.0).all() and (angles < math.pi).all()
+def scalar_draw_oracle(rng, distance_m, num_nlos):
+    """The per-path scalar draw the block draw must reproduce bit for bit."""
+    def angles():
+        return np.clip(rng.uniform(0.0, math.pi, size=2), 1e-12, math.pi - 1e-12)
+
+    g_los = los_gain_magnitude(distance_m)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    aod, aoa = angles()
+    gains, aods, aoas = [g_los * np.exp(1j * phase)], [aod], [aoa]
+    lo, hi = NLOS_EXTRA_LOSS_DB
+    for _ in range(num_nlos):
+        loss_db = rng.uniform(lo, hi)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        aod, aoa = angles()
+        gains.append(g_los * 10.0 ** (-loss_db / 20.0) * np.exp(1j * phase))
+        aods.append(aod)
+        aoas.append(aoa)
+    return np.array(gains), np.array(aods), np.array(aoas)
+
+
+def test_generate_user_channel_matches_scalar_draws_bit_for_bit():
+    for num_nlos in (0, 1, 30):
+        scenario = ScenarioConfig(num_nlos_paths=num_nlos)
+        for seed in range(8):
+            for distance in (MIN_USER_DISTANCE_M, 37.5, 212.0, scenario.cell_radius_m):
+                expected = scalar_draw_oracle(np.random.default_rng(seed), distance,
+                                              num_nlos)
+                ch = generate_user_channel(np.random.default_rng(seed), distance, scenario)
+                actual = paths_as_arrays(ch)
+                for a, e in zip(actual, expected):
+                    np.testing.assert_array_equal(a, e)
+                for angles in actual[1:]:
+                    assert (angles > 0.0).all() and (angles < math.pi).all()
 
 
 def test_generate_user_channel_structure():

@@ -125,11 +125,19 @@ def test_bad_seed_and_trials_exit_2(tmp_path, capsys):
 
 
 def test_infeasible_antenna_split_exits_3(tmp_path, capsys):
+    cases = [
+        ("sweep-antennas", "m1_values = 128\ntrials = 1"),
+        ("beampattern", "full_angle_deg = 200"),
+        ("beampattern", "split_angles_deg = 0, 90"),
+    ]
     cfg = tmp_path / "inf.cfg"
-    cfg.write_text("m1_values = 128\ntrials = 1\n")
-    assert main(["sweep-antennas", "--config", str(cfg),
-                 "--out", str(tmp_path / "x.csv")]) == 3
-    assert "infeasible" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    for command, text in cases:
+        cfg.write_text(text + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3, text
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1, err
 
 
 def test_oversized_alloc_exits_3(tmp_path):
@@ -147,6 +155,11 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys):
         ("sweep-power", "noise_dbm = inf", []),
         ("rates", "cell_radius_m = inf", []),
         ("sweep-antennas", "", ["--ratio", "nan"]),
+        ("rates", "pmax_dbm = 4000", []),
+        ("sweep-power", "noise_dbm = 4000", []),
+        ("rates", "cell_radius_m = 1e300", []),
+        ("sweep-power", "pmax_dbm_values = 30, 4000", []),
+        ("sweep-power", "pmax_dbm_values = -4000", []),
     ]
     cfg = tmp_path / "bad2.cfg"
     out = tmp_path / "x.csv"

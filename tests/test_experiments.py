@@ -158,6 +158,12 @@ def test_sweep_spec_validation():
         SweepSpec("power", TWO_USER_LOS, 1, (30.0,), antenna_alloc=(128, 1))
     with pytest.raises(InfeasibleSpecError, match="max_group_size"):
         SweepSpec("power", TWO_USER_LOS, 1, (30.0,), max_group_size=1)
+    for ratio in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gain ratio must be finite"):
+            SweepSpec("antennas", TWO_USER_LOS, 1, (10,), gain_ratio=ratio)
+    for values in ((30.0, math.nan), (math.inf,), (-math.inf,), (4000.0,), (-4000.0,)):
+        with pytest.raises(ValueError, match="dBm"):
+            SweepSpec("power", TWO_USER_LOS, 1, values)
 
 
 def test_sweep_table_formatting_and_columns():
@@ -256,6 +262,10 @@ def test_beam_pattern_config_validation():
         BeamPatternConfig(split_lengths=(100, 100))
     with pytest.raises(InfeasibleSpecError, match="grid"):
         BeamPatternConfig(num_points=1)
+    for angles in ({"full_angle_deg": 200.0}, {"full_angle_deg": 0.0},
+                   {"full_angle_deg": math.nan}, {"split_angles_deg": (70.0, 180.0)}):
+        with pytest.raises(InfeasibleSpecError, match=r"\(0, 180\)"):
+            BeamPatternConfig(**angles)
 
 
 def test_run_beam_pattern_table():

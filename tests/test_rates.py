@@ -288,3 +288,41 @@ def test_single_beam_baseline_single_cluster_superposes():
     assert len(base.sic_checks) == 3
     assert base.sic_feasible
     assert base.system_sum == pytest.approx(base.per_user.sum(), rel=1e-12)
+
+
+def test_noma_rates_from_gains_power_columns_match_per_column_calls():
+    rng = np.random.default_rng(8)
+    powers = rng.uniform(0.01, 5.0, size=(4, 6))
+    gains = rng.uniform(1e-3, 10.0, size=4)
+    gains_2d = rng.uniform(1e-3, 10.0, size=(4, 6))
+    by_column = noma_rates_from_gains(gains, powers, 0.3)
+    both_2d = noma_rates_from_gains(gains_2d, powers, 0.3)
+    assert by_column.shape == both_2d.shape == (4, 6)
+    for col in range(6):
+        np.testing.assert_array_equal(
+            by_column[:, col], noma_rates_from_gains(gains, powers[:, col], 0.3))
+        np.testing.assert_array_equal(
+            both_2d[:, col], noma_rates_from_gains(gains_2d[:, col], powers[:, col], 0.3))
+
+
+def test_single_beam_baseline_budget_array_matches_scalar_calls():
+    # a cluster of three whose off-axis middle user cannot decode the
+    # on-axis weakest one, a cluster of two, and an isolated user
+    aods = np.array([1.2, 1.205, 1.2, 1.9, 1.9002, 2.5])
+    gains = np.array([3e-6, 2.9e-6, 2.85e-6, 2e-6, 0.5e-6, 1e-6])
+    m_ue, m_bs, noise = 10, 128, 1e-12
+    budgets = np.array([1e-9, 0.01, 0.5, 3.0, 40.0])
+    stacked = single_beam_noma_baseline(aods, gains, m_ue, m_bs, 3, budgets, noise)
+    scalar = [single_beam_noma_baseline(aods, gains, m_ue, m_bs, 3, float(p), noise)
+              for p in budgets]
+    assert stacked.per_user.shape == (6, 5) and stacked.system_sum.shape == (5,)
+    for b, report in enumerate(scalar):
+        np.testing.assert_array_equal(stacked.per_user[:, b], report.per_user)
+        assert stacked.system_sum[b] == report.system_sum
+        assert stacked.group_sums[0, b] == report.group_sums[0]
+        assert stacked.sic_feasible[b] == report.sic_feasible
+    assert stacked.sic_checks == tuple(c for r in scalar for c in r.sic_checks)
+    assert len(stacked.sic_checks) == 4 * len(budgets)
+    assert [c.ok for c in stacked.sic_checks[:4]] == [True, True, False, True]
+    assert not stacked.sic_feasible.any()
+    assert all(type(c.ok) is bool for c in stacked.sic_checks)
