@@ -118,6 +118,10 @@ class ScenarioConfig:
             raise ValueError("cell radius smaller than the minimum user distance")
         if self.max_power_w <= 0.0 or self.noise_w <= 0.0:
             raise ValueError("powers must be positive")
+        if not (math.isfinite(1.0 / self.noise_w)
+                and math.isfinite(self.max_power_w / self.noise_w)):
+            raise ValueError("noise power too small: 1 / noise_w or max_power_w / noise_w "
+                             "is not finite")
 
 
 def array_response(config: UlaConfig, angle: float) -> np.ndarray:

@@ -171,6 +171,8 @@ class SweepSpec:
             for dbm in self.values:
                 if not math.isfinite(dbm) or dbm_to_watt(float(dbm)) <= 0.0:
                     raise ValueError(f"power budget {dbm} dBm is not a positive finite power")
+                if not math.isfinite(dbm_to_watt(float(dbm)) / self.scenario.noise_w):
+                    raise ValueError(f"power budget {dbm} dBm over the noise power is not finite")
             alloc = self.antenna_alloc
             if alloc is not None:
                 if len(alloc) != self.scenario.num_users:
@@ -226,16 +228,16 @@ def _scenario_meta(scenario: ScenarioConfig) -> dict:
 
 
 def _user_arrays(users: Sequence[DroppedUser]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LOS gain magnitudes, LOS departure angles, and v^H H rows per user."""
+    """LOS gain magnitudes, LOS departure angles, and the (K, M_BS) v^H H rows."""
     # scalar abs: numpy's vectorized complex abs differs from it in the last bit
     mags = np.array([abs(u.channel.los.gain) for u in users])
     aods = np.array([u.channel.los.aod for u in users])
     scenario_ue = users[0].channel.ue_config.num_antennas
     scenario_bs = users[0].channel.bs_config.num_antennas
-    rows = [
+    rows = np.stack([
         _kernels.vhh_row(*paths_as_arrays(u.channel), scenario_ue, scenario_bs)
         for u in users
-    ]
+    ])
     return mags, aods, rows
 
 
@@ -244,8 +246,8 @@ def _full_array_gains(rows, cos_aods, m_bs: int) -> np.ndarray:
     gains = np.empty(len(rows))
     offsets = np.zeros(1, dtype=np.int64)
     lengths = np.full(1, m_bs, dtype=np.int64)
-    for k, row in enumerate(rows):
-        h = _kernels.segment_gains(row, cos_aods[k:k + 1], offsets, lengths, m_bs)
+    for k in range(len(rows)):
+        (h,) = _kernels.segment_gains(rows[k:k + 1], cos_aods[k:k + 1], offsets, lengths, m_bs)
         gains[k] = abs(h) ** 2
     return gains
 
@@ -273,9 +275,8 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
         users = drop_users(scenario, trial, spec.gain_ratio)
         mags, aods, rows = _user_arrays(users)
         cos_aods = np.cos(aods)
-        h1 = _kernels.two_segment_sweep(rows[0], cos_aods[0], cos_aods[1], m1_values, m_bs)
-        h2 = _kernels.two_segment_sweep(rows[1], cos_aods[0], cos_aods[1], m1_values, m_bs)
-        gains_sq = np.abs(np.stack([h1, h2])) ** 2
+        h = _kernels.two_segment_sweep(rows, cos_aods[0], cos_aods[1], m1_values, m_bs)
+        gains_sq = np.abs(h) ** 2
         noma = noma_rates_from_gains(gains_sq, np.array([p_user, p_user]),
                                      scenario.noise_w).sum(axis=0)
         tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
@@ -344,10 +345,9 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
         users = drop_users(scenario, trial)
         mags, aods, rows = _user_arrays(users)
         cos_aods = np.cos(aods)
-        split_gains = np.empty(k)
-        for j, row in enumerate(rows):
-            h = _kernels.segment_gains(row, cos_aods, offsets, alloc_arr, m_bs)
-            split_gains[j] = abs(h) ** 2
+        h = _kernels.segment_gains(rows, cos_aods, offsets, alloc_arr, m_bs)
+        # scalar abs: numpy's vectorized complex abs differs from it in the last bit
+        split_gains = np.array([abs(x) ** 2 for x in h])
         tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
         asym = _asym_scenario(mags, alloc_arr, scenario, float(pmax_w[0]))
         pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan

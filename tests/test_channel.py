@@ -150,6 +150,10 @@ def test_scenario_validation():
                 ScenarioConfig(**{field: value})
     with pytest.raises(ValueError, match="square is not finite"):
         ScenarioConfig(cell_radius_m=1e300)
+    # subnormal noise powers: max_power_w / noise_w or 1 / noise_w overflows
+    for max_power_w, noise_w in ((40.0, 1e-323), (1e-300, 1e-320)):
+        with pytest.raises(ValueError, match="noise power too small"):
+            ScenarioConfig(max_power_w=max_power_w, noise_w=noise_w)
 
 
 def scalar_draw_oracle(rng, distance_m, num_nlos):

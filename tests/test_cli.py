@@ -160,6 +160,11 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys):
         ("rates", "cell_radius_m = 1e300", []),
         ("sweep-power", "pmax_dbm_values = 30, 4000", []),
         ("sweep-power", "pmax_dbm_values = -4000", []),
+        ("sweep-power", "noise_dbm = -3200", []),
+        ("sweep-antennas", "noise_dbm = -3200", []),
+        ("rates", "noise_dbm = -3200", []),
+        ("sweep-antennas", "pmax_dbm = -2970\nnoise_dbm = -3170", []),
+        ("sweep-power", "pmax_dbm_values = 30, 3000", []),
     ]
     cfg = tmp_path / "bad2.cfg"
     out = tmp_path / "x.csv"

@@ -161,9 +161,14 @@ def test_sweep_spec_validation():
     for ratio in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gain ratio must be finite"):
             SweepSpec("antennas", TWO_USER_LOS, 1, (10,), gain_ratio=ratio)
-    for values in ((30.0, math.nan), (math.inf,), (-math.inf,), (4000.0,), (-4000.0,)):
+    for values in ((30.0, math.nan), (math.inf,), (-math.inf,), (4000.0,), (-4000.0,),
+                   (30.0, 3000.0)):
         with pytest.raises(ValueError, match="dBm"):
             SweepSpec("power", TWO_USER_LOS, 1, values)
+    low_noise = ScenarioConfig(num_users=2, num_nlos_paths=0, max_power_w=1.0, noise_w=1e-300)
+    SweepSpec("power", low_noise, 1, (100.0,))
+    with pytest.raises(ValueError, match="over the noise power is not finite"):
+        SweepSpec("power", low_noise, 1, (100.0, 200.0))
 
 
 def test_sweep_table_formatting_and_columns():
