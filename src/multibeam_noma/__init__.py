@@ -67,9 +67,6 @@ from .rates import (
     RateReport,
     SicOrder,
     beamwidth_3db_deg,
-    individual_rate,
-    interference_terms,
-    sic_decoding_rate,
     sic_feasible,
     single_beam_noma_baseline,
     system_sum_rate,

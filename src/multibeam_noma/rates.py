@@ -5,7 +5,16 @@ and cancels every weaker group member (weaker in LOS gain) before its own
 message, so residual intra-group interference comes only from stronger
 members.  Beams of other RF chains interfere as noise.  A group rate only
 counts if every stronger member can actually decode the weaker messages it
-must cancel, which is what ``sic_feasible`` checks.
+must cancel; the SIC audit checks this.
+
+Every rate here is one expression, ``_rate``: log2(1 + p·g / (g·S + I + σ²))
+for a receiver of gain g decoding a message of power p, with S the summed
+power of the messages stronger than it and I the inter-group interference
+at the receiver.  ``sic_rates`` evaluates it for a group in SIC order, on
+the diagonal for the rates and on the receiver x message grid for the
+decode rates of the audit.  The sweeps (``noma_rates_from_gains``), the plan
+reports (``system_sum_rate``, one ``sic_rates`` call per RF chain), the
+single-beam baseline and TDMA all use it.
 """
 
 from __future__ import annotations
@@ -51,8 +60,7 @@ class SicOrder:
 
     def positions(self) -> np.ndarray:
         pos = np.empty(len(self.order), dtype=np.int64)
-        for rank, user in enumerate(self.order):
-            pos[user] = rank
+        pos[list(self.order)] = np.arange(len(self.order))
         return pos
 
 
@@ -77,93 +85,29 @@ class RateReport:
     sic_feasible: bool
 
 
-def _stronger_power(plan: GroupPlan, chain: int, positions: np.ndarray, rank: int) -> float:
-    """Total scheduled power of users on ``chain`` decoded before ``rank``."""
-    mask = (plan.scheduling[:, chain] == 1) & (positions < rank)
-    return float(plan.power_alloc[mask, chain].sum())
+def _sic_terms(gains_sq, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains, powers and the summed power of every stronger message, as
+    arrays that broadcast together; row k is the k-th strongest user."""
+    gains_sq = np.asarray(gains_sq, dtype=np.float64)
+    powers = np.asarray(powers, dtype=np.float64)
+    stronger = np.zeros_like(powers)
+    np.cumsum(powers[:-1], axis=0, out=stronger[1:])
+    if powers.ndim < gains_sq.ndim:
+        powers, stronger = powers[:, None], stronger[:, None]
+    elif gains_sq.ndim < powers.ndim:
+        gains_sq = gains_sq[:, None]
+    return gains_sq, powers, stronger
 
 
-def interference_terms(eff: EffectiveChannelMatrix, plan: GroupPlan, user: int,
-                       chain: int, order: SicOrder) -> tuple[float, float]:
-    """(inter-group, intra-group) interference powers seen by one user.
+def _rate(gain, power, stronger, inter, noise_w):
+    """The one SINR-to-rate expression, log2(1 + p·g / (g·S + (I + σ²))).
 
-    Inter-group: every other chain's full transmit power scaled by this
-    user's response to that chain's beams.  Intra-group: the powers of
-    stronger same-chain users, which SIC cannot remove.
+    A receiver with gain g decodes a message of power p while the messages
+    of summed power S that are stronger than it are still undecoded, and
+    I watts of other chains' beams reach it.  A scalar I = 0 leaves σ² exact
+    and costs no array operation.
     """
-    g = eff.gains_sq
-    powers = plan.scheduling * plan.power_alloc
-    per_chain = powers.sum(axis=0)
-    inter = float(g[user] @ per_chain - g[user, chain] * per_chain[chain])
-    positions = order.positions()
-    intra = g[user, chain] * _stronger_power(plan, chain, positions, positions[user])
-    return inter, float(intra)
-
-
-def individual_rate(eff: EffectiveChannelMatrix, plan: GroupPlan, user: int,
-                    chain: int, order: SicOrder, noise_w: float) -> float:
-    """Rate of ``user`` on ``chain`` after cancelling weaker group members."""
-    if plan.scheduling[user, chain] == 0:
-        return 0.0
-    inter, intra = interference_terms(eff, plan, user, chain, order)
-    signal = plan.power_alloc[user, chain] * eff.gains_sq[user, chain]
-    return math.log2(1.0 + signal / (inter + intra + noise_w))
-
-
-def sic_decoding_rate(eff: EffectiveChannelMatrix, plan: GroupPlan, decoder: int,
-                      message: int, chain: int, order: SicOrder, noise_w: float) -> float:
-    """Rate at which ``decoder`` can decode ``message``'s signal on ``chain``.
-
-    Only a stronger user may decode a weaker one's message; at that stage
-    every user stronger than ``message`` (the decoder included) is still
-    undecoded and interferes.
-    """
-    positions = order.positions()
-    if positions[decoder] >= positions[message]:
-        raise ValueError("decoder must precede message in the SIC order")
-    if plan.scheduling[message, chain] == 0:
-        return 0.0
-    g = eff.gains_sq[decoder, chain]
-    inter, _ = interference_terms(eff, plan, decoder, chain, order)
-    intra = g * _stronger_power(plan, chain, positions, positions[message])
-    signal = plan.power_alloc[message, chain] * g
-    return math.log2(1.0 + signal / (inter + intra + noise_w))
-
-
-def sic_feasible(eff: EffectiveChannelMatrix, plan: GroupPlan, order: SicOrder,
-                 noise_w: float) -> tuple[bool, tuple[SicCheck, ...]]:
-    """Check every decode-and-cancel step a group's SIC chain relies on.
-
-    For each chain and each scheduled pair (stronger k, weaker j), the
-    stronger user must decode j's message at least as fast as j itself
-    does.  Pairs involving unscheduled users impose nothing.
-    """
-    positions = order.positions()
-    checks = []
-    for chain in range(plan.num_chains):
-        scheduled = [k for k in range(plan.num_users) if plan.scheduling[k, chain] == 1]
-        scheduled.sort(key=lambda k: positions[k])
-        for i, decoder in enumerate(scheduled):
-            for message in scheduled[i + 1:]:
-                decode = sic_decoding_rate(eff, plan, decoder, message, chain, order, noise_w)
-                target = individual_rate(eff, plan, message, chain, order, noise_w)
-                checks.append(SicCheck(decoder, message, chain, decode, target,
-                                       decode >= target))
-    return all(c.ok for c in checks), tuple(checks)
-
-
-def system_sum_rate(eff: EffectiveChannelMatrix, plan: GroupPlan, order: SicOrder,
-                    noise_w: float) -> RateReport:
-    """Sum rate over all users and RF chains, with the SIC audit attached."""
-    per_user = np.zeros(plan.num_users)
-    group_sums = np.zeros(plan.num_chains)
-    for chain in range(plan.num_chains):
-        for user in range(plan.num_users):
-            r = individual_rate(eff, plan, user, chain, order, noise_w)
-            per_user[user] += r
-            group_sums[chain] += r
-    feasible, checks = sic_feasible(eff, plan, order, noise_w)
-    return RateReport(per_user, group_sums, float(per_user.sum()), checks, feasible)
+    return np.log2(1.0 + power * gain / (gain * stronger + (inter + noise_w)))
 
 
 def noma_rates_from_gains(gains_sq: np.ndarray, powers: np.ndarray,
@@ -176,16 +120,77 @@ def noma_rates_from_gains(gains_sq: np.ndarray, powers: np.ndarray,
     broadcast shape of the two.  Used by the sweep evaluators where
     building full plan objects per trial would dominate the runtime.
     """
-    gains_sq = np.asarray(gains_sq, dtype=np.float64)
-    powers = np.asarray(powers, dtype=np.float64)
-    stronger = np.zeros_like(powers)
-    np.cumsum(powers[:-1], axis=0, out=stronger[1:])
-    if powers.ndim < gains_sq.ndim:
-        powers, stronger = powers[:, None], stronger[:, None]
-    elif gains_sq.ndim < powers.ndim:
-        gains_sq = gains_sq[:, None]
-    sinr = powers * gains_sq / (gains_sq * stronger + noise_w)
-    return np.log2(1.0 + sinr)
+    return _rate(*_sic_terms(gains_sq, powers), 0.0, noise_w)
+
+
+def sic_rates(gains_sq: np.ndarray, powers: np.ndarray, noise_w: float,
+              inter=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and decode rates of one NOMA group, gains in SIC order.
+
+    ``gains_sq`` and ``powers`` are laid out as for ``noma_rates_from_gains``.
+    ``inter`` is the inter-group interference power at each receiver: a
+    scalar, or (K,) with one value per user shared by the n columns.
+    Returns ``rates``, of the broadcast shape (K,) or (K, n), and
+    ``decode`` of shape (K, K) or (K, K, n), where ``decode[i, j]`` is the
+    rate at which user i decodes user j's message.  Both come from the
+    same expression: ``rates`` is the diagonal of ``decode``, so the SIC
+    step i -> j (i stronger, i < j) holds when ``decode[i, j] >= rates[j]``.
+    """
+    gain, power, stronger = _sic_terms(gains_sq, powers)
+    # one value per receiver (row), shared by the n columns
+    inter = np.reshape(inter, (-1,) + (1,) * (gain.ndim - 1))
+    rates = _rate(gain, power, stronger, inter, noise_w)
+    # receiver on axis 0, message on axis 1
+    decode = _rate(gain[:, None], power[None], stronger[None], inter[:, None], noise_w)
+    return rates, decode
+
+
+def _pair_checks(users: list[int], chain: int, rates: list[float],
+                 decode: list[list[float]]) -> list[SicCheck]:
+    """One check per pair (stronger i, weaker j) of a group in SIC order, from
+    one scenario's ``sic_rates`` results, (K,) rates and (K, K) decode rates,
+    as nested lists."""
+    return [SicCheck(users[i], users[j], chain, decode[i][j], rates[j],
+                     decode[i][j] >= rates[j])
+            for i in range(len(users)) for j in range(i + 1, len(users))]
+
+
+def system_sum_rate(eff: EffectiveChannelMatrix, plan: GroupPlan, order: SicOrder,
+                    noise_w: float) -> RateReport:
+    """Sum rate over all users and RF chains, with the SIC audit attached.
+
+    Each chain's scheduled users are taken in SIC order and evaluated by one
+    ``sic_rates`` call.  Every other chain's full transmit power reaches a
+    user through its gain to that chain, as inter-group interference.  For
+    each scheduled pair (stronger k, weaker j) the audit checks that k
+    decodes j's message at least as fast as j itself does; pairs involving
+    unscheduled users impose nothing.
+    """
+    g = eff.gains_sq
+    per_chain = (plan.scheduling * plan.power_alloc).sum(axis=0)
+    received = g @ per_chain
+    sic = np.asarray(order.order)
+    # (user, chain): a user's rate sums its row, a chain's its column
+    rates = np.zeros((plan.num_users, plan.num_chains))
+    checks = []
+    for chain in range(plan.num_chains):
+        users = sic[plan.scheduling[sic, chain] == 1]
+        gains = g[users, chain]
+        inter = received[users] - gains * per_chain[chain]
+        own, decode = sic_rates(gains, plan.power_alloc[users, chain], noise_w, inter)
+        rates[users, chain] = own
+        checks += _pair_checks(users.tolist(), chain, own.tolist(), decode.tolist())
+    per_user = rates.sum(axis=1)
+    return RateReport(per_user, rates.sum(axis=0), float(per_user.sum()), tuple(checks),
+                      all(c.ok for c in checks))
+
+
+def sic_feasible(eff: EffectiveChannelMatrix, plan: GroupPlan, order: SicOrder,
+                 noise_w: float) -> tuple[bool, tuple[SicCheck, ...]]:
+    """The SIC audit of ``system_sum_rate``: whether every decode-and-cancel
+    step holds, and the checks themselves."""
+    report = system_sum_rate(eff, plan, order, noise_w)
+    return report.sic_feasible, report.sic_checks
 
 
 def equal_time_shares(num_users: int) -> np.ndarray:
@@ -204,7 +209,8 @@ def tdma_rates(gains_sq: np.ndarray, time_shares: np.ndarray, max_power_w: float
         raise ValueError("time shares must be nonnegative")
     if time_shares.sum() > 1.0 + 1e-9:
         raise ValueError(f"time shares sum to {time_shares.sum()}, over the frame")
-    per_user = time_shares * np.log2(1.0 + max_power_w * gains_sq / noise_w)
+    # each user alone on the channel: nothing stronger, no other beam
+    per_user = time_shares * _rate(gains_sq, max_power_w, 0.0, 0.0, noise_w)
     total = float(per_user.sum())
     return RateReport(per_user, np.array([total]), total, (), True)
 
@@ -262,27 +268,24 @@ def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,
     # (budget, user): each row sums along its contiguous axis exactly as a
     # single budget's (K,) vector does.
     per_user = np.zeros((len(budgets), num_users))
-    checks = [[] for _ in budgets]
+    audits = []
     for chain, members in enumerate(clusters):
         head = members[0]
         x = 0.5 * math.pi * (math.cos(los_aods[head]) - np.cos(los_aods[members]))
         gains_sq = (np.abs(los_gains[members]) ** 2 * (m_ue / m_bs)
                     * np.asarray(dirichlet(m_bs, x)) ** 2)
         powers = np.tile(budgets / len(members), (len(members), 1))
-        rates = noma_rates_from_gains(gains_sq, powers, noise_w)
-        per_user[:, members] = share * rates.T
         if len(members) < 2:
-            continue
-        # decode-and-cancel audit within the cluster, same algebra as above
-        stronger = np.cumsum(powers, axis=0).tolist()
-        powers, rates, gains = powers.tolist(), rates.tolist(), gains_sq.tolist()
-        for b, budget_checks in enumerate(checks):
-            for i, decoder in enumerate(members):
-                for j in range(i + 1, len(members)):
-                    decode = math.log2(1.0 + powers[j][b] * gains[i]
-                                       / (gains[i] * stronger[j - 1][b] + noise_w))
-                    budget_checks.append(SicCheck(decoder, members[j], chain, decode,
-                                                  rates[j][b], decode >= rates[j][b]))
+            rates = noma_rates_from_gains(gains_sq, powers, noise_w)
+        else:
+            rates, decode = sic_rates(gains_sq, powers, noise_w)
+            # budget first: rates[b] is (K,), decode[b] is (K, K)
+            audits.append((chain, members, rates.T.tolist(),
+                           decode.transpose(2, 0, 1).tolist()))
+        per_user[:, members] = share * rates.T
+    checks = [[c for chain, members, rates, decode in audits
+               for c in _pair_checks(members, chain, rates[b], decode[b])]
+              for b in range(len(budgets))]
     totals = per_user.sum(axis=1)
     feasible = np.array([all(c.ok for c in cs) for cs in checks])
     all_checks = tuple(c for cs in checks for c in cs)

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from multibeam_noma.beams import GroupPlan
-from multibeam_noma.effective import EffectiveChannelMatrix, tdma_effective_gain
+from multibeam_noma.effective import EffectiveChannelMatrix, dirichlet, tdma_effective_gain
 from multibeam_noma.rates import (
     RateReport,
     SicOrder,
     beamwidth_3db_deg,
     cluster_users,
     equal_time_shares,
-    individual_rate,
-    interference_terms,
     noma_rates_from_gains,
-    sic_decoding_rate,
     sic_feasible,
     single_beam_noma_baseline,
     system_sum_rate,
@@ -51,76 +48,77 @@ def test_sic_order_sorts_by_descending_power_with_stable_ties():
 
 def test_interference_terms_single_chain_pair():
     eff = EffectiveChannelMatrix(np.array([[2.0], [1.0]]))
-    plan = pair_plan()
-    order = SicOrder((0, 1))
-    inter_s, intra_s = interference_terms(eff, plan, 0, 0, order)
-    inter_w, intra_w = interference_terms(eff, plan, 1, 0, order)
-    assert inter_s == 0.0 and inter_w == 0.0
-    assert intra_s == 0.0
+    report = system_sum_rate(eff, pair_plan(), SicOrder((0, 1)), 1.0)
+    # no other chain interferes and nothing is stronger than the strong user
+    assert report.per_user[0] == pytest.approx(math.log2(1.0 + 0.3 * 4.0 / 1.0),
+                                               rel=1e-12)
     # weak user keeps the strong user's power, scaled by its own gain
-    assert intra_w == pytest.approx(1.0 * 0.3, rel=1e-12)
+    assert report.per_user[1] == pytest.approx(
+        math.log2(1.0 + 0.7 * 1.0 / (1.0 * 0.3 + 1.0)), rel=1e-12)
 
 
 def test_interference_terms_across_chains():
     eff = EffectiveChannelMatrix(np.array([[2.0, 0.5], [0.2, 1.0]]))
     plan = make_plan([[1, 0], [0, 1]], [[64, 0], [0, 64]], [[0.4, 0.0], [0.0, 0.6]])
-    order = SicOrder((0, 1))
-    inter, intra = interference_terms(eff, plan, 0, 0, order)
-    assert intra == 0.0
-    # chain 1 transmits 0.6 W into user 0's gain |0.5|^2
-    assert inter == pytest.approx(0.25 * 0.6, rel=1e-12)
+    report = system_sum_rate(eff, plan, SicOrder((0, 1)), 1.0)
+    # chain 1 transmits 0.6 W into user 0's gain |0.5|^2, chain 0 0.4 W into |0.2|^2
+    assert report.per_user[0] == pytest.approx(
+        math.log2(1.0 + 0.4 * 4.0 / (0.25 * 0.6 + 1.0)), rel=1e-12)
+    assert report.per_user[1] == pytest.approx(
+        math.log2(1.0 + 0.6 * 1.0 / (0.04 * 0.4 + 1.0)), rel=1e-12)
+    np.testing.assert_array_equal(report.group_sums, report.per_user)
+    assert report.sic_checks == () and report.sic_feasible
 
 
 def test_individual_rate_hand_values():
     eff = EffectiveChannelMatrix(np.array([[2.0], [1.0]]))
-    plan = pair_plan()
-    order = SicOrder((0, 1))
-    r_strong = individual_rate(eff, plan, 0, 0, order, 1.0)
-    r_weak = individual_rate(eff, plan, 1, 0, order, 1.0)
-    assert r_strong == pytest.approx(1.1375035237499351, rel=1e-12)
-    assert r_weak == pytest.approx(0.6214883767462701, rel=1e-12)
+    report = system_sum_rate(eff, pair_plan(), SicOrder((0, 1)), 1.0)
+    assert report.per_user[0] == pytest.approx(1.1375035237499351, rel=1e-12)
+    assert report.per_user[1] == pytest.approx(0.6214883767462701, rel=1e-12)
+    assert report.sic_checks[0].target_rate == report.per_user[1]
 
 
 def test_individual_rate_unscheduled_user_is_zero():
     eff = EffectiveChannelMatrix(np.array([[2.0], [1.0]]))
     plan = make_plan([[1], [0]], [[64], [0]], [[1.0], [0.0]])
-    order = SicOrder((0, 1))
-    assert individual_rate(eff, plan, 1, 0, order, 1.0) == 0.0
+    report = system_sum_rate(eff, plan, SicOrder((0, 1)), 1.0)
+    assert report.per_user[1] == 0.0
 
 
 def test_weak_user_rate_saturates_at_one_bit_for_equal_split():
     g = 1e12
     eff = EffectiveChannelMatrix(np.array([[math.sqrt(g)], [math.sqrt(g)]]))
-    plan = pair_plan(0.5, 0.5)
-    order = SicOrder((0, 1))
-    assert individual_rate(eff, plan, 1, 0, order, 1.0) == pytest.approx(1.0, rel=1e-6)
+    report = system_sum_rate(eff, pair_plan(0.5, 0.5), SicOrder((0, 1)), 1.0)
+    assert report.per_user[1] == pytest.approx(1.0, rel=1e-6)
+    assert report.sic_checks[0].target_rate == pytest.approx(1.0, rel=1e-6)
 
 
 def test_sic_decoding_rate_hand_value_and_errors():
     eff = EffectiveChannelMatrix(np.array([[2.0], [1.0]]))
-    plan = pair_plan()
-    order = SicOrder((0, 1))
-    decode = sic_decoding_rate(eff, plan, 0, 1, 0, order, 1.0)
-    assert decode == pytest.approx(math.log2(1.0 + 0.7 * 4.0 / (4.0 * 0.3 + 1.0)),
-                                   rel=1e-12)
-    with pytest.raises(ValueError, match="precede"):
-        sic_decoding_rate(eff, plan, 1, 0, 0, order, 1.0)
+    report = system_sum_rate(eff, pair_plan(), SicOrder((0, 1)), 1.0)
+    (check,) = report.sic_checks
+    assert check.decode_rate == pytest.approx(
+        math.log2(1.0 + 0.7 * 4.0 / (4.0 * 0.3 + 1.0)), rel=1e-12)
+    # only the stronger user decodes: the audit never has 1 decode 0's message
+    assert (check.decoder, check.message, check.chain) == (0, 1, 0)
 
 
 def test_sic_decoding_rate_equal_channels_matches_own_rate():
     eff = EffectiveChannelMatrix(np.array([[1.5], [1.5]]))
-    plan = pair_plan()
-    order = SicOrder((0, 1))
-    decode = sic_decoding_rate(eff, plan, 0, 1, 0, order, 0.7)
-    own = individual_rate(eff, plan, 1, 0, order, 0.7)
-    assert decode == pytest.approx(own, rel=1e-12)
+    report = system_sum_rate(eff, pair_plan(), SicOrder((0, 1)), 0.7)
+    (check,) = report.sic_checks
+    # one expression for both: equal channels give equal rates, bit for bit
+    assert check.decode_rate == check.target_rate == report.per_user[1]
+    assert check.ok
 
 
 def test_sic_decoding_rate_unscheduled_message_is_zero():
     eff = EffectiveChannelMatrix(np.array([[2.0], [1.0]]))
     plan = make_plan([[1], [0]], [[64], [0]], [[1.0], [0.0]])
-    order = SicOrder((0, 1))
-    assert sic_decoding_rate(eff, plan, 0, 1, 0, order, 1.0) == 0.0
+    report = system_sum_rate(eff, plan, SicOrder((0, 1)), 1.0)
+    # an unscheduled message carries no rate and needs no decoding
+    assert report.per_user[1] == 0.0
+    assert report.sic_checks == () and report.sic_feasible
 
 
 def test_sic_feasible_tracks_effective_gain_alignment():
@@ -174,12 +172,71 @@ def test_system_sum_rate_is_invariant_to_user_relabeling():
     assert report_p.system_sum == pytest.approx(report.system_sum, rel=1e-12)
 
 
+def per_pair_oracle(g, plan, order, noise_w):
+    """The per-user and per-pair SIC formulas, one scalar at a time."""
+    pos = order.positions()
+    per_chain = (plan.scheduling * plan.power_alloc).sum(axis=0)
+
+    def sinr_rate(receiver, message, chain):
+        stronger = sum(plan.power_alloc[k, chain] for k in range(plan.num_users)
+                       if plan.scheduling[k, chain] and pos[k] < pos[message])
+        inter = g[receiver] @ per_chain - g[receiver, chain] * per_chain[chain]
+        return math.log2(1.0 + plan.power_alloc[message, chain] * g[receiver, chain]
+                         / (inter + g[receiver, chain] * stronger + noise_w))
+
+    rates = np.zeros((plan.num_users, plan.num_chains))
+    checks = []
+    for chain in range(plan.num_chains):
+        users = sorted((k for k in range(plan.num_users) if plan.scheduling[k, chain]),
+                       key=lambda k: pos[k])
+        for k in users:
+            rates[k, chain] = sinr_rate(k, k, chain)
+        for i, decoder in enumerate(users):
+            for message in users[i + 1:]:
+                checks.append((decoder, message, chain,
+                               sinr_rate(decoder, message, chain), rates[message, chain]))
+    return rates, checks
+
+
+def test_system_sum_rate_matches_per_pair_formulas_on_random_multi_chain_plans():
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(200):
+        k = int(rng.integers(1, 13))
+        c = int(rng.integers(2, 5))
+        chain_of = rng.integers(-1, c, size=k)  # -1: unscheduled
+        scheduling = np.zeros((k, c), dtype=int)
+        scheduling[chain_of >= 0, chain_of[chain_of >= 0]] = 1
+        powers = scheduling * rng.uniform(0.1, 2.0, size=(k, c))
+        plan = make_plan(scheduling, scheduling * rng.integers(1, 9, size=(k, c)), powers)
+        values = rng.uniform(0.3, 3.0, size=(k, c)) * np.exp(2j * np.pi * rng.random((k, c)))
+        eff = EffectiveChannelMatrix(values)
+        order = SicOrder.from_los_gains(rng.uniform(0.1, 1.0, size=k))
+        noise = float(rng.uniform(0.05, 1.0))
+        report = system_sum_rate(eff, plan, order, noise)
+
+        rates, checks = per_pair_oracle(eff.gains_sq, plan, order, noise)
+        np.testing.assert_allclose(report.per_user, rates.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(report.group_sums, rates.sum(axis=0), rtol=1e-12)
+        assert report.system_sum == pytest.approx(rates.sum(), rel=1e-12)
+        assert [(c.decoder, c.message, c.chain) for c in report.sic_checks] == \
+            [oracle[:3] for oracle in checks]
+        for check, (_, _, _, decode, target) in zip(report.sic_checks, checks):
+            assert check.decode_rate == pytest.approx(decode, rel=1e-12)
+            assert check.target_rate == pytest.approx(target, rel=1e-12)
+            assert check.ok is (check.decode_rate >= check.target_rate)
+            if abs(decode - target) > 1e-9 * target:
+                assert check.ok == (decode >= target)
+            outcomes.add(check.ok)
+        assert report.sic_feasible is all(c.ok for c in report.sic_checks)
+        assert (report.per_user[chain_of < 0] == 0.0).all()
+    assert outcomes == {True, False}
+
+
 def test_strongest_user_rate_is_interference_free_on_a_single_chain():
     eff = EffectiveChannelMatrix(np.array([[3.0], [1.0]]))
-    plan = pair_plan(0.4, 0.6)
-    order = SicOrder((0, 1))
-    r = individual_rate(eff, plan, 0, 0, order, 0.2)
-    assert r == pytest.approx(math.log2(1.0 + 0.4 * 9.0 / 0.2), rel=1e-12)
+    report = system_sum_rate(eff, pair_plan(0.4, 0.6), SicOrder((0, 1)), 0.2)
+    assert report.per_user[0] == pytest.approx(math.log2(1.0 + 0.4 * 9.0 / 0.2), rel=1e-12)
 
 
 def test_noma_rates_from_gains_reference_and_matrix_form():
@@ -202,7 +259,8 @@ def test_noma_rates_from_gains_matches_plan_based_path():
     order = SicOrder((0, 1))
     report = system_sum_rate(eff, plan, order, 1.0)
     shortcut = noma_rates_from_gains(np.array([4.0, 1.0]), np.array([0.3, 0.7]), 1.0)
-    np.testing.assert_allclose(report.per_user, shortcut, rtol=1e-12)
+    # both run the same expression on the same numbers
+    np.testing.assert_array_equal(report.per_user, shortcut)
 
 
 def test_tdma_rates_reference_values_and_validation():
@@ -326,3 +384,25 @@ def test_single_beam_baseline_budget_array_matches_scalar_calls():
     assert [c.ok for c in stacked.sic_checks[:4]] == [True, True, False, True]
     assert not stacked.sic_feasible.any()
     assert all(type(c.ok) is bool for c in stacked.sic_checks)
+
+
+def test_single_beam_baseline_checks_equal_the_plan_path_on_one_cluster():
+    # LOS gains are powers of two and m_ue / m_bs = 1/16, so the plan's
+    # |v|^2 below rounds exactly as the baseline's gains do
+    m_ue, m_bs, noise = 8, 128, 1e-12
+    aods = np.array([1.2, 1.212, 1.2, 1.205])
+    los = 2.0 ** -np.arange(18.0, 22.0)
+    budget = 0.8
+    base = single_beam_noma_baseline(aods, los, m_ue, m_bs, 4, budget, noise)
+
+    x = 0.5 * math.pi * (math.cos(aods[0]) - np.cos(aods))
+    eff = EffectiveChannelMatrix((los * 0.25 * dirichlet(m_bs, x))[:, None])
+    plan = make_plan(np.ones((4, 1), dtype=int), [[32]] * 4, np.full((4, 1), budget / 4),
+                     m_bs=m_bs, budget=budget)
+    report = system_sum_rate(eff, plan, SicOrder.from_los_gains(los), noise)
+
+    np.testing.assert_array_equal(base.per_user, report.per_user)
+    assert base.sic_checks == report.sic_checks
+    assert len(base.sic_checks) == 6
+    # the off-axis second user cannot decode the on-axis third one
+    assert not base.sic_feasible and not base.sic_checks[3].ok
