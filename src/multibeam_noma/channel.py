@@ -9,6 +9,7 @@ departure/arrival angle ``theta`` contributes a phase ramp of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -122,6 +123,8 @@ class ScenarioConfig:
                 and math.isfinite(self.max_power_w / self.noise_w)):
             raise ValueError("noise power too small: 1 / noise_w or max_power_w / noise_w "
                              "is not finite")
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.rng_seed!r}")
 
 
 def array_response(config: UlaConfig, angle: float) -> np.ndarray:
@@ -150,58 +153,63 @@ def channel_matrix(channel: UserChannel) -> np.ndarray:
     return h
 
 
-def _clip_angle(angle: float) -> float:
-    return min(max(angle, _ANGLE_EPS), math.pi - _ANGLE_EPS)
-
-
 def los_gain_magnitude(distance_m: float) -> float:
     """Free-space amplitude gain at the carrier: lambda / (4 pi d)."""
     return WAVELENGTH_M / (4.0 * math.pi * distance_m)
 
 
-def generate_user_channel(
-    rng: np.random.Generator, distance_m: float, scenario: ScenarioConfig
-) -> UserChannel:
-    """Draw one user's LOS + NLOS paths at the given distance.
+def draw_paths(u: np.ndarray, distance_m, scenario: ScenarioConfig
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paths of users at ``distance_m`` from their uniform draws.
+
+    ``u`` holds one user's 3 + 4 L draws on its last axis, in this order:
+    LOS phase, LOS AoD, LOS AoA, then (loss, phase, AoD, AoA) for each NLOS
+    path; ``distance_m`` has the shape of the other axes.  Returns
+    ``(gains, aods, aoas)`` with the 1 + L paths on the last axis, LOS first.
 
     The LOS amplitude follows free-space loss at 28 GHz; each NLOS path is
     attenuated a further 10-20 dB (uniform) and all phases are uniform over
     [0, 2 pi).  Angles are uniform over (0, pi), clipped 1e-12 inside the
-    open interval that ``array_response`` expects.
-
-    One ``rng.random(3 + 4 L)`` block holds every draw, in this order: LOS
-    phase, LOS AoD, LOS AoA, then (loss, phase, AoD, AoA) for each NLOS
-    path.  A draw u becomes ``lo + (hi - lo) * u``, which is how
-    ``rng.uniform(lo, hi)`` scales it, so the block reproduces the stream of
-    one scalar ``uniform`` call per value.
+    open interval that ``array_response`` expects.  A draw u becomes
+    ``lo + (hi - lo) * u``, which is how ``rng.uniform(lo, hi)`` scales it,
+    so one ``rng.random(3 + 4 L)`` block reproduces the stream of one scalar
+    ``uniform`` call per value.  Every value is computed element by element,
+    so a user's paths do not depend on the other users drawn with it.
     """
+    num_nlos = scenario.num_nlos_paths
+    u = np.asarray(u, dtype=np.float64)
+    g_los = los_gain_magnitude(np.asarray(distance_m, dtype=np.float64))
+    # per path: (phase, AoD, AoA) at offsets 0, 1, 2 of every 4 draws, and
+    # the NLOS losses at offset 3
+    lo, hi = NLOS_EXTRA_LOSS_DB
+    atten = np.ones(u.shape[:-1] + (1 + num_nlos,))
+    loss_db = lo + (hi - lo) * u[..., 3::4]
+    # Python float ** calls libm pow; numpy's vectorized power differs
+    # from it in the last bit for some values.
+    atten[..., 1:] = np.array([10.0 ** x for x in (-loss_db / 20.0).ravel().tolist()]
+                              ).reshape(loss_db.shape)
+    gains = g_los[..., None] * atten * np.exp(1j * (_TWO_PI * u[..., 0::4]))
+    # np.clip, spelled as its two ufuncs: its Python wrapper costs more than
+    # the arithmetic at one user's size
+    aods = np.minimum(np.maximum(math.pi * u[..., 1::4], _ANGLE_EPS), math.pi - _ANGLE_EPS)
+    aoas = np.minimum(np.maximum(math.pi * u[..., 2::4], _ANGLE_EPS), math.pi - _ANGLE_EPS)
+    return gains, aods, aoas
+
+
+def generate_user_channel(
+    rng: np.random.Generator, distance_m: float, scenario: ScenarioConfig
+) -> UserChannel:
+    """Draw one user's LOS + NLOS paths at the given distance: the
+    ``draw_paths`` of one ``rng.random(3 + 4 L)`` block, as path objects."""
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     if distance_m > scenario.cell_radius_m:
         raise ValueError("user placed outside the cell")
-
-    num_nlos = scenario.num_nlos_paths
-    block = rng.random(3 + 4 * num_nlos)
-    g_los = los_gain_magnitude(distance_m)
-    # The LOS draws stay Python floats: small numpy ops would cost more than
-    # the whole draw of a LOS-only user.
-    u_phase, u_aod, u_aoa = block[:3].tolist()
-    phase = _TWO_PI * u_phase
-    paths = [PathComponent(g_los * np.exp(1j * phase), _clip_angle(math.pi * u_aod),
-                           _clip_angle(math.pi * u_aoa), is_los=True)]
-
-    if num_nlos:
-        u = block[3:].reshape(num_nlos, 4)
-        lo, hi = NLOS_EXTRA_LOSS_DB
-        loss_db = lo + (hi - lo) * u[:, 0]
-        # Python float ** calls libm pow; numpy's vectorized power differs
-        # from it in the last bit for some values.
-        atten = [10.0 ** x for x in (-loss_db / 20.0).tolist()]
-        gains = g_los * np.array(atten) * np.exp(1j * (_TWO_PI * u[:, 1]))
-        angles = np.clip(math.pi * u[:, 2:], _ANGLE_EPS, math.pi - _ANGLE_EPS)
-        paths += [PathComponent(g, aod, aoa)
-                  for g, (aod, aoa) in zip(gains.tolist(), angles.tolist())]
-
+    gains, aods, aoas = draw_paths(rng.random(3 + 4 * scenario.num_nlos_paths),
+                                   distance_m, scenario)
+    los, *nlos = zip(gains.tolist(), aods.tolist(), aoas.tolist())
+    paths = [PathComponent(*los, is_los=True)] + [PathComponent(g, aod, aoa)
+                                                  for g, aod, aoa in nlos]
     return UserChannel(tuple(paths), scenario.ue_config, scenario.bs_config)
 
 
@@ -216,9 +224,109 @@ def user_rng(master_seed: int, trial_index: int, user_index: int) -> np.random.G
     return np.random.default_rng(seq)
 
 
-def paths_as_arrays(channel: UserChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gains, aods, aoas) as flat arrays, LOS first.  Convenience for kernels."""
-    gains = np.array([p.gain for p in channel.paths], dtype=np.complex128)
-    aods = np.array([p.aod for p in channel.paths], dtype=np.float64)
-    aoas = np.array([p.aoa for p in channel.paths], dtype=np.float64)
-    return gains, aods, aoas
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+# (pcg64.h), which ``user_rng`` runs once per key and ``user_uniforms`` runs
+# for a block of keys at once.  None of the constants depends on the data.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as little-endian 32-bit words, at least one, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def spawn_state_words(master_seed: int, trial_lo: int, trial_hi: int,
+                      num_users: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(t, k)).generate_state(4, np.uint64)``
+    for every trial t in [trial_lo, trial_hi) and user k < num_users, as a
+    (T, K, 4) uint64 array.
+
+    The words and the hash constants that the master seed meets do not
+    depend on (t, k), so they are mixed once as Python ints; the two key
+    words are mixed for all keys at once as uint32 arrays, which wrap as the
+    C code does.  Each integer op is masked to 32 bits, so the same steps
+    serve both.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
+    if not 0 <= trial_lo <= trial_hi <= _MASK32 + 1:
+        raise ValueError(f"trial range [{trial_lo}, {trial_hi}) must lie in [0, 2**32): "
+                         "a larger index is more than one spawn-key word")
+    trials = np.repeat(np.arange(trial_lo, trial_hi, dtype=np.uint32), num_users)
+    users = np.tile(np.arange(num_users, dtype=np.uint32), trial_hi - trial_lo)
+    run = _uint32_words(master_seed)
+    # a spawned sequence pads its run entropy with zeros to the pool size
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + [trials, users]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((len(trials), 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state[:, i] = value ^ (value >> 16)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return words.reshape(trial_hi - trial_lo, num_users, 4)
+
+
+def pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """The state of ``PCG64`` seeded with four ``generate_state`` words, as
+    ``PCG64(seed_sequence).state`` reports it."""
+    inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
+    state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def user_uniforms(master_seed: int, trial_lo: int, trial_hi: int, num_users: int,
+                  n: int) -> np.ndarray:
+    """``user_rng(master_seed, t, k).random(n)`` for every trial t in
+    [trial_lo, trial_hi) and user k < num_users, as a (T, K, n) array.
+
+    The same streams, bit for bit, without building a SeedSequence and a
+    Generator per key: the keys are hashed together, and each key's state
+    is set on one bit generator that this call owns.
+    """
+    words = spawn_state_words(master_seed, trial_lo, trial_hi, num_users)
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    out = np.empty((trial_hi - trial_lo, num_users, n))
+    for row, key_words in zip(out.reshape(-1, n), words.reshape(-1, 4).tolist()):
+        bit_gen.state = pcg64_state(*key_words)
+        gen.random(out=row)
+    return out

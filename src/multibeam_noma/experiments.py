@@ -1,14 +1,21 @@
 """Seeded Monte Carlo experiments and their CSV emitters.
 
-Every trial derives its own RNG substream from (master seed, trial index,
-user index), and aggregation folds the per-trial results in trial order,
-so a sweep produces byte-identical CSV no matter how many worker threads
-ran it.  CSV files start with '# key = value' comment lines carrying the
-scenario, so each file can be recomputed in isolation.
+Every user of every trial draws from its own RNG substream, keyed by
+(master seed, trial index, user index).  ``monte_carlo`` hands a sweep's
+evaluator consecutive blocks of trials and concatenates the per-trial
+results in trial order, so a sweep produces byte-identical CSV whatever
+the block size and however many worker threads ran it.  The antenna sweep
+takes blocks of ``TRIAL_BLOCK``: a block seeds all of its keys at once,
+draws every user's paths as arrays and evaluates its trials along an array
+axis where the arithmetic is element-wise.  Those draws are the ones of
+``drop_users``, bit for bit; the power sweep still draws each trial through
+``drop_users``.  CSV files start with '# key = value' comment lines
+carrying the scenario, so each file can be recomputed in isolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,9 +37,10 @@ from .channel import (
     ScenarioConfig,
     UserChannel,
     dbm_to_watt,
+    draw_paths,
     generate_user_channel,
-    paths_as_arrays,
     user_rng,
+    user_uniforms,
 )
 from .rates import equal_time_shares, noma_rates_from_gains, single_beam_noma_baseline
 
@@ -58,22 +66,97 @@ def drop_users(scenario: ScenarioConfig, trial_index: int = 0,
     rescales the weaker user of a two-user drop so the LOS magnitude
     ratio is pinned exactly.
     """
+    _check_gain_ratio(scenario.num_users, gain_ratio)
     seed = scenario.rng_seed if master_seed is None else master_seed
     users = []
     for k in range(scenario.num_users):
         rng = user_rng(seed, trial_index, k)
-        d = math.sqrt(rng.uniform(MIN_USER_DISTANCE_M ** 2, scenario.cell_radius_m ** 2))
+        d = float(_distances(rng.random(), scenario))
         users.append(DroppedUser(d, generate_user_channel(rng, d, scenario)))
-    users.sort(key=lambda u: -abs(u.channel.los.gain) ** 2)
+    mags = np.array([abs(u.channel.los.gain) for u in users])
+    order = _strongest_first(mags)
+    users = [users[i] for i in order.tolist()]
     if gain_ratio is not None:
-        if scenario.num_users != 2:
-            raise InfeasibleSpecError("a pinned gain ratio needs exactly two users")
-        if gain_ratio < 1.0:
-            raise InfeasibleSpecError("gain ratio must be >= 1 (strong over weak)")
-        target = abs(users[0].channel.los.gain) / gain_ratio
-        factor = target / abs(users[1].channel.los.gain)
+        factor = float(_pin_factor(mags[order], gain_ratio))
         users[1] = DroppedUser(users[1].distance_m, users[1].channel.scaled(factor))
     return users
+
+
+def _check_gain_ratio(num_users: int, gain_ratio: float | None) -> None:
+    if gain_ratio is None:
+        return
+    if num_users != 2:
+        raise InfeasibleSpecError("a pinned gain ratio needs exactly two users")
+    if gain_ratio < 1.0:
+        raise InfeasibleSpecError("gain ratio must be >= 1 (strong over weak)")
+
+
+def _scalar_abs(z: np.ndarray) -> np.ndarray:
+    # scalar abs: numpy's vectorized complex abs differs from it in the last bit
+    return np.array([abs(v) for v in z.ravel().tolist()], dtype=np.float64).reshape(z.shape)
+
+
+def _scalar_squares(x: np.ndarray) -> np.ndarray:
+    # scalar x ** 2 calls libm pow, which differs from an array's x * x in
+    # the last bit for some values
+    return np.array([v ** 2 for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+
+
+# The rules of a drop, shared by ``drop_users`` and ``_draw_block``.
+
+def _distances(u, scenario: ScenarioConfig) -> np.ndarray:
+    """User distances from uniform draws: uniform over the cell area outside
+    the exclusion radius.  ``rng.uniform(lo, hi)`` scales a draw the same way."""
+    d_lo, d_hi = MIN_USER_DISTANCE_M ** 2, scenario.cell_radius_m ** 2
+    return np.sqrt(d_lo + (d_hi - d_lo) * u)
+
+
+def _strongest_first(mags: np.ndarray) -> np.ndarray:
+    """Order of the users on the last axis by descending LOS power; ties keep
+    the draw order."""
+    return np.argsort(-_scalar_squares(mags), axis=-1, kind="stable")
+
+
+def _pin_factor(mags: np.ndarray, gain_ratio: float) -> np.ndarray:
+    """Gain factor of the weaker of two users, strongest first, that makes
+    their LOS magnitude ratio exactly ``gain_ratio``."""
+    return mags[..., 0] / gain_ratio / mags[..., 1]
+
+
+def _trial_arrays(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
+                  scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LOS gain magnitudes (..., K), LOS departure angles (..., K) and v^H H
+    rows (..., K, M_BS) of users whose 1 + L paths lie on the last axis."""
+    m_ue = scenario.ue_config.num_antennas
+    m_bs = scenario.bs_config.num_antennas
+    rows = np.empty(gains.shape[:-1] + (m_bs,), dtype=np.complex128)
+    num_paths = gains.shape[-1]
+    for row, g, aod, aoa in zip(rows.reshape(-1, m_bs), gains.reshape(-1, num_paths),
+                                aods.reshape(-1, num_paths), aoas.reshape(-1, num_paths)):
+        row[:] = _kernels.vhh_row(g, aod, aoa, m_ue, m_bs)
+    return _scalar_abs(gains[..., 0]), np.ascontiguousarray(aods[..., 0]), rows
+
+
+def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
+                gain_ratio: float | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_trial_arrays`` of ``drop_users(scenario, t, gain_ratio)`` for every
+    trial t in [trial_lo, trial_hi), as (T, K), (T, K) and (T, K, M_BS) arrays.
+
+    Same streams, order and bits as ``drop_users``: each user's distance
+    and paths come from the first 4 + 4 L draws of its ``user_rng``
+    stream, and the drop rules above sort and pin the users.
+    """
+    k = scenario.num_users
+    _check_gain_ratio(k, gain_ratio)
+    u = user_uniforms(scenario.rng_seed, trial_lo, trial_hi, k,
+                      4 + 4 * scenario.num_nlos_paths)
+    gains, aods, aoas = draw_paths(u[..., 1:], _distances(u[..., 0], scenario), scenario)
+    order = _strongest_first(_scalar_abs(gains[..., 0]))[..., None]
+    gains, aods, aoas = (np.take_along_axis(a, order, axis=1) for a in (gains, aods, aoas))
+    if gain_ratio is not None:
+        gains[:, 1] *= _pin_factor(_scalar_abs(gains[..., 0]), gain_ratio)[:, None]
+    return _trial_arrays(gains, aods, aoas, scenario)
 
 
 @dataclass(frozen=True)
@@ -83,25 +166,37 @@ class MonteCarloResult:
     trials: int
 
 
-def monte_carlo(trials: int, evaluator: Callable[[int], np.ndarray],
-                workers: int = 1) -> MonteCarloResult:
-    """Evaluate ``evaluator(trial_index)`` for every trial and aggregate.
+# Trials per evaluator call.  At the paper's power-sweep sizes (5 users,
+# 30 NLOS paths, 128 antennas) a block's draws and rows take about 1 MB.
+TRIAL_BLOCK = 64
 
-    Trials are independent and may run on a thread pool of at most
-    ``os.cpu_count()`` threads; results are stacked in trial order before
-    the mean/standard-error reduction, so the outcome does not depend on
-    ``workers``.  With one trial the standard error is reported as zero.
+
+def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
+                workers: int = 1, *, block: int | None = None) -> MonteCarloResult:
+    """Evaluate ``evaluator(lo, hi)`` over consecutive trial blocks and aggregate.
+
+    ``evaluator(lo, hi)`` returns one result per trial of [lo, hi), stacked
+    on the first axis.  Blocks hold ``block`` trials (``TRIAL_BLOCK`` unless
+    given), are independent and may run on a thread pool of at most
+    ``os.cpu_count()`` threads; the results are concatenated in trial order
+    before the mean/standard-error reduction, so the outcome depends on
+    neither the block size nor ``workers``.  With one trial the standard
+    error is reported as zero.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     workers = min(workers, os.cpu_count() or 1)
-    indices = range(trials)
+    block = TRIAL_BLOCK if block is None else block
+    los = range(0, trials, block)
+    his = [min(lo + block, trials) for lo in los]
     if workers <= 1:
-        results = [np.asarray(evaluator(t), dtype=np.float64) for t in indices]
+        results = [np.asarray(evaluator(lo, hi), dtype=np.float64) for lo, hi in zip(los, his)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [np.asarray(r, dtype=np.float64) for r in pool.map(evaluator, indices)]
-    data = np.stack(results, axis=0)
+            results = [np.asarray(r, dtype=np.float64) for r in pool.map(evaluator, los, his)]
+    data = np.concatenate(results, axis=0)
+    if len(data) != trials:
+        raise ValueError(f"the evaluator returned {len(data)} results for {trials} trials")
     mean = data.mean(axis=0)
     if trials > 1:
         stderr = data.std(axis=0, ddof=1) / math.sqrt(trials)
@@ -227,20 +322,6 @@ def _scenario_meta(scenario: ScenarioConfig) -> dict:
     }
 
 
-def _user_arrays(users: Sequence[DroppedUser]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LOS gain magnitudes, LOS departure angles, and the (K, M_BS) v^H H rows."""
-    # scalar abs: numpy's vectorized complex abs differs from it in the last bit
-    mags = np.array([abs(u.channel.los.gain) for u in users])
-    aods = np.array([u.channel.los.aod for u in users])
-    scenario_ue = users[0].channel.ue_config.num_antennas
-    scenario_bs = users[0].channel.bs_config.num_antennas
-    rows = np.stack([
-        _kernels.vhh_row(*paths_as_arrays(u.channel), scenario_ue, scenario_bs)
-        for u in users
-    ])
-    return mags, aods, rows
-
-
 def _full_array_gains(rows, cos_aods, m_bs: int) -> np.ndarray:
     """|v^H H w|^2 with a full-array beam matched to each user's own LOS."""
     gains = np.empty(len(rows))
@@ -250,6 +331,46 @@ def _full_array_gains(rows, cos_aods, m_bs: int) -> np.ndarray:
         (h,) = _kernels.segment_gains(rows[k:k + 1], cos_aods[k:k + 1], offsets, lengths, m_bs)
         gains[k] = abs(h) ** 2
     return gains
+
+
+def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
+    """Antenna-sweep results of trials [lo, hi): (hi - lo, splits, 6).
+
+    ``two_segment_sweep``, the full-array gains and the threshold run per
+    trial; everything after them is element-wise over the block, or a sum
+    over the two users, which rounds the same in any order.
+    """
+    scenario = spec.scenario
+    m_bs = scenario.bs_config.num_antennas
+    m_ue = scenario.ue_config.num_antennas
+    m1_values = np.asarray(spec.values, dtype=np.int64)
+    m2_values = m_bs - m1_values
+    p_user = scenario.max_power_w / 2.0
+    rho = 1.0 / scenario.noise_w
+
+    mags, aods, rows = _draw_block(scenario, lo, hi, spec.gain_ratio)
+    cos_aods = np.cos(aods)
+    n = hi - lo
+    h = np.empty((2, n, len(m1_values)), dtype=np.complex128)   # (user, trial, split)
+    tdma_gains = np.empty((n, 2))
+    threshold = np.empty(n)
+    for t in range(n):
+        h[:, t] = _kernels.two_segment_sweep(rows[t], cos_aods[t, 0], cos_aods[t, 1],
+                                             m1_values, m_bs)
+        tdma_gains[t] = _full_array_gains(rows[t], cos_aods[t], m_bs)
+        m1_min = min_antennas_for_superiority(mags[t], m_bs)
+        threshold[t] = m_bs + 1 if m1_min is None else m1_min
+    out = np.empty((n, len(m1_values), 6))
+    out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
+                                        scenario.noise_w).sum(axis=0)
+    out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]
+    out[..., 2] = np.log2((scenario.max_power_w * _scalar_squares(mags[:, 0]) * m_ue)[:, None]
+                          * m1_values.astype(np.float64) ** 2 * rho / m_bs)
+    out[..., 3] = np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho
+                          ).mean(axis=1)[:, None]
+    out[..., 4] = threshold[:, None]
+    out[..., 5] = mags[:, :1] * m1_values >= mags[:, 1:] * m2_values
+    return out
 
 
 def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
@@ -264,39 +385,9 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     satisfying the asymptotic SIC ordering at each split.
     """
     scenario = spec.scenario
-    m_bs = scenario.bs_config.num_antennas
-    m_ue = scenario.ue_config.num_antennas
     m1_values = np.asarray(spec.values, dtype=np.int64)
-    m2_values = m_bs - m1_values
-    p_user = scenario.max_power_w / 2.0
-    rho = 1.0 / scenario.noise_w
-
-    def evaluate(trial: int) -> np.ndarray:
-        users = drop_users(scenario, trial, spec.gain_ratio)
-        mags, aods, rows = _user_arrays(users)
-        cos_aods = np.cos(aods)
-        h = _kernels.two_segment_sweep(rows, cos_aods[0], cos_aods[1], m1_values, m_bs)
-        gains_sq = np.abs(h) ** 2
-        noma = noma_rates_from_gains(gains_sq, np.array([p_user, p_user]),
-                                     scenario.noise_w).sum(axis=0)
-        tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
-        tdma = float(np.mean(np.log2(1.0 + scenario.max_power_w * tdma_gains * rho)))
-        noma_asym = np.log2(scenario.max_power_w * mags[0] ** 2 * m_ue
-                            * m1_values.astype(np.float64) ** 2 * rho / m_bs)
-        tdma_asym = float(np.mean(np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho)))
-        threshold = min_antennas_for_superiority(mags, m_bs)
-        threshold = float(m_bs + 1 if threshold is None else threshold)
-        feasible = (mags[0] * m1_values >= mags[1] * m2_values).astype(np.float64)
-        out = np.empty((len(m1_values), 6))
-        out[:, 0] = noma
-        out[:, 1] = tdma
-        out[:, 2] = noma_asym
-        out[:, 3] = tdma_asym
-        out[:, 4] = threshold
-        out[:, 5] = feasible
-        return out
-
-    result = monte_carlo(spec.trials, evaluate, workers)
+    m2_values = scenario.bs_config.num_antennas - m1_values
+    result = monte_carlo(spec.trials, functools.partial(_antenna_trials, spec), workers)
     header = ("m1", "m2", "noma_sum_mean", "noma_sum_stderr", "tdma_sum_mean",
               "tdma_sum_stderr", "noma_asymptotic", "tdma_asymptotic",
               "superiority_threshold", "feasible_fraction")
@@ -316,6 +407,46 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     return table
 
 
+def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
+                  pmax_w: np.ndarray, powers: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Power-sweep results of trials [lo, hi): (hi - lo, budgets, 4).
+
+    Users get the segments ``alloc`` starting at ``offsets``, and the
+    (K, budgets) ``powers`` of each budget in ``pmax_w``.
+    """
+    scenario = spec.scenario
+    m_bs = scenario.bs_config.num_antennas
+    m_ue = scenario.ue_config.num_antennas
+    k = scenario.num_users
+    group_size = k if spec.max_group_size is None else spec.max_group_size
+    shares = equal_time_shares(k)
+
+    out = np.empty((hi - lo, len(pmax_w), 4))
+    for t in range(lo, hi):
+        paths = [u.channel.paths for u in drop_users(scenario, t)]
+        mags, aods, rows = _trial_arrays(
+            np.array([[p.gain for p in ps] for ps in paths]),
+            np.array([[p.aod for p in ps] for ps in paths]),
+            np.array([[p.aoa for p in ps] for ps in paths]), scenario)
+        cos_aods = np.cos(aods)
+        h = _kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs)
+        split_gains = _scalar_squares(_scalar_abs(h))
+        tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
+        asym = _asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
+        pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
+        trial = out[t - lo]
+        # (budget, user) rows, summed along the user axis like a (K,) vector
+        noma = noma_rates_from_gains(split_gains, powers, scenario.noise_w).T.copy()
+        trial[:, 0] = noma.sum(axis=1)
+        trial[:, 1] = single_beam_noma_baseline(
+            aods, mags, m_ue, m_bs, group_size, pmax_w, scenario.noise_w).system_sum
+        # one dot per budget: a batched x @ shares rounds differently for K >= 3
+        for i, p in enumerate(pmax_w):
+            trial[i, 2] = shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w)
+        trial[:, 3] = pred
+    return out
+
+
 def run_power_sweep(spec: SweepSpec, workers: int = 1,
                     out_path: str | None = None) -> SweepTable:
     """Sweep the power budget with a fixed antenna split.
@@ -327,42 +458,20 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     does not depend on the budget).
     """
     scenario = spec.scenario
-    m_bs = scenario.bs_config.num_antennas
-    m_ue = scenario.ue_config.num_antennas
-    k = scenario.num_users
     alloc = spec.antenna_alloc
     if alloc is None:
-        alloc = default_antenna_alloc(k, m_bs)
+        alloc = default_antenna_alloc(scenario.num_users, scenario.bs_config.num_antennas)
     alloc_arr = np.asarray(alloc, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(alloc_arr)[:-1])).astype(np.int64)
     pmax_dbm = np.asarray(spec.values, dtype=np.float64)
     pmax_w = np.array([dbm_to_watt(v) for v in pmax_dbm])
-    group_size = k if spec.max_group_size is None else spec.max_group_size
-    shares = equal_time_shares(k)
-    powers = np.tile(pmax_w / k, (k, 1))   # equal split of every budget
-
-    def evaluate(trial: int) -> np.ndarray:
-        users = drop_users(scenario, trial)
-        mags, aods, rows = _user_arrays(users)
-        cos_aods = np.cos(aods)
-        h = _kernels.segment_gains(rows, cos_aods, offsets, alloc_arr, m_bs)
-        # scalar abs: numpy's vectorized complex abs differs from it in the last bit
-        split_gains = np.array([abs(x) ** 2 for x in h])
-        tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
-        asym = _asym_scenario(mags, alloc_arr, scenario, float(pmax_w[0]))
-        pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
-        out = np.empty((len(pmax_w), 4))
-        # (budget, user) rows, summed along the user axis like a (K,) vector
-        noma = noma_rates_from_gains(split_gains, powers, scenario.noise_w).T.copy()
-        out[:, 0] = noma.sum(axis=1)
-        out[:, 1] = single_beam_noma_baseline(
-            aods, mags, m_ue, m_bs, group_size, pmax_w, scenario.noise_w).system_sum
-        for i, p in enumerate(pmax_w):
-            out[i, 2] = shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w)
-        out[:, 3] = pred
-        return out
-
-    result = monte_carlo(spec.trials, evaluate, workers)
+    offsets = np.concatenate(([0], np.cumsum(alloc_arr)[:-1])).astype(np.int64)
+    powers = np.tile(pmax_w / scenario.num_users, (scenario.num_users, 1))   # equal split
+    evaluator = functools.partial(_power_trials, spec, alloc_arr, offsets, pmax_w, powers)
+    # One trial per block, drawn through drop_users: the traced benchmark
+    # self-test (perfbench/test_perfbench.py) counts one experiments.trial
+    # span per power-sweep trial and the paths of its generate_user_channel
+    # calls.  It moves onto _draw_block when that test counts blocks (ROADMAP).
+    result = monte_carlo(spec.trials, evaluator, workers, block=1)
     header = ("pmax_dbm", "noma_sum_mean", "baseline_sum_mean", "tdma_sum_mean",
               "predicted_gain")
     rows = []

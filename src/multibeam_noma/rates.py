@@ -92,10 +92,13 @@ def _sic_terms(gains_sq, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     powers = np.asarray(powers, dtype=np.float64)
     stronger = np.zeros_like(powers)
     np.cumsum(powers[:-1], axis=0, out=stronger[1:])
+    # the user axis leads; the scenario axes trail
     if powers.ndim < gains_sq.ndim:
-        powers, stronger = powers[:, None], stronger[:, None]
+        trailing = (1,) * (gains_sq.ndim - powers.ndim)
+        powers = powers.reshape(powers.shape + trailing)
+        stronger = stronger.reshape(stronger.shape + trailing)
     elif gains_sq.ndim < powers.ndim:
-        gains_sq = gains_sq[:, None]
+        gains_sq = gains_sq.reshape(gains_sq.shape + (1,) * (powers.ndim - gains_sq.ndim))
     return gains_sq, powers, stronger
 
 
@@ -115,8 +118,9 @@ def noma_rates_from_gains(gains_sq: np.ndarray, powers: np.ndarray,
     """Single-chain NOMA rates from effective gains already in SIC order.
 
     Row k belongs to the strongest-but-k user.  ``gains_sq`` is (K,) or
-    (K, n) for n scenarios; ``powers`` is (K,), one power split shared by
-    every scenario, or (K, n), one split per column.  The result has the
+    (K, n) for n scenarios, or (K, ...) with more scenario axes; ``powers``
+    is (K,), one power split shared by every scenario, or (K, n), one split
+    per column.  The result has the
     broadcast shape of the two.  Used by the sweep evaluators where
     building full plan objects per trial would dominate the runtime.
     """

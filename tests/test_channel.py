@@ -18,10 +18,13 @@ from multibeam_noma.channel import (
     array_response,
     channel_matrix,
     dbm_to_watt,
+    draw_paths,
     generate_user_channel,
     los_gain_magnitude,
-    paths_as_arrays,
+    pcg64_state,
+    spawn_state_words,
     user_rng,
+    user_uniforms,
 )
 
 
@@ -150,6 +153,12 @@ def test_scenario_validation():
                 ScenarioConfig(**{field: value})
     with pytest.raises(ValueError, match="square is not finite"):
         ScenarioConfig(cell_radius_m=1e300)
+    # SeedSequence splits a seed into 32-bit words: a negative one never ends
+    for seed in (-1, -(2 ** 64), 1.5, "1", None):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            ScenarioConfig(rng_seed=seed)
+    ScenarioConfig(rng_seed=2 ** 70)
+    ScenarioConfig(rng_seed=np.uint64(3))
     # subnormal noise powers: max_power_w / noise_w or 1 / noise_w overflows
     for max_power_w, noise_w in ((40.0, 1e-323), (1e-300, 1e-320)):
         with pytest.raises(ValueError, match="noise power too small"):
@@ -176,19 +185,33 @@ def scalar_draw_oracle(rng, distance_m, num_nlos):
     return np.array(gains), np.array(aods), np.array(aoas)
 
 
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual.view(np.uint8), expected.view(np.uint8))
+
+
 def test_generate_user_channel_matches_scalar_draws_bit_for_bit():
     for num_nlos in (0, 1, 30):
         scenario = ScenarioConfig(num_nlos_paths=num_nlos)
+        distances = (MIN_USER_DISTANCE_M, 37.5, 212.0, scenario.cell_radius_m)
         for seed in range(8):
-            for distance in (MIN_USER_DISTANCE_M, 37.5, 212.0, scenario.cell_radius_m):
+            draws = []
+            for distance in distances:
                 expected = scalar_draw_oracle(np.random.default_rng(seed), distance,
                                               num_nlos)
-                ch = generate_user_channel(np.random.default_rng(seed), distance, scenario)
-                actual = paths_as_arrays(ch)
+                block = np.random.default_rng(seed).random(3 + 4 * num_nlos)
+                actual = draw_paths(block, distance, scenario)
                 for a, e in zip(actual, expected):
-                    np.testing.assert_array_equal(a, e)
+                    assert_same_bits(a, e)
                 for angles in actual[1:]:
                     assert (angles > 0.0).all() and (angles < math.pi).all()
+                draws.append(block)
+            # a stack of users draws each user's paths as if alone
+            stacked = draw_paths(np.array(draws), np.array(distances), scenario)
+            for i, distance in enumerate(distances):
+                for a, e in zip(stacked, draw_paths(draws[i], distance, scenario)):
+                    assert_same_bits(a[i], e)
 
 
 def test_generate_user_channel_structure():
@@ -215,11 +238,7 @@ def test_generate_user_channel_is_reproducible():
     scenario = ScenarioConfig(num_nlos_paths=4)
     a = generate_user_channel(np.random.default_rng(9), 80.0, scenario)
     b = generate_user_channel(np.random.default_rng(9), 80.0, scenario)
-    ga, aoda, aoaa = paths_as_arrays(a)
-    gb, aodb, aoab = paths_as_arrays(b)
-    np.testing.assert_array_equal(ga, gb)
-    np.testing.assert_array_equal(aoda, aodb)
-    np.testing.assert_array_equal(aoaa, aoab)
+    assert a.paths == b.paths
 
 
 def test_generate_user_channel_distance_bounds():
@@ -242,11 +261,49 @@ def test_user_rng_substreams_are_reproducible_and_distinct():
     assert not np.array_equal(other_user, other_trial)
 
 
-def test_paths_as_arrays_round_trip():
+def test_generate_user_channel_wraps_the_array_draw():
     scenario = ScenarioConfig(num_nlos_paths=3)
     ch = generate_user_channel(np.random.default_rng(4), 60.0, scenario)
-    gains, aods, aoas = paths_as_arrays(ch)
+    gains, aods, aoas = draw_paths(np.random.default_rng(4).random(3 + 4 * 3), 60.0, scenario)
     assert gains.dtype == np.complex128 and aods.dtype == np.float64
     assert gains.shape == aods.shape == aoas.shape == (4,)
     for i, p in enumerate(ch.paths):
         assert gains[i] == p.gain and aods[i] == p.aod and aoas[i] == p.aoa
+
+
+SEED_MASTERS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
+
+
+@pytest.mark.parametrize("master", SEED_MASTERS)
+def test_block_seeding_matches_seed_sequence_key_by_key(master):
+    # trials 60..139 cross the 64- and 128-trial block boundaries
+    lo, hi, num_users = 60, 140, 9
+    words = spawn_state_words(master, lo, hi, num_users)
+    draws = user_uniforms(master, lo, hi, num_users, 5)
+    assert words.shape == (hi - lo, num_users, 4) and words.dtype == np.uint64
+    assert draws.shape == (hi - lo, num_users, 5)
+    for t in range(lo, hi):
+        for k in range(num_users):
+            seq = np.random.SeedSequence(master, spawn_key=(t, k))
+            expected = seq.generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words[t - lo, k], expected)
+            assert pcg64_state(*words[t - lo, k].tolist()) == np.random.PCG64(seq).state
+            assert_same_bits(draws[t - lo, k], user_rng(master, t, k).random(5))
+    # fewer users and the last trial indices that fit one spawn-key word
+    top = 2 ** 32
+    for num_users in (1, 2):
+        np.testing.assert_array_equal(
+            spawn_state_words(master, top - 2, top, num_users),
+            [[np.random.SeedSequence(master, spawn_key=(t, k)).generate_state(4, np.uint64)
+              for k in range(num_users)] for t in (top - 2, top - 1)])
+
+
+def test_block_seeding_rejects_what_it_cannot_hash():
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        spawn_state_words(1, 2 ** 32 - 1, 2 ** 32 + 1, 2)
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        spawn_state_words(1, 5, 4, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spawn_state_words(-1, 0, 4, 2)
+    with pytest.raises(TypeError):
+        spawn_state_words(1.0, 0, 4, 2)

@@ -165,6 +165,9 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys):
         ("rates", "noise_dbm = -3200", []),
         ("sweep-antennas", "pmax_dbm = -2970\nnoise_dbm = -3170", []),
         ("sweep-power", "pmax_dbm_values = 30, 3000", []),
+        ("sweep-power", "seed = -1", []),
+        ("sweep-antennas", "seed = -1", []),
+        ("rates", "seed = -1", []),
     ]
     cfg = tmp_path / "bad2.cfg"
     out = tmp_path / "x.csv"

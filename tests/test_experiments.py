@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from multibeam_noma import experiments
+from multibeam_noma import _kernels, experiments
 from multibeam_noma.beams import PlanError
-from multibeam_noma.channel import ScenarioConfig, UlaConfig, user_rng
+from multibeam_noma.channel import ScenarioConfig, UlaConfig, dbm_to_watt, user_rng
 from multibeam_noma.experiments import (
     BeamPatternConfig,
     InfeasibleSpecError,
@@ -67,21 +67,43 @@ def test_drop_users_ratio_guards():
         drop_users(TWO_USER_LOS, gain_ratio=0.5)
 
 
+def per_trial(fn):
+    """A range evaluator from a per-trial one."""
+    return lambda lo, hi: np.array([fn(t) for t in range(lo, hi)])
+
+
 def test_monte_carlo_single_trial_has_zero_stderr():
-    result = monte_carlo(1, lambda t: np.array([3.0, 4.0]))
+    result = monte_carlo(1, per_trial(lambda t: np.array([3.0, 4.0])))
     np.testing.assert_array_equal(result.mean, [3.0, 4.0])
     np.testing.assert_array_equal(result.stderr, [0.0, 0.0])
     assert result.trials == 1
     with pytest.raises(ValueError):
-        monte_carlo(0, lambda t: np.array([1.0]))
+        monte_carlo(0, per_trial(lambda t: np.array([1.0])))
+
+
+def test_monte_carlo_evaluates_consecutive_blocks_in_trial_order(monkeypatch):
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 7)
+    calls = []
+
+    def evaluator(lo, hi):
+        calls.append((lo, hi))
+        return np.arange(lo, hi, dtype=np.float64)[:, None]
+
+    result = monte_carlo(20, evaluator)
+    assert calls == [(0, 7), (7, 14), (14, 20)]
+    assert result.mean[0] == 9.5
+    calls.clear()
+    assert monte_carlo(3, evaluator, block=1).mean[0] == 1.0
+    assert calls == [(0, 1), (1, 2), (2, 3)]
+    # one result per trial, or the mean would weigh the wrong trials
+    with pytest.raises(ValueError, match="returned 3 results for 20 trials"):
+        monte_carlo(20, lambda lo, hi: np.zeros((1, 2)))
 
 
 def test_monte_carlo_result_is_independent_of_workers():
-    def evaluator(t):
-        return user_rng(11, t, 0).normal(size=3)
-
-    serial = monte_carlo(64, evaluator, workers=1)
-    threaded = monte_carlo(64, evaluator, workers=4)
+    evaluator = per_trial(lambda t: user_rng(11, t, 0).normal(size=3))
+    serial = monte_carlo(200, evaluator, workers=1)
+    threaded = monte_carlo(200, evaluator, workers=4)
     np.testing.assert_array_equal(serial.mean, threaded.mean)
     np.testing.assert_array_equal(serial.stderr, threaded.stderr)
 
@@ -99,26 +121,59 @@ def test_monte_carlo_caps_workers_at_core_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
+    evaluator = per_trial(lambda t: np.array([float(t)]))
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    monte_carlo(4, lambda t: np.array([float(t)]), workers=10_000)
+    monte_carlo(4, evaluator, workers=10_000)
     assert pools == [3]
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-    result = monte_carlo(4, lambda t: np.array([float(t)]), workers=10_000)
+    result = monte_carlo(4, evaluator, workers=10_000)
     assert pools == [3] and result.mean[0] == 1.5
 
 
 def test_monte_carlo_stderr_shrinks_like_root_n():
-    def evaluator(t):
-        return np.array([user_rng(7, t, 0).normal()])
-
+    evaluator = per_trial(lambda t: np.array([user_rng(7, t, 0).normal()]))
     small = monte_carlo(400, evaluator)
     large = monte_carlo(800, evaluator)
     ratio = large.stderr[0] / small.stderr[0]
     assert 1.0 / math.sqrt(2.0) * 0.8 < ratio < 1.0 / math.sqrt(2.0) * 1.2
+
+
+def dropped_arrays(scenario, trial, gain_ratio):
+    """LOS magnitudes, LOS AoDs and v^H H rows of one ``drop_users`` drop."""
+    users = drop_users(scenario, trial, gain_ratio)
+    mags = np.array([abs(u.channel.los.gain) for u in users])
+    aods = np.array([u.channel.los.aod for u in users])
+    rows = np.array([
+        _kernels.vhh_row(np.array([p.gain for p in u.channel.paths]),
+                         np.array([p.aod for p in u.channel.paths]),
+                         np.array([p.aoa for p in u.channel.paths]),
+                         scenario.ue_config.num_antennas, scenario.bs_config.num_antennas)
+        for u in users])
+    return mags, aods, rows
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual.view(np.float64), expected.view(np.float64))
+    np.testing.assert_array_equal(np.signbit(actual.view(np.float64)),
+                                  np.signbit(expected.view(np.float64)))
+
+
+@pytest.mark.parametrize("num_users,num_nlos,gain_ratio",
+                         [(1, 0, None), (2, 0, None), (2, 0, 5.0), (2, 3, 1.5), (5, 30, None)])
+def test_block_draw_matches_drop_users_bit_for_bit(num_users, num_nlos, gain_ratio):
+    scenario = ScenarioConfig(num_users=num_users, num_nlos_paths=num_nlos,
+                              bs_config=UlaConfig(32), ue_config=UlaConfig(4), rng_seed=9)
+    lo, hi = 61, 67
+    block = experiments._draw_block(scenario, lo, hi, gain_ratio)
+    for t in range(lo, hi):
+        for actual, expected in zip(block, dropped_arrays(scenario, t, gain_ratio)):
+            assert_same_bits(actual[t - lo], expected)
 
 
 def test_default_antenna_alloc():
@@ -256,6 +311,67 @@ def test_run_power_sweep_uses_default_alloc():
     spec = SweepSpec("power", scenario, trials=1, values=(40.0,))
     table = run_power_sweep(spec)
     assert table.meta["antenna_alloc"] == "121:7"
+
+
+MONTE_CARLO = experiments.monte_carlo
+DEFAULT_BLOCK = experiments.TRIAL_BLOCK
+
+
+def sweep_with_trial_data(monkeypatch, run, spec, workers, block):
+    """The sweep's CSV text, its per-trial results stacked in trial order and
+    the trial ranges its evaluator was called with."""
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+    results = {}
+
+    def recording_monte_carlo(trials, evaluator, workers=1, **kwargs):
+        def recording(lo, hi):
+            results[lo, hi] = evaluator(lo, hi)
+            return results[lo, hi]
+        return MONTE_CARLO(trials, recording, workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "monte_carlo", recording_monte_carlo)
+    text = run(spec, workers=workers).csv_text()
+    ranges = sorted(results)
+    return text, np.concatenate([results[r] for r in ranges]), ranges
+
+
+BLOCK_SIZE_SPECS = [
+    ("antennas", 2, 0, None), ("antennas", 2, 0, 5.0), ("antennas", 2, 3, None),
+    ("antennas", 2, 3, 1.5), ("power", 1, 0, None), ("power", 1, 3, None),
+    ("power", 2, 0, None), ("power", 2, 3, None), ("power", 5, 0, None), ("power", 5, 3, None),
+]
+
+
+@pytest.mark.parametrize("kind,num_users,num_nlos,gain_ratio", BLOCK_SIZE_SPECS)
+def test_sweeps_do_not_depend_on_the_block_size(monkeypatch, kind, num_users, num_nlos,
+                                                gain_ratio):
+    scenario = ScenarioConfig(num_users=num_users, num_nlos_paths=num_nlos, rng_seed=4)
+    trials = 20
+    if kind == "antennas":
+        spec = SweepSpec(kind, scenario, trials, (20, 64, 100), gain_ratio=gain_ratio)
+        run = run_antenna_sweep
+    else:
+        spec = SweepSpec(kind, scenario, trials, (30.0, 46.0))
+        run = run_power_sweep
+    text, data, _ = sweep_with_trial_data(monkeypatch, run, spec, 1, DEFAULT_BLOCK)
+    assert data.shape[0] == trials
+    for block in (1, 7, DEFAULT_BLOCK):
+        for workers in (1, 3):
+            other_text, other_data, ranges = sweep_with_trial_data(monkeypatch, run, spec,
+                                                                   workers, block)
+            assert other_text == text, (block, workers)
+            assert_same_bits(other_data, data)
+            # the power sweep runs one trial per block whatever TRIAL_BLOCK is
+            size = block if kind == "antennas" else 1
+            assert ranges == [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    if kind == "power":
+        # its evaluator gives the same bits over a range of several trials
+        alloc = np.array(default_antenna_alloc(num_users, 128))
+        offsets = np.concatenate(([0], np.cumsum(alloc)[:-1]))
+        pmax_w = np.array([dbm_to_watt(v) for v in spec.values])
+        powers = np.tile(pmax_w / num_users, (num_users, 1))
+        block = experiments._power_trials(spec, alloc, offsets, pmax_w, powers, 0, trials)
+        assert_same_bits(block, data)
 
 
 def test_beam_pattern_config_validation():

@@ -10,8 +10,8 @@ from multibeam_noma.beams import segment_precoder, user_combiner
 from multibeam_noma.channel import (
     ScenarioConfig,
     UlaConfig,
+    draw_paths,
     generate_user_channel,
-    paths_as_arrays,
 )
 
 
@@ -26,8 +26,8 @@ def random_inputs(seed, num_paths=9):
 def test_vhh_row_matches_combined_matrix_product():
     scenario = ScenarioConfig(num_nlos_paths=8, bs_config=UlaConfig(40),
                               ue_config=UlaConfig(5))
+    gains, aods, aoas = draw_paths(np.random.default_rng(21).random(3 + 4 * 8), 90.0, scenario)
     ch = generate_user_channel(np.random.default_rng(21), 90.0, scenario)
-    gains, aods, aoas = paths_as_arrays(ch)
     row = _kernels.vhh_row(gains, aods, aoas, 5, 40)
     v = user_combiner(5, ch.los.aoa)
     manual = v.conj() @ ch.matrix
