@@ -146,18 +146,27 @@ def allocation_superiority(scenario: AsymptoticScenario) -> bool:
     return math.log2(m1 / scenario.m_bs) > mean_log_ratio
 
 
-def min_antennas_for_superiority(los_gain_mags: np.ndarray, m_bs: int) -> int | None:
+def min_antennas_for_superiority(los_gain_mags: np.ndarray,
+                                 m_bs: int) -> int | None | np.ndarray:
     """Smallest strongest-user segment that beats TDMA asymptotically.
 
-    Solves |gain_1| M_1 > M_BS * gbar for integer M_1 <= M_BS; None when
-    even the full array only ties or loses (e.g. equal gains).
+    Solves |gain_1| M_1 > M_BS * gbar for integer M_1 <= M_BS.  A 1-D
+    ``los_gain_mags`` gives an int, or None when even the full array only
+    ties or loses (e.g. equal gains).  Gains of shape (..., K), the users on
+    the last axis, give an int64 array of shape (...) holding M_BS + 1 where
+    no split wins.
     """
     g = np.asarray(los_gain_mags, dtype=np.float64)
-    if g.ndim != 1 or len(g) == 0 or (g <= 0.0).any():
+    if g.ndim == 0 or g.shape[-1] == 0 or (g <= 0.0).any():
         raise ValueError("LOS gain magnitudes must be positive")
-    if (np.diff(g) > 0.0).any():
+    if (np.diff(g, axis=-1) > 0.0).any():
         raise ValueError("users must be sorted by descending LOS gain")
-    mean_log_ratio = float(np.mean(np.log(g / g[0])))
-    threshold = m_bs * math.exp(mean_log_ratio)
-    m1 = math.floor(threshold) + 1
-    return m1 if m1 <= m_bs else None
+    mean_log_ratio = np.mean(np.log(g / g[..., :1]), axis=-1)
+    # scalar math.exp: numpy's vectorized exp may differ in the last bit.
+    # The mean log ratio is at most 0, so m1 is at most m_bs + 1.
+    m1 = np.array([math.floor(m_bs * math.exp(v)) + 1
+                   for v in np.ravel(mean_log_ratio).tolist()],
+                  dtype=np.int64).reshape(mean_log_ratio.shape)
+    if g.ndim > 1:
+        return m1
+    return int(m1) if m1 <= m_bs else None

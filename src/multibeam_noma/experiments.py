@@ -6,9 +6,10 @@ evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
 the block size and however many worker threads ran it.  The antenna sweep
 takes blocks of ``TRIAL_BLOCK``: a block seeds all of its keys at once,
-draws every user's paths as arrays and evaluates its trials along an array
-axis where the arithmetic is element-wise.  Those draws are the ones of
-``drop_users``, bit for bit; the power sweep still draws each trial through
+draws every user's paths as arrays and evaluates all of its trials along
+an array axis, split-beam sweep, full-array gains and threshold included,
+with no loop over trials.  Those draws are the ones of ``drop_users``, bit
+for bit; the power sweep still draws and evaluates each trial through
 ``drop_users``.  CSV files start with '# key = value' comment lines
 carrying the scenario, so each file can be recomputed in isolation.
 """
@@ -322,23 +323,30 @@ def _scenario_meta(scenario: ScenarioConfig) -> dict:
     }
 
 
-def _full_array_gains(rows, cos_aods, m_bs: int) -> np.ndarray:
-    """|v^H H w|^2 with a full-array beam matched to each user's own LOS."""
-    gains = np.empty(len(rows))
-    offsets = np.zeros(1, dtype=np.int64)
-    lengths = np.full(1, m_bs, dtype=np.int64)
-    for k in range(len(rows)):
-        (h,) = _kernels.segment_gains(rows[k:k + 1], cos_aods[k:k + 1], offsets, lengths, m_bs)
-        gains[k] = abs(h) ** 2
-    return gains
+def _full_array_gains(rows: np.ndarray, cos_aods: np.ndarray, m_bs: int) -> np.ndarray:
+    """|v^H H w|^2 of each row of ``rows`` (..., M_BS) with a full-array beam
+    matched to its own LOS, ``cos_aods`` (...).
+
+    The weights are ``segment_gains``' one-segment weights, phase order
+    ``((1j*π)*ramp)*cos``, built in one exp.  The stacked (1, M_BS) @
+    (M_BS, 1) matmul takes one BLAS dot per row, the ``row @ w`` of a
+    one-segment ``segment_gains`` call; that call's 0j start only moves the
+    sign of a zero, which the magnitude hides.
+    """
+    w = (1.0 / math.sqrt(m_bs)) * np.exp(
+        1j * math.pi * _kernels._centred_ramp(m_bs) * cos_aods[..., None])
+    h = (rows[..., None, :] @ w[..., :, None])[..., 0, 0]
+    return _scalar_squares(_scalar_abs(h))
 
 
 def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     """Antenna-sweep results of trials [lo, hi): (hi - lo, splits, 6).
 
-    ``two_segment_sweep``, the full-array gains and the threshold run per
-    trial; everything after them is element-wise over the block, or a sum
-    over the two users, which rounds the same in any order.
+    Every step takes the whole block: ``two_segment_sweep`` and the
+    full-array gains over the (trial, user) rows, the threshold over the
+    (trial, user) LOS magnitudes, and after them arithmetic that is
+    element-wise, or a sum over the two users, which rounds the same in any
+    order.
     """
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
@@ -350,17 +358,13 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
 
     mags, aods, rows = _draw_block(scenario, lo, hi, spec.gain_ratio)
     cos_aods = np.cos(aods)
-    n = hi - lo
-    h = np.empty((2, n, len(m1_values)), dtype=np.complex128)   # (user, trial, split)
-    tdma_gains = np.empty((n, 2))
-    threshold = np.empty(n)
-    for t in range(n):
-        h[:, t] = _kernels.two_segment_sweep(rows[t], cos_aods[t, 0], cos_aods[t, 1],
-                                             m1_values, m_bs)
-        tdma_gains[t] = _full_array_gains(rows[t], cos_aods[t], m_bs)
-        m1_min = min_antennas_for_superiority(mags[t], m_bs)
-        threshold[t] = m_bs + 1 if m1_min is None else m1_min
-    out = np.empty((n, len(m1_values), 6))
+    swept = _kernels.two_segment_sweep(rows, cos_aods[:, 0], cos_aods[:, 1], m1_values, m_bs)
+    # the C-contiguous (user, trial, split) layout that a per-trial loop
+    # fills: numpy may take another complex-abs loop for a strided view
+    h = np.ascontiguousarray(swept.transpose(1, 0, 2))
+    tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
+    threshold = min_antennas_for_superiority(mags, m_bs)
+    out = np.empty((hi - lo, len(m1_values), 6))
     out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
                                         scenario.noise_w).sum(axis=0)
     out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]

@@ -196,3 +196,36 @@ def test_min_antennas_validation():
         min_antennas_for_superiority(np.array([1.0, 0.0]), 128)
     with pytest.raises(ValueError):
         min_antennas_for_superiority(np.array([]), 128)
+
+
+def test_min_antennas_over_trials_matches_per_row_calls_bit_for_bit():
+    # A (T, K) block gives each row the threshold of its own 1-D call, with
+    # M_BS + 1 in place of None.
+    rng = np.random.default_rng(44)
+    for k in (1, 2, 3, 9, 12):
+        for m_bs in (4, 32, 128):
+            gains = -np.sort(-rng.uniform(1e-3, 1.0, size=(64, k)), axis=1)
+            gains[::5] = gains[::5, :1]           # equal gains: no split wins
+            gains[2::5] = gains[2::5, :1]
+            gains[2::5, 1:] *= 1.0 - 1e-15         # just below a tie
+            got = min_antennas_for_superiority(gains, m_bs)
+            assert got.dtype == np.int64 and got.shape == (64,)
+            for row, m1 in zip(gains, got.tolist()):
+                want = min_antennas_for_superiority(row, m_bs)
+                assert m1 == (m_bs + 1 if want is None else want)
+            assert (got[::5] == m_bs + 1).all()
+    # leading axes of any shape
+    block = np.array([[[1.0, 0.2], [1.0, 1.0]], [[1.0, 0.1], [1.0, 0.9]]])
+    np.testing.assert_array_equal(min_antennas_for_superiority(block, 128),
+                                  [[58, 129], [41, 122]])
+
+
+def test_min_antennas_over_trials_validation():
+    with pytest.raises(ValueError, match="descending"):
+        min_antennas_for_superiority(np.array([[1.0, 0.2], [0.2, 1.0]]), 128)
+    with pytest.raises(ValueError, match="positive"):
+        min_antennas_for_superiority(np.array([[1.0, 0.2], [1.0, 0.0]]), 128)
+    with pytest.raises(ValueError):
+        min_antennas_for_superiority(np.ones((3, 0)), 128)
+    with pytest.raises(ValueError):
+        min_antennas_for_superiority(np.float64(1.0), 128)

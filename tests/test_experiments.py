@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multibeam_noma import _kernels, experiments
+from multibeam_noma.asymptotic import min_antennas_for_superiority
 from multibeam_noma.beams import PlanError
 from multibeam_noma.channel import ScenarioConfig, UlaConfig, dbm_to_watt, user_rng
 from multibeam_noma.experiments import (
@@ -22,6 +23,7 @@ from multibeam_noma.experiments import (
     single_chain_plan,
     write_table,
 )
+from multibeam_noma.rates import noma_rates_from_gains
 
 TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
 
@@ -174,6 +176,64 @@ def test_block_draw_matches_drop_users_bit_for_bit(num_users, num_nlos, gain_rat
     for t in range(lo, hi):
         for actual, expected in zip(block, dropped_arrays(scenario, t, gain_ratio)):
             assert_same_bits(actual[t - lo], expected)
+
+
+def oracle_antenna_trials(spec, lo, hi):
+    """The antenna evaluator with one kernel call per trial: per-trial
+    ``two_segment_sweep``, a one-segment ``segment_gains`` call per user and
+    a 1-D threshold per trial, then the block arithmetic of the sweep."""
+    scenario = spec.scenario
+    m_bs = scenario.bs_config.num_antennas
+    m_ue = scenario.ue_config.num_antennas
+    m1_values = np.asarray(spec.values, dtype=np.int64)
+    m2_values = m_bs - m1_values
+    p_user = scenario.max_power_w / 2.0
+    rho = 1.0 / scenario.noise_w
+    offsets = np.zeros(1, dtype=np.int64)
+    lengths = np.full(1, m_bs, dtype=np.int64)
+
+    mags, aods, rows = experiments._draw_block(scenario, lo, hi, spec.gain_ratio)
+    cos_aods = np.cos(aods)
+    n = hi - lo
+    h = np.empty((2, n, len(m1_values)), dtype=np.complex128)
+    tdma_gains = np.empty((n, 2))
+    threshold = np.empty(n)
+    for t in range(n):
+        h[:, t] = _kernels.two_segment_sweep(rows[t], cos_aods[t, 0], cos_aods[t, 1],
+                                             m1_values, m_bs)
+        for k in range(2):
+            (g,) = _kernels.segment_gains(rows[t][k:k + 1], cos_aods[t][k:k + 1],
+                                          offsets, lengths, m_bs)
+            tdma_gains[t, k] = abs(g) ** 2
+        m1_min = min_antennas_for_superiority(mags[t], m_bs)
+        threshold[t] = m_bs + 1 if m1_min is None else m1_min
+    out = np.empty((n, len(m1_values), 6))
+    out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
+                                        scenario.noise_w).sum(axis=0)
+    out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]
+    out[..., 2] = np.log2((scenario.max_power_w * experiments._scalar_squares(mags[:, 0])
+                           * m_ue)[:, None]
+                          * m1_values.astype(np.float64) ** 2 * rho / m_bs)
+    out[..., 3] = np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho
+                          ).mean(axis=1)[:, None]
+    out[..., 4] = threshold[:, None]
+    out[..., 5] = mags[:, :1] * m1_values >= mags[:, 1:] * m2_values
+    return out
+
+
+@pytest.mark.parametrize("m_bs,m_ue", [(128, 10), (64, 4), (32, 1)])
+@pytest.mark.parametrize("num_nlos", [0, 1, 3])
+def test_antenna_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_nlos):
+    scenario = ScenarioConfig(num_users=2, num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs),
+                              ue_config=UlaConfig(m_ue), rng_seed=17)
+    all_splits = tuple(range(1, m_bs))
+    for gain_ratio in (None, 1.5, 5.0):
+        for values in (all_splits, all_splits[3::7]):
+            spec = SweepSpec("antennas", scenario, 100, values, gain_ratio=gain_ratio)
+            # a full block, and one of 36 trials
+            for lo, hi in ((0, 64), (64, 100)):
+                assert_same_bits(experiments._antenna_trials(spec, lo, hi),
+                                 oracle_antenna_trials(spec, lo, hi))
 
 
 def test_default_antenna_alloc():

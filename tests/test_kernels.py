@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multibeam_noma import _kernels
+from multibeam_noma import _kernels, experiments
 from multibeam_noma.beams import segment_precoder, user_combiner
 from multibeam_noma.channel import (
     ScenarioConfig,
@@ -200,3 +200,51 @@ def test_two_segment_sweep_over_rows_matches_per_row_formula_bit_for_bit():
         want = np.stack([oracle_two_segment_sweep(r, cos_a, cos_b, m1_values, m_bs)
                          for r in rows])
         assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("m_bs", (32, 64, 128, 256))
+def test_two_segment_sweep_over_trials_matches_per_trial_calls_bit_for_bit(m_bs):
+    # The block call's (T, 1, M_BS) phases broadcast against the (T, K, M_BS)
+    # rows, so each trial's products are those of its own (K, M_BS) call.
+    # With one row per trial and 256 elements the block's products are
+    # large enough for numpy to reuse a temporary operand as their output.
+    rng = np.random.default_rng(15 + m_bs)
+    all_splits = np.arange(1, m_bs, dtype=np.int64)
+    for t in (1, 7, 64):
+        for k in (1, 2, 3):
+            rows = np.stack([random_rows(rng, k, m_bs) for _ in range(t)])
+            cos_aods = np.cos(rng.uniform(0.05, math.pi - 0.05, size=(t, 2)))
+            for m1_values in (all_splits, all_splits[2::5]):
+                got = _kernels.two_segment_sweep(rows, cos_aods[:, 0], cos_aods[:, 1],
+                                                 m1_values, m_bs)
+                want = np.stack([_kernels.two_segment_sweep(r, c[0], c[1], m1_values, m_bs)
+                                 for r, c in zip(rows, cos_aods)])
+                assert got.shape == (t, k, len(m1_values))
+                assert_same_bits(got, want)
+
+
+def per_row_full_array_gains(rows, cos_aods, m_bs):
+    """One one-segment ``segment_gains`` call per row, squared magnitude by
+    scalar ``abs`` and ``** 2``."""
+    offsets = np.zeros(1, dtype=np.int64)
+    lengths = np.full(1, m_bs, dtype=np.int64)
+    gains = np.empty(len(rows))
+    for k in range(len(rows)):
+        (h,) = _kernels.segment_gains(rows[k:k + 1], cos_aods[k:k + 1], offsets, lengths, m_bs)
+        gains[k] = abs(h) ** 2
+    return gains
+
+
+def test_full_array_gains_match_per_row_segment_gains_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for m_bs in SIZES + (256,):
+        for t, k in ((1, 1), (7, 2), (64, 2), (3, 5)):
+            rows = np.stack([random_rows(rng, k, m_bs) for _ in range(t)])
+            cos_aods = np.cos(rng.uniform(0.05, math.pi - 0.05, size=(t, k)))
+            got = experiments._full_array_gains(rows, cos_aods, m_bs)
+            want = np.stack([per_row_full_array_gains(r, c, m_bs)
+                             for r, c in zip(rows, cos_aods)])
+            assert got.shape == (t, k)
+            assert_same_bits(got, want)
+            # one trial's (K, M_BS) rows, as the power sweep passes them
+            assert_same_bits(experiments._full_array_gains(rows[0], cos_aods[0], m_bs), want[0])
