@@ -31,7 +31,6 @@ from .beams import (
     user_combiner,
 )
 from .channel import (
-    PathComponent,
     ScenarioConfig,
     UlaConfig,
     UserChannel,

@@ -1,7 +1,8 @@
 """Clustered multipath channel model for mmWave links with uniform linear arrays.
 
 Each user sees one line-of-sight (LOS) path plus a number of weaker NLOS
-paths.  Antenna elements are spaced half a wavelength apart, so a path with
+paths, held as three arrays (gains, AoDs, AoAs) with the LOS path first.
+Antenna elements are spaced half a wavelength apart, so a path with
 departure/arrival angle ``theta`` contributes a phase ramp of
 ``pi * cos(theta)`` per element.
 """
@@ -12,7 +13,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -49,37 +49,35 @@ class UlaConfig:
             raise ValueError(f"array needs at least one element, got {self.num_antennas}")
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    """One propagation path: complex gain plus departure/arrival angles (rad)."""
-
-    gain: complex
-    aod: float
-    aoa: float
-    is_los: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserChannel:
-    """All paths of one user.  paths[0] must be the LOS component."""
+    """All paths of one user: read-only 1-D copies of the path gains, AoDs and
+    AoAs (rad), of equal length, LOS at index 0."""
 
-    paths: tuple[PathComponent, ...]
+    gains: np.ndarray
+    aods: np.ndarray
+    aoas: np.ndarray
     ue_config: UlaConfig
     bs_config: UlaConfig
 
     def __post_init__(self) -> None:
-        if not self.paths:
+        for name, dtype in (("gains", complex), ("aods", float), ("aoas", float)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.gains.ndim != 1 or self.aods.ndim != 1 or self.aoas.ndim != 1:
+            raise ValueError("gains, aods and aoas must be 1-D arrays")
+        if not len(self.gains) == len(self.aods) == len(self.aoas):
+            raise ValueError("gains, aods and aoas need one entry per path")
+        if not len(self.gains):
             raise ValueError("a channel needs at least the LOS path")
-        if not self.paths[0].is_los:
-            raise ValueError("paths[0] must be the LOS component")
-        if any(p.is_los for p in self.paths[1:]):
-            raise ValueError("only paths[0] may be flagged LOS")
-        if abs(self.paths[0].gain) <= 0.0:
+        if abs(self.gains[0]) <= 0.0:
             raise ValueError("LOS gain must be nonzero")
 
-    @property
-    def los(self) -> PathComponent:
-        return self.paths[0]
+    @cached_property
+    def paths(self) -> tuple[tuple[complex, float, float], ...]:
+        """``(gain, aod, aoa)`` of each path as Python scalars, LOS first."""
+        return tuple(zip(self.gains.tolist(), self.aods.tolist(), self.aoas.tolist()))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -87,10 +85,8 @@ class UserChannel:
 
     def scaled(self, factor: complex) -> "UserChannel":
         """New channel with every path gain multiplied by ``factor``."""
-        paths = tuple(
-            PathComponent(p.gain * factor, p.aod, p.aoa, p.is_los) for p in self.paths
-        )
-        return UserChannel(paths, self.ue_config, self.bs_config)
+        return UserChannel(self.gains * factor, self.aods, self.aoas,
+                           self.ue_config, self.bs_config)
 
 
 @dataclass(frozen=True)
@@ -146,10 +142,10 @@ def channel_matrix(channel: UserChannel) -> np.ndarray:
     m_ue = channel.ue_config.num_antennas
     m_bs = channel.bs_config.num_antennas
     h = np.zeros((m_ue, m_bs), dtype=np.complex128)
-    for p in channel.paths:
-        rx = array_response(channel.ue_config, p.aoa)
-        tx = array_response(channel.bs_config, p.aod)
-        h += p.gain * np.outer(rx, tx.conj())
+    for gain, aod, aoa in channel.paths:
+        rx = array_response(channel.ue_config, aoa)
+        tx = array_response(channel.bs_config, aod)
+        h += gain * np.outer(rx, tx.conj())
     return h
 
 
@@ -200,17 +196,14 @@ def generate_user_channel(
     rng: np.random.Generator, distance_m: float, scenario: ScenarioConfig
 ) -> UserChannel:
     """Draw one user's LOS + NLOS paths at the given distance: the
-    ``draw_paths`` of one ``rng.random(3 + 4 L)`` block, as path objects."""
+    ``draw_paths`` of one ``rng.random(3 + 4 L)`` block."""
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     if distance_m > scenario.cell_radius_m:
         raise ValueError("user placed outside the cell")
     gains, aods, aoas = draw_paths(rng.random(3 + 4 * scenario.num_nlos_paths),
                                    distance_m, scenario)
-    los, *nlos = zip(gains.tolist(), aods.tolist(), aoas.tolist())
-    paths = [PathComponent(*los, is_los=True)] + [PathComponent(g, aod, aoa)
-                                                  for g, aod, aoa in nlos]
-    return UserChannel(tuple(paths), scenario.ue_config, scenario.bs_config)
+    return UserChannel(gains, aods, aoas, scenario.ue_config, scenario.bs_config)
 
 
 def user_rng(master_seed: int, trial_index: int, user_index: int) -> np.random.Generator:

@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ratio", type=float, metavar="R",
                        help="pin the two-user LOS gain ratio")
 
-    p = sub.add_parser("beampattern", help="beam gains over the angle grid")
+    p = sub.add_parser("beampattern", help="beam gains over the angle grid (draws no "
+                       "channel: rejects trials and ratio, ignores seed and scenario keys)")
     common(p, "beam_pattern.csv")
     p.set_defaults(func=cmd_beampattern)
 
@@ -115,6 +116,9 @@ def _scenario(cfg: dict, default_users: int) -> ScenarioConfig:
 
 def cmd_beampattern(args) -> int:
     cfg = _load(args)
+    if "trials" in cfg or "ratio" in cfg:
+        raise ConfigError("beampattern draws no channels: it takes neither trials "
+                          "nor a gain ratio")
     pattern_cfg = BeamPatternConfig(
         bs_antennas=cfg.get("bs_antennas", 128),
         split_lengths=tuple(cfg.get("split_lengths", (50, 78))),
@@ -150,12 +154,12 @@ def cmd_effective(args) -> int:
     for t in range(trials):
         users = drop_users(scenario, t, cfg.get("ratio"))
         channels = [u.channel for u in users]
-        los_aods = np.array([ch.los.aod for ch in channels])
+        los_aods = np.array([ch.aods[0] for ch in channels])
         eff = effective_channel_matrix(channels, plan, los_aods)
         for k, ch in enumerate(channels):
             for r in range(plan.num_chains):
                 closed = effective_closed_form(ch, plan, r, los_aods)
-                asym = effective_asymptotic(ch.los.gain, m_ue, m_bs,
+                asym = effective_asymptotic(ch.gains[0], m_ue, m_bs,
                                             int(plan.antenna_alloc[k, r]))
                 v = eff.values[k, r]
                 rows.append((t, k, r, v.real, v.imag, closed.real, closed.imag,
@@ -177,7 +181,7 @@ def cmd_rates(args) -> int:
         users = drop_users(scenario, t, cfg.get("ratio"))
         channels = [u.channel for u in users]
         eff = effective_channel_matrix(channels, plan)
-        order = SicOrder.from_los_gains(np.array([ch.los.gain for ch in channels]))
+        order = SicOrder.from_los_gains(np.array([ch.gains[0] for ch in channels]))
         report = system_sum_rate(eff, plan, order, scenario.noise_w)
         for k in range(scenario.num_users):
             rows.append((t, k, float(report.per_user[k]), report.system_sum,
@@ -188,9 +192,14 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _sweep_spec(**fields) -> SweepSpec:
+def _sweep_spec(kind: str, cfg: dict, scenario: ScenarioConfig, values) -> SweepSpec:
+    # every field goes to the spec, which rejects those that its kind does not read
+    alloc = cfg.get("antenna_alloc")
     try:
-        return SweepSpec(**fields)
+        return SweepSpec(kind=kind, scenario=scenario, trials=cfg.get("trials", 10000),
+                         values=tuple(values), gain_ratio=cfg.get("ratio"),
+                         antenna_alloc=None if alloc is None else tuple(alloc),
+                         max_group_size=cfg.get("max_group_size"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -200,25 +209,17 @@ def cmd_sweep_antennas(args) -> int:
     scenario = _scenario(cfg, default_users=2)
     m_bs = scenario.bs_config.num_antennas
     values = cfg.get("m1_values", tuple(range(2, m_bs, 2)))
-    spec = _sweep_spec(kind="antennas", scenario=scenario,
-                       trials=cfg.get("trials", 10000), values=tuple(values),
-                       gain_ratio=cfg.get("ratio"))
-    run_antenna_sweep(spec, workers=args.workers, out_path=args.out)
+    run_antenna_sweep(_sweep_spec("antennas", cfg, scenario, values),
+                      workers=args.workers, out_path=args.out)
     return 0
 
 
 def cmd_sweep_power(args) -> int:
     cfg = _load(args)
     scenario = _scenario(cfg, default_users=5)
-    if "ratio" in cfg:
-        raise ConfigError("the power sweep does not take a gain ratio")
     values = cfg.get("pmax_dbm_values", tuple(float(v) for v in range(30, 47, 2)))
-    alloc = cfg.get("antenna_alloc")
-    spec = _sweep_spec(kind="power", scenario=scenario,
-                       trials=cfg.get("trials", 10000), values=tuple(values),
-                       antenna_alloc=None if alloc is None else tuple(alloc),
-                       max_group_size=cfg.get("max_group_size"))
-    run_power_sweep(spec, workers=args.workers, out_path=args.out)
+    run_power_sweep(_sweep_spec("power", cfg, scenario, values),
+                    workers=args.workers, out_path=args.out)
     return 0
 
 

@@ -65,19 +65,19 @@ def effective_closed_form(channel: UserChannel, plan: GroupPlan, rf_index: int,
     m_bs = plan.bs_antennas
     layout = segment_layout(plan, rf_index)
     center = (m_bs - 1) / 2.0
-    cos_aoa0 = math.cos(channel.paths[0].aoa)
+    cos_aoa0 = math.cos(channel.aoas[0])
     norm = 1.0 / math.sqrt(m_ue * m_bs)
 
     total = 0.0 + 0.0j
-    for p in channel.paths:
-        kappa = 0.5 * math.pi * (cos_aoa0 - math.cos(p.aoa))
+    for gain, aod, aoa in channel.paths:
+        kappa = 0.5 * math.pi * (cos_aoa0 - math.cos(aoa))
         rx = dirichlet(m_ue, kappa)
-        cos_aod = math.cos(p.aod)
+        cos_aod = math.cos(aod)
         for user, offset, length in layout:
             x = 0.5 * math.pi * (math.cos(los_aods[user]) - cos_aod)
             c_seg = offset + (length - 1) / 2.0 - center
             phase = np.exp(1j * math.pi * c_seg * cos_aod)
-            total += p.gain * norm * rx * dirichlet(length, x) * phase
+            total += gain * norm * rx * dirichlet(length, x) * phase
     return complex(total)
 
 
@@ -125,9 +125,9 @@ def effective_channel_matrix(channels: Sequence[UserChannel], plan: GroupPlan,
     if len(channels) != plan.num_users:
         raise ValueError("one channel per scheduled user is required")
     if los_aods is None:
-        los_aods = np.array([ch.paths[0].aod for ch in channels])
+        los_aods = np.array([ch.aods[0] for ch in channels])
     values = np.zeros((plan.num_users, plan.num_chains), dtype=np.complex128)
-    combiners = [user_combiner(ch.ue_config.num_antennas, ch.paths[0].aoa) for ch in channels]
+    combiners = [user_combiner(ch.ue_config.num_antennas, ch.aoas[0]) for ch in channels]
     for r in range(plan.num_chains):
         precoder = rf_chain_precoder(plan, r, los_aods)
         for k, ch in enumerate(channels):

@@ -9,9 +9,9 @@ takes blocks of ``TRIAL_BLOCK``: a block seeds all of its keys at once,
 draws every user's paths as arrays and evaluates all of its trials along
 an array axis, split-beam sweep, full-array gains and threshold included,
 with no loop over trials.  Those draws are the ones of ``drop_users``, bit
-for bit; the power sweep still draws and evaluates each trial through
-``drop_users``.  CSV files start with '# key = value' comment lines
-carrying the scenario, so each file can be recomputed in isolation.
+for bit; the power sweep still draws each trial through ``drop_users`` and
+stacks its users' path arrays.  CSV files start with '# key = value' comment
+lines carrying the scenario, so each file can be recomputed in isolation.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def drop_users(scenario: ScenarioConfig, trial_index: int = 0,
         rng = user_rng(seed, trial_index, k)
         d = float(_distances(rng.random(), scenario))
         users.append(DroppedUser(d, generate_user_channel(rng, d, scenario)))
-    mags = np.array([abs(u.channel.los.gain) for u in users])
+    mags = _scalar_abs(np.array([u.channel.gains[0] for u in users]))
     order = _strongest_first(mags)
     users = [users[i] for i in order.tolist()]
     if gain_ratio is not None:
@@ -258,12 +258,16 @@ class SweepSpec:
             raise ValueError(f"gain ratio must be finite, got {self.gain_ratio}")
         m_bs = self.scenario.bs_config.num_antennas
         if self.kind == "antennas":
+            if self.antenna_alloc is not None or self.max_group_size is not None:
+                raise ValueError("the antenna sweep takes neither antenna_alloc nor max_group_size")
             if self.scenario.num_users != 2:
                 raise InfeasibleSpecError("the antenna sweep is defined for two users")
             vals = np.asarray(self.values, dtype=np.int64)
             if (vals < 1).any() or (vals > m_bs - 1).any():
                 raise InfeasibleSpecError("antenna counts must leave both users a segment")
         else:
+            if self.gain_ratio is not None:
+                raise ValueError("the power sweep does not take a gain ratio")
             for dbm in self.values:
                 if not math.isfinite(dbm) or dbm_to_watt(float(dbm)) <= 0.0:
                     raise ValueError(f"power budget {dbm} dBm is not a positive finite power")
@@ -427,11 +431,10 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
 
     out = np.empty((hi - lo, len(pmax_w), 4))
     for t in range(lo, hi):
-        paths = [u.channel.paths for u in drop_users(scenario, t)]
-        mags, aods, rows = _trial_arrays(
-            np.array([[p.gain for p in ps] for ps in paths]),
-            np.array([[p.aod for p in ps] for ps in paths]),
-            np.array([[p.aoa for p in ps] for ps in paths]), scenario)
+        channels = [u.channel for u in drop_users(scenario, t)]
+        mags, aods, rows = _trial_arrays(np.array([c.gains for c in channels]),
+                                         np.array([c.aods for c in channels]),
+                                         np.array([c.aoas for c in channels]), scenario)
         cos_aods = np.cos(aods)
         h = _kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs)
         split_gains = _scalar_squares(_scalar_abs(h))

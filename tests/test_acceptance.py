@@ -25,7 +25,6 @@ from multibeam_noma.beams import (
     user_combiner,
 )
 from multibeam_noma.channel import (
-    PathComponent,
     ScenarioConfig,
     UlaConfig,
     UserChannel,
@@ -67,19 +66,17 @@ def _plan(alloc, m_bs, budget=1.0):
 
 
 def _los_only(gain, aod, aoa, m_ue, m_bs):
-    path = PathComponent(gain, aod, aoa, is_los=True)
-    return UserChannel((path,), UlaConfig(m_ue), UlaConfig(m_bs))
+    return UserChannel([gain], [aod], [aoa], UlaConfig(m_ue), UlaConfig(m_bs))
 
 
 def _random_channel(rng, m_ue, m_bs, num_nlos):
-    paths = [PathComponent(complex(rng.normal(), rng.normal()),
-                           rng.uniform(0.05, math.pi - 0.05),
-                           rng.uniform(0.05, math.pi - 0.05), is_los=True)]
-    for _ in range(num_nlos):
-        paths.append(PathComponent(complex(rng.normal(), rng.normal()) * 0.3,
-                                   rng.uniform(0.05, math.pi - 0.05),
-                                   rng.uniform(0.05, math.pi - 0.05)))
-    return UserChannel(tuple(paths), UlaConfig(m_ue), UlaConfig(m_bs))
+    gains, aods, aoas = [], [], []
+    for path in range(1 + num_nlos):
+        gain = complex(rng.normal(), rng.normal())
+        gains.append(gain if path == 0 else gain * 0.3)
+        aods.append(rng.uniform(0.05, math.pi - 0.05))
+        aoas.append(rng.uniform(0.05, math.pi - 0.05))
+    return UserChannel(gains, aods, aoas, UlaConfig(m_ue), UlaConfig(m_bs))
 
 
 def test_criterion_1_closed_form_matches_direct_product():
@@ -93,11 +90,11 @@ def test_criterion_1_closed_form_matches_direct_product():
         alloc = rng.integers(1, m_bs // k + 1, size=k)
         channels = [_random_channel(rng, m_ue, m_bs, int(rng.integers(0, 5)))
                     for _ in range(k)]
-        aods = np.array([ch.los.aod for ch in channels])
+        aods = np.array([ch.aods[0] for ch in channels])
         plan = _plan(alloc, m_bs)
         precoder = rf_chain_precoder(plan, 0, aods)
         for ch in channels:
-            direct = effective_direct(ch, user_combiner(m_ue, ch.los.aoa), precoder)
+            direct = effective_direct(ch, user_combiner(m_ue, ch.aoas[0]), precoder)
             closed = effective_closed_form(ch, plan, 0, aods)
             worst = max(worst, abs(closed - direct) / abs(direct))
     elapsed = time.monotonic() - start
@@ -207,8 +204,8 @@ def test_criterion_5_gain_identity_and_monte_carlo_agreement():
     for t in range(trials):
         users = drop_users(scenario, t)
         channels = [u.channel for u in users]
-        mags = np.array([abs(ch.los.gain) for ch in channels])
-        aods = np.array([ch.los.aod for ch in channels])
+        mags = np.array([abs(ch.gains[0]) for ch in channels])
+        aods = np.array([ch.aods[0] for ch in channels])
         gains_sq = effective_channel_matrix(channels, plan, aods).gains_sq[:, 0]
         noma = noma_rates_from_gains(gains_sq, np.full(2, pmax / 2), noise).sum()
         full_gains = np.array([tdma_effective_gain(m, m_ue, m_bs) for m in mags])

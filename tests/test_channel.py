@@ -11,7 +11,6 @@ from multibeam_noma.channel import (
     NLOS_EXTRA_LOSS_DB,
     SPEED_OF_LIGHT,
     WAVELENGTH_M,
-    PathComponent,
     ScenarioConfig,
     UlaConfig,
     UserChannel,
@@ -29,8 +28,7 @@ from multibeam_noma.channel import (
 
 
 def los_only_channel(gain, aod, aoa, m_ue, m_bs):
-    path = PathComponent(gain, aod, aoa, is_los=True)
-    return UserChannel((path,), UlaConfig(m_ue), UlaConfig(m_bs))
+    return UserChannel([gain], [aod], [aoa], UlaConfig(m_ue), UlaConfig(m_bs))
 
 
 def test_dbm_to_watt_reference_points():
@@ -103,17 +101,32 @@ def test_channel_matrix_rank_one_frobenius_norm():
 def test_channel_matrix_superposes_identical_paths():
     gain, aod, aoa = 0.3 + 0.1j, 1.4, 0.9
     single = los_only_channel(gain, aod, aoa, 4, 8)
-    paths = (PathComponent(gain, aod, aoa, is_los=True), PathComponent(gain, aod, aoa))
-    double = UserChannel(paths, UlaConfig(4), UlaConfig(8))
+    double = UserChannel([gain, gain], [aod, aod], [aoa, aoa], UlaConfig(4), UlaConfig(8))
     np.testing.assert_allclose(double.matrix, 2.0 * single.matrix, rtol=1e-12)
 
 
 def test_scaled_channel_scales_matrix_and_los():
-    ch = los_only_channel(1.0 + 0.5j, 0.7, 1.9, 3, 12)
+    ch = UserChannel([1.0 + 0.5j, 0.1 - 0.2j], [0.7, 1.2], [1.9, 0.4],
+                     UlaConfig(3), UlaConfig(12))
+    matrix = ch.matrix.copy()
     scaled = ch.scaled(0.25j)
-    np.testing.assert_allclose(scaled.matrix, 0.25j * ch.matrix, rtol=1e-12)
-    assert scaled.los.gain == (1.0 + 0.5j) * 0.25j
-    assert scaled.los.is_los
+    np.testing.assert_allclose(scaled.matrix, 0.25j * matrix, rtol=1e-12)
+    assert scaled.gains.tolist() == [(1.0 + 0.5j) * 0.25j, (0.1 - 0.2j) * 0.25j]
+    assert scaled.aods.tolist() == [0.7, 1.2] and scaled.aoas.tolist() == [1.9, 0.4]
+    # the original keeps its gains and its matrix
+    assert ch.gains.tolist() == [1.0 + 0.5j, 0.1 - 0.2j]
+    np.testing.assert_array_equal(ch.matrix, matrix)
+
+
+def test_scaled_gains_match_the_scalar_products_bit_for_bit():
+    # drop_users pins a gain ratio through scaled(): the array product must
+    # give each gain the bits of the scalar complex * float product
+    rng = np.random.default_rng(17)
+    gains = (rng.normal(size=200) + 1j * rng.normal(size=200)) * 1e-6
+    ch = UserChannel(gains, np.full(200, 1.0), np.full(200, 2.0), UlaConfig(2), UlaConfig(4))
+    for factor in rng.uniform(0.01, 3.0, size=20).tolist():
+        expected = np.array([g * factor for g in gains.tolist()])
+        assert_same_bits(ch.scaled(factor).gains, expected)
 
 
 def test_los_gain_magnitude_free_space():
@@ -127,15 +140,47 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         UlaConfig(0)
     ue, bs = UlaConfig(2), UlaConfig(4)
-    with pytest.raises(ValueError, match="LOS"):
-        UserChannel((), ue, bs)
-    with pytest.raises(ValueError, match="LOS"):
-        UserChannel((PathComponent(1.0, 1.0, 1.0),), ue, bs)
-    with pytest.raises(ValueError, match="only paths"):
-        UserChannel((PathComponent(1.0, 1.0, 1.0, is_los=True),
-                     PathComponent(0.1, 1.2, 1.3, is_los=True)), ue, bs)
+    with pytest.raises(ValueError, match="at least the LOS path"):
+        UserChannel([], [], [], ue, bs)
+    for gains, aods, aoas in (([1.0, 0.1], [1.0], [1.0]), ([1.0], [1.0, 1.2], [1.0]),
+                              ([1.0], [1.0], [1.0, 1.3])):
+        with pytest.raises(ValueError, match="one entry per path"):
+            UserChannel(gains, aods, aoas, ue, bs)
+    for gains, aods, aoas in ((1.0, [1.0], [1.0]), ([[1.0]], [[1.0]], [[1.0]]),
+                              ([1.0], 1.0, [1.0]), ([1.0], [1.0], [[1.0]])):
+        with pytest.raises(ValueError, match="1-D"):
+            UserChannel(gains, aods, aoas, ue, bs)
     with pytest.raises(ValueError, match="nonzero"):
-        UserChannel((PathComponent(0.0, 1.0, 1.0, is_los=True),), ue, bs)
+        UserChannel([0.0, 1.0], [1.0, 1.2], [1.0, 1.3], ue, bs)
+
+
+def test_user_channel_arrays_are_read_only_copies():
+    gains = np.array([1.0 + 1.0j, 0.2j])
+    aods = np.array([1.0, 1.2])
+    aoas = np.array([0.5, 2.5])
+    ch = UserChannel(gains, aods, aoas, UlaConfig(2), UlaConfig(4))
+    assert ch.gains.dtype == np.complex128 and ch.aods.dtype == ch.aoas.dtype == np.float64
+    for name in ("gains", "aods", "aoas"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ch, name)[0] = 3.0
+    # the caller's arrays stay writable, and writing them leaves the channel as it was
+    gains[0] = aods[0] = aoas[0] = 3.0
+    assert ch.gains[0] == 1.0 + 1.0j and ch.aods[0] == 1.0 and ch.aoas[0] == 0.5
+    with pytest.raises(AttributeError):
+        ch.gains = gains
+
+
+def test_user_channel_paths_round_trip_the_arrays():
+    scenario = ScenarioConfig(num_nlos_paths=5)
+    ch = generate_user_channel(np.random.default_rng(6), 75.0, scenario)
+    assert len(ch.paths) == 1 + 5
+    assert all(type(g) is complex and type(aod) is float and type(aoa) is float
+               for g, aod, aoa in ch.paths)
+    gains, aods, aoas = (np.array(column) for column in zip(*ch.paths))
+    assert_same_bits(gains, ch.gains)
+    assert_same_bits(aods, ch.aods)
+    assert_same_bits(aoas, ch.aoas)
+    assert ch.paths[0] == (ch.gains[0], ch.aods[0], ch.aoas[0])
 
 
 def test_scenario_validation():
@@ -217,20 +262,19 @@ def test_generate_user_channel_matches_scalar_draws_bit_for_bit():
 def test_generate_user_channel_structure():
     scenario = ScenarioConfig(num_nlos_paths=30)
     ch = generate_user_channel(np.random.default_rng(2), 120.0, scenario)
-    assert len(ch.paths) == 31
-    assert ch.paths[0].is_los and not any(p.is_los for p in ch.paths[1:])
-    g_los = abs(ch.los.gain)
+    assert ch.gains.shape == ch.aods.shape == ch.aoas.shape == (31,)
+    g_los = abs(ch.gains[0])
     assert g_los == pytest.approx(los_gain_magnitude(120.0), rel=1e-12)
-    for p in ch.paths[1:]:
-        ratio = abs(p.gain) / g_los
-        assert 10.0 ** -1.0 <= ratio <= 10.0 ** -0.5
-    for p in ch.paths:
-        assert 0.0 < p.aod < math.pi and 0.0 < p.aoa < math.pi
+    ratios = np.abs(ch.gains[1:]) / g_los
+    assert ((10.0 ** -1.0 <= ratios) & (ratios <= 10.0 ** -0.5)).all()
+    for angles in (ch.aods, ch.aoas):
+        assert ((0.0 < angles) & (angles < math.pi)).all()
 
 
 def test_generate_user_channel_los_only_when_no_nlos():
     scenario = ScenarioConfig(num_nlos_paths=0)
     ch = generate_user_channel(np.random.default_rng(1), 50.0, scenario)
+    assert ch.gains.shape == ch.aods.shape == ch.aoas.shape == (1,)
     assert len(ch.paths) == 1
 
 
@@ -238,7 +282,8 @@ def test_generate_user_channel_is_reproducible():
     scenario = ScenarioConfig(num_nlos_paths=4)
     a = generate_user_channel(np.random.default_rng(9), 80.0, scenario)
     b = generate_user_channel(np.random.default_rng(9), 80.0, scenario)
-    assert a.paths == b.paths
+    for name in ("gains", "aods", "aoas"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
 
 
 def test_generate_user_channel_distance_bounds():
@@ -267,8 +312,9 @@ def test_generate_user_channel_wraps_the_array_draw():
     gains, aods, aoas = draw_paths(np.random.default_rng(4).random(3 + 4 * 3), 60.0, scenario)
     assert gains.dtype == np.complex128 and aods.dtype == np.float64
     assert gains.shape == aods.shape == aoas.shape == (4,)
-    for i, p in enumerate(ch.paths):
-        assert gains[i] == p.gain and aods[i] == p.aod and aoas[i] == p.aoa
+    assert_same_bits(ch.gains, gains)
+    assert_same_bits(ch.aods, aods)
+    assert_same_bits(ch.aoas, aoas)
 
 
 SEED_MASTERS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)

@@ -25,8 +25,9 @@ def read_csv(path):
 def test_beampattern_writes_csv(tmp_path):
     out = tmp_path / "pattern.csv"
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("angle_points = 64\n")
-    assert main(["beampattern", "--config", str(cfg), "--out", str(out)]) == 0
+    # the scenario keys and --seed of a shared config are accepted and unused
+    cfg.write_text("angle_points = 64\nnum_users = 5\nantenna_alloc = 100,7,7,7,7\n")
+    assert main(["beampattern", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
     meta, header, cols = read_csv(out)
     assert header == ("angle_deg", "split_mag_db", "full_mag_db")
     assert len(cols["angle_deg"]) == 64
@@ -98,6 +99,28 @@ def test_sweep_power_rejects_gain_ratio(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "gain ratio" in capsys.readouterr().err
+
+
+def test_commands_reject_fields_they_do_not_read(tmp_path, capsys):
+    cases = [
+        ("sweep-antennas", "antenna_alloc = 1, 1\nmax_group_size = 7", []),
+        ("sweep-antennas", "antenna_alloc = 60, 60", []),
+        ("sweep-antennas", "max_group_size = 7", []),
+        ("sweep-power", "ratio = 3", []),
+        ("beampattern", "", ["--ratio", "3", "--trials", "5"]),
+        ("beampattern", "", ["--trials", "5"]),
+        ("beampattern", "ratio = 3", []),
+        ("beampattern", "trials = 2", []),
+    ]
+    cfg = tmp_path / "extra.cfg"
+    out = tmp_path / "x.csv"
+    for command, text, flags in cases:
+        cfg.write_text(text + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2, \
+            (command, text, flags)
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from multibeam_noma.beams import GroupPlan, rf_chain_precoder, user_combiner
 from multibeam_noma.channel import (
-    PathComponent,
     ScenarioConfig,
     UlaConfig,
     UserChannel,
@@ -26,8 +25,7 @@ from multibeam_noma.effective import (
 
 
 def los_only(gain, aod, aoa, m_ue, m_bs):
-    return UserChannel((PathComponent(gain, aod, aoa, is_los=True),),
-                       UlaConfig(m_ue), UlaConfig(m_bs))
+    return UserChannel([gain], [aod], [aoa], UlaConfig(m_ue), UlaConfig(m_bs))
 
 
 def single_chain_plan(alloc, m_bs, budget=1.0):
@@ -43,14 +41,13 @@ def single_chain_plan(alloc, m_bs, budget=1.0):
 
 
 def random_channel(rng, m_ue, m_bs, num_nlos):
-    paths = [PathComponent(complex(rng.normal(), rng.normal()),
-                           rng.uniform(0.05, math.pi - 0.05),
-                           rng.uniform(0.05, math.pi - 0.05), is_los=True)]
-    for _ in range(num_nlos):
-        paths.append(PathComponent(complex(rng.normal(), rng.normal()) * 0.3,
-                                   rng.uniform(0.05, math.pi - 0.05),
-                                   rng.uniform(0.05, math.pi - 0.05)))
-    return UserChannel(tuple(paths), UlaConfig(m_ue), UlaConfig(m_bs))
+    gains, aods, aoas = [], [], []
+    for path in range(1 + num_nlos):
+        gain = complex(rng.normal(), rng.normal())
+        gains.append(gain if path == 0 else gain * 0.3)
+        aods.append(rng.uniform(0.05, math.pi - 0.05))
+        aoas.append(rng.uniform(0.05, math.pi - 0.05))
+    return UserChannel(gains, aods, aoas, UlaConfig(m_ue), UlaConfig(m_bs))
 
 
 def test_dirichlet_reference_values():
@@ -132,11 +129,11 @@ def test_closed_form_matches_direct_on_random_instances():
         alloc = rng.integers(1, m_bs // k + 1, size=k)
         channels = [random_channel(rng, m_ue, m_bs, int(rng.integers(0, 5)))
                     for _ in range(k)]
-        aods = np.array([ch.los.aod for ch in channels])
+        aods = np.array([ch.aods[0] for ch in channels])
         plan = single_chain_plan(alloc, m_bs)
         pre = rf_chain_precoder(plan, 0, aods)
         for ch in channels:
-            direct = effective_direct(ch, user_combiner(m_ue, ch.los.aoa), pre)
+            direct = effective_direct(ch, user_combiner(m_ue, ch.aoas[0]), pre)
             closed = effective_closed_form(ch, plan, 0, aods)
             worst = max(worst, abs(closed - direct) / abs(direct))
     assert worst < 1e-9
@@ -210,13 +207,13 @@ def test_effective_channel_matrix_entries_match_direct():
         bs_antennas=m_bs,
         max_power_w=1.0,
     )
-    aods = np.array([ch.los.aod for ch in channels])
+    aods = np.array([ch.aods[0] for ch in channels])
     eff = effective_channel_matrix(channels, plan, aods)
     assert eff.values.shape == (3, 2)
     for r in range(2):
         pre = rf_chain_precoder(plan, r, aods)
         for k, ch in enumerate(channels):
-            manual = effective_direct(ch, user_combiner(m_ue, ch.los.aoa), pre)
+            manual = effective_direct(ch, user_combiner(m_ue, ch.aoas[0]), pre)
             assert eff.values[k, r] == pytest.approx(manual, rel=1e-12)
     np.testing.assert_allclose(eff.gains_sq, np.abs(eff.values) ** 2, rtol=1e-12)
 
@@ -235,7 +232,7 @@ def test_default_steering_uses_the_channels_own_los_angles():
     rng = np.random.default_rng(19)
     channels = [random_channel(rng, 3, 16, 1) for _ in range(2)]
     plan = single_chain_plan([8, 8], 16)
-    aods = np.array([ch.los.aod for ch in channels])
+    aods = np.array([ch.aods[0] for ch in channels])
     by_default = effective_channel_matrix(channels, plan)
     explicit = effective_channel_matrix(channels, plan, aods)
     np.testing.assert_array_equal(by_default.values, explicit.values)

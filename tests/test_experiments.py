@@ -31,7 +31,7 @@ TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
 def test_drop_users_sorted_and_in_cell():
     users = drop_users(ScenarioConfig(num_users=5, num_nlos_paths=2), trial_index=4)
     assert len(users) == 5
-    mags = [abs(u.channel.los.gain) for u in users]
+    mags = [abs(u.channel.gains[0]) for u in users]
     assert mags == sorted(mags, reverse=True)
     for u in users:
         assert 10.0 <= u.distance_m <= 500.0
@@ -43,7 +43,9 @@ def test_drop_users_is_reproducible_per_trial():
     b = drop_users(scenario, trial_index=7)
     c = drop_users(scenario, trial_index=8)
     assert [u.distance_m for u in a] == [u.distance_m for u in b]
-    assert a[0].channel.los.gain == b[0].channel.los.gain
+    for ua, ub in zip(a, b):
+        for name in ("gains", "aods", "aoas"):
+            assert_same_bits(getattr(ua.channel, name), getattr(ub.channel, name))
     assert [u.distance_m for u in a] != [u.distance_m for u in c]
 
 
@@ -58,7 +60,7 @@ def test_drop_users_master_seed_overrides_scenario_seed():
 
 def test_drop_users_pins_the_gain_ratio_exactly():
     users = drop_users(TWO_USER_LOS, trial_index=2, gain_ratio=5.0)
-    ratio = abs(users[0].channel.los.gain) / abs(users[1].channel.los.gain)
+    ratio = abs(users[0].channel.gains[0]) / abs(users[1].channel.gains[0])
     assert ratio == pytest.approx(5.0, rel=1e-12)
 
 
@@ -147,12 +149,10 @@ def test_monte_carlo_stderr_shrinks_like_root_n():
 def dropped_arrays(scenario, trial, gain_ratio):
     """LOS magnitudes, LOS AoDs and v^H H rows of one ``drop_users`` drop."""
     users = drop_users(scenario, trial, gain_ratio)
-    mags = np.array([abs(u.channel.los.gain) for u in users])
-    aods = np.array([u.channel.los.aod for u in users])
+    mags = np.array([abs(u.channel.gains[0]) for u in users])
+    aods = np.array([u.channel.aods[0] for u in users])
     rows = np.array([
-        _kernels.vhh_row(np.array([p.gain for p in u.channel.paths]),
-                         np.array([p.aod for p in u.channel.paths]),
-                         np.array([p.aoa for p in u.channel.paths]),
+        _kernels.vhh_row(u.channel.gains, u.channel.aods, u.channel.aoas,
                          scenario.ue_config.num_antennas, scenario.bs_config.num_antennas)
         for u in users])
     return mags, aods, rows
@@ -276,6 +276,13 @@ def test_sweep_spec_validation():
     for ratio in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gain ratio must be finite"):
             SweepSpec("antennas", TWO_USER_LOS, 1, (10,), gain_ratio=ratio)
+    # a field that the sweep's kind does not read is an error, not ignored
+    with pytest.raises(ValueError, match="does not take a gain ratio"):
+        SweepSpec("power", TWO_USER_LOS, 1, (30.0,), gain_ratio=3.0)
+    for fields in ({"antenna_alloc": (1, 1)}, {"max_group_size": 7},
+                   {"antenna_alloc": (1, 1), "max_group_size": 7}):
+        with pytest.raises(ValueError, match="neither antenna_alloc nor max_group_size"):
+            SweepSpec("antennas", TWO_USER_LOS, 1, (10,), **fields)
     for values in ((30.0, math.nan), (math.inf,), (-math.inf,), (4000.0,), (-4000.0,),
                    (30.0, 3000.0)):
         with pytest.raises(ValueError, match="dBm"):

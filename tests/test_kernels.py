@@ -29,7 +29,7 @@ def test_vhh_row_matches_combined_matrix_product():
     gains, aods, aoas = draw_paths(np.random.default_rng(21).random(3 + 4 * 8), 90.0, scenario)
     ch = generate_user_channel(np.random.default_rng(21), 90.0, scenario)
     row = _kernels.vhh_row(gains, aods, aoas, 5, 40)
-    v = user_combiner(5, ch.los.aoa)
+    v = user_combiner(5, ch.aoas[0])
     manual = v.conj() @ ch.matrix
     np.testing.assert_allclose(row, manual, rtol=1e-10, atol=1e-12)
 
