@@ -50,15 +50,8 @@ class InfeasibleSpecError(Exception):
     """The requested experiment cannot be realized (bad split, wrong K, ...)."""
 
 
-@dataclass(frozen=True)
-class DroppedUser:
-    distance_m: float
-    channel: UserChannel
-
-
 def drop_users(scenario: ScenarioConfig, trial_index: int = 0,
-               gain_ratio: float | None = None,
-               master_seed: int | None = None) -> list[DroppedUser]:
+               gain_ratio: float | None = None) -> list[UserChannel]:
     """Place the scenario's users in the cell and draw their channels.
 
     Distances are uniform over the cell area (density proportional to d)
@@ -68,24 +61,24 @@ def drop_users(scenario: ScenarioConfig, trial_index: int = 0,
     ratio is pinned exactly.
     """
     _check_gain_ratio(scenario.num_users, gain_ratio)
-    seed = scenario.rng_seed if master_seed is None else master_seed
     users = []
     for k in range(scenario.num_users):
-        rng = user_rng(seed, trial_index, k)
-        d = float(_distances(rng.random(), scenario))
-        users.append(DroppedUser(d, generate_user_channel(rng, d, scenario)))
-    mags = _scalar_abs(np.array([u.channel.gains[0] for u in users]))
+        rng = user_rng(scenario.rng_seed, trial_index, k)
+        users.append(generate_user_channel(rng, float(_distances(rng.random(), scenario)),
+                                           scenario))
+    mags = _scalar_abs(np.array([u.gains[0] for u in users]))
     order = _strongest_first(mags)
     users = [users[i] for i in order.tolist()]
     if gain_ratio is not None:
-        factor = float(_pin_factor(mags[order], gain_ratio))
-        users[1] = DroppedUser(users[1].distance_m, users[1].channel.scaled(factor))
+        users[1] = users[1].scaled(float(_pin_factor(mags[order], gain_ratio)))
     return users
 
 
 def _check_gain_ratio(num_users: int, gain_ratio: float | None) -> None:
     if gain_ratio is None:
         return
+    if not math.isfinite(gain_ratio):
+        raise ValueError(f"gain ratio must be finite, got {gain_ratio}")
     if num_users != 2:
         raise InfeasibleSpecError("a pinned gain ratio needs exactly two users")
     if gain_ratio < 1.0:
@@ -223,7 +216,8 @@ def single_chain_plan(scenario: ScenarioConfig, antenna_alloc: Sequence[int],
                       max_group_size: int | None = None) -> GroupPlan:
     """All users NOMA-grouped on one RF chain with equal transmit power."""
     k = scenario.num_users
-    alloc = np.asarray(antenna_alloc, dtype=np.int64).reshape(k, 1)
+    # an entry count other than K fails the plan's shape check
+    alloc = np.asarray(antenna_alloc, dtype=np.int64).reshape(-1, 1)
     powers = np.full((k, 1), scenario.max_power_w / k)
     return GroupPlan(
         scheduling=np.ones((k, 1), dtype=np.int64),
@@ -254,14 +248,13 @@ class SweepSpec:
             raise ValueError("trials must be positive")
         if len(self.values) == 0:
             raise InfeasibleSpecError("sweep needs at least one value")
-        if self.gain_ratio is not None and not math.isfinite(self.gain_ratio):
-            raise ValueError(f"gain ratio must be finite, got {self.gain_ratio}")
         m_bs = self.scenario.bs_config.num_antennas
         if self.kind == "antennas":
             if self.antenna_alloc is not None or self.max_group_size is not None:
                 raise ValueError("the antenna sweep takes neither antenna_alloc nor max_group_size")
             if self.scenario.num_users != 2:
                 raise InfeasibleSpecError("the antenna sweep is defined for two users")
+            _check_gain_ratio(2, self.gain_ratio)
             vals = np.asarray(self.values, dtype=np.int64)
             if (vals < 1).any() or (vals > m_bs - 1).any():
                 raise InfeasibleSpecError("antenna counts must leave both users a segment")
@@ -431,7 +424,7 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
 
     out = np.empty((hi - lo, len(pmax_w), 4))
     for t in range(lo, hi):
-        channels = [u.channel for u in drop_users(scenario, t)]
+        channels = drop_users(scenario, t)
         mags, aods, rows = _trial_arrays(np.array([c.gains for c in channels]),
                                          np.array([c.aods for c in channels]),
                                          np.array([c.aoas for c in channels]), scenario)

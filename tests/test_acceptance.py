@@ -202,8 +202,7 @@ def test_criterion_5_gain_identity_and_monte_carlo_agreement():
     preds = np.empty(trials)
     min_snr_db = math.inf
     for t in range(trials):
-        users = drop_users(scenario, t)
-        channels = [u.channel for u in users]
+        channels = drop_users(scenario, t)
         mags = np.array([abs(ch.gains[0]) for ch in channels])
         aods = np.array([ch.aods[0] for ch in channels])
         gains_sq = effective_channel_matrix(channels, plan, aods).gains_sq[:, 0]

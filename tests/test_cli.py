@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from multibeam_noma.cli import main
+from multibeam_noma.cli import COMMANDS, main
+from multibeam_noma.config import KEY_PARSERS
 
 
 def read_csv(path):
@@ -98,7 +99,7 @@ def test_sweep_power_rejects_gain_ratio(tmp_path, capsys):
     code = main(["sweep-power", "--trials", "1", "--ratio", "5.0",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "gain ratio" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: sweep-power does not read 'ratio'\n"
 
 
 def test_commands_reject_fields_they_do_not_read(tmp_path, capsys):
@@ -111,6 +112,10 @@ def test_commands_reject_fields_they_do_not_read(tmp_path, capsys):
         ("beampattern", "", ["--trials", "5"]),
         ("beampattern", "ratio = 3", []),
         ("beampattern", "trials = 2", []),
+        ("sweep-power", "m1_values = 30", []),
+        ("rates", "split_lengths = 5", []),
+        ("effective", "pmax_dbm_values = 30", []),
+        ("sweep-antennas", "pmax_dbm_values = 30", []),
     ]
     cfg = tmp_path / "extra.cfg"
     out = tmp_path / "x.csv"
@@ -121,6 +126,19 @@ def test_commands_reject_fields_they_do_not_read(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_every_command_rejects_every_key_it_does_not_read(tmp_path, capsys):
+    # every config key is read by some command, and only config keys are
+    assert frozenset().union(*(c.keys for c in COMMANDS.values())) == KEY_PARSERS.keys()
+    cfg = tmp_path / "extra.cfg"
+    out = tmp_path / "x.csv"
+    for name, command in COMMANDS.items():
+        for key in sorted(KEY_PARSERS.keys() - command.keys):
+            cfg.write_text(f"{key} = 3\n")   # parses as every key's type
+            assert main([name, "--config", str(cfg), "--out", str(out)]) == 2, (name, key)
+            assert capsys.readouterr().err == f"config error: {name} does not read {key!r}\n"
+            assert not out.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -165,9 +183,12 @@ def test_infeasible_antenna_split_exits_3(tmp_path, capsys):
 
 def test_oversized_alloc_exits_3(tmp_path):
     cfg = tmp_path / "inf2.cfg"
-    cfg.write_text("antenna_alloc = 128, 7\n")
-    assert main(["effective", "--config", str(cfg), "--trials", "1",
-                 "--out", str(tmp_path / "x.csv")]) == 3
+    for command in ("effective", "rates"):
+        for alloc in ("128, 7", "60, 7, 7", ","):
+            cfg.write_text(f"antenna_alloc = {alloc}\n")
+            assert main([command, "--config", str(cfg), "--trials", "1",
+                         "--out", str(tmp_path / "x.csv")]) == 3, (command, alloc)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bad_scenario_value_exits_2(tmp_path, capsys):

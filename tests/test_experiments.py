@@ -8,7 +8,13 @@ import pytest
 from multibeam_noma import _kernels, experiments
 from multibeam_noma.asymptotic import min_antennas_for_superiority
 from multibeam_noma.beams import PlanError
-from multibeam_noma.channel import ScenarioConfig, UlaConfig, dbm_to_watt, user_rng
+from multibeam_noma.channel import (
+    ScenarioConfig,
+    UlaConfig,
+    dbm_to_watt,
+    los_gain_magnitude,
+    user_rng,
+)
 from multibeam_noma.experiments import (
     BeamPatternConfig,
     InfeasibleSpecError,
@@ -31,10 +37,11 @@ TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
 def test_drop_users_sorted_and_in_cell():
     users = drop_users(ScenarioConfig(num_users=5, num_nlos_paths=2), trial_index=4)
     assert len(users) == 5
-    mags = [abs(u.channel.gains[0]) for u in users]
+    mags = [abs(u.gains[0]) for u in users]
     assert mags == sorted(mags, reverse=True)
-    for u in users:
-        assert 10.0 <= u.distance_m <= 500.0
+    # the LOS magnitude is the free-space gain at the user's distance
+    for m in mags:
+        assert los_gain_magnitude(500.0) <= m <= los_gain_magnitude(10.0)
 
 
 def test_drop_users_is_reproducible_per_trial():
@@ -42,25 +49,24 @@ def test_drop_users_is_reproducible_per_trial():
     a = drop_users(scenario, trial_index=7)
     b = drop_users(scenario, trial_index=7)
     c = drop_users(scenario, trial_index=8)
-    assert [u.distance_m for u in a] == [u.distance_m for u in b]
     for ua, ub in zip(a, b):
         for name in ("gains", "aods", "aoas"):
-            assert_same_bits(getattr(ua.channel, name), getattr(ub.channel, name))
-    assert [u.distance_m for u in a] != [u.distance_m for u in c]
+            assert_same_bits(getattr(ua, name), getattr(ub, name))
+    assert [u.gains[0] for u in a] != [u.gains[0] for u in c]
 
 
-def test_drop_users_master_seed_overrides_scenario_seed():
-    scenario = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=1)
-    default_seed = drop_users(scenario, 0)
-    override = drop_users(scenario, 0, master_seed=99)
-    same_as_default = drop_users(scenario, 0, master_seed=1)
-    assert default_seed[0].distance_m == same_as_default[0].distance_m
-    assert default_seed[0].distance_m != override[0].distance_m
+def test_drop_users_scenario_seed_decides_the_drop():
+    def los_gains(seed):
+        scenario = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=seed)
+        return [u.gains[0] for u in drop_users(scenario, 0)]
+
+    assert los_gains(1) == los_gains(1)
+    assert los_gains(1) != los_gains(99)
 
 
 def test_drop_users_pins_the_gain_ratio_exactly():
     users = drop_users(TWO_USER_LOS, trial_index=2, gain_ratio=5.0)
-    ratio = abs(users[0].channel.gains[0]) / abs(users[1].channel.gains[0])
+    ratio = abs(users[0].gains[0]) / abs(users[1].gains[0])
     assert ratio == pytest.approx(5.0, rel=1e-12)
 
 
@@ -69,6 +75,11 @@ def test_drop_users_ratio_guards():
         drop_users(ScenarioConfig(num_users=3, num_nlos_paths=0), gain_ratio=5.0)
     with pytest.raises(InfeasibleSpecError, match=">= 1"):
         drop_users(TWO_USER_LOS, gain_ratio=0.5)
+    for ratio in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gain ratio must be finite"):
+            drop_users(TWO_USER_LOS, 0, ratio)
+        with pytest.raises(ValueError, match="gain ratio must be finite"):
+            experiments._draw_block(TWO_USER_LOS, 0, 2, ratio)
 
 
 def per_trial(fn):
@@ -149,10 +160,10 @@ def test_monte_carlo_stderr_shrinks_like_root_n():
 def dropped_arrays(scenario, trial, gain_ratio):
     """LOS magnitudes, LOS AoDs and v^H H rows of one ``drop_users`` drop."""
     users = drop_users(scenario, trial, gain_ratio)
-    mags = np.array([abs(u.channel.gains[0]) for u in users])
-    aods = np.array([u.channel.aods[0] for u in users])
+    mags = np.array([abs(u.gains[0]) for u in users])
+    aods = np.array([u.aods[0] for u in users])
     rows = np.array([
-        _kernels.vhh_row(u.channel.gains, u.channel.aods, u.channel.aoas,
+        _kernels.vhh_row(u.gains, u.aods, u.aoas,
                          scenario.ue_config.num_antennas, scenario.bs_config.num_antennas)
         for u in users])
     return mags, aods, rows
@@ -250,8 +261,9 @@ def test_single_chain_plan_layout():
     np.testing.assert_array_equal(plan.antenna_alloc[:, 0], [50, 7, 7])
     np.testing.assert_allclose(plan.power_alloc, scenario.max_power_w / 3.0)
     assert plan.bs_antennas == 128
-    with pytest.raises(PlanError):
-        single_chain_plan(scenario, (120, 7, 7))
+    for alloc in ((120, 7, 7), (50, 7), (50, 7, 7, 7), ()):
+        with pytest.raises(PlanError):
+            single_chain_plan(scenario, alloc)
 
 
 def test_sweep_spec_validation():

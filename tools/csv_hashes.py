@@ -6,9 +6,10 @@ Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
 all of them concatenated in that order.  The matrix covers the antenna and
 power sweeps over seeds, user counts, NLOS path counts, array sizes, pinned
 gain ratios and trial counts on either side of multiples of 64, plus the CLI
-``effective``, ``rates`` and ``beampattern`` reports.  The package is imported
-from the ``src`` directory next to this script, so a copy of the script run
-from another checkout hashes that checkout.  Every warning is raised as an
+``effective``, ``rates`` and ``beampattern`` reports and both CLI sweeps at
+their default config.  The package is imported from the ``src`` directory next
+to this script, so a copy of the script run from another checkout hashes that
+checkout.  Every warning is raised as an
 error.  Two checkouts that produce the same CSV bytes print the same lines.
 """
 
@@ -96,6 +97,9 @@ def cli_csvs(workdir: str):
             for command in ("effective", "rates"):
                 yield (f"{command} seed={seed} users={num_users} nlos={num_nlos} "
                        f"ratio={ratio}", cli_csv(workdir, command, config, *flags))
+        for command in ("sweep-antennas", "sweep-power"):
+            yield (f"{command} seed={seed} default config",
+                   cli_csv(workdir, command, "", "--seed", str(seed), "--trials", "3"))
     for i, config in enumerate(BEAM_PATTERNS):
         yield f"beampattern config={i}", cli_csv(workdir, "beampattern", config)
 
