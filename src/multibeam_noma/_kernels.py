@@ -13,7 +13,8 @@ Each distinct steering phase is computed once per call:
   ``two_segment_sweep`` takes the rows of a whole block of trials,
   ``(T, K, M_BS)``, with one steering pair per trial, and builds each
   trial's phases once as a ``(T, 1, M_BS)`` array broadcast against its K
-  rows.  ``vhh_row`` stays one call per user.
+  rows.  ``vhh_row`` takes a block's paths as (T, K, 1 + L) arrays and
+  builds every (trial, user) row in one call.
 * The centred element ramps are cached per array size (bounded, read-only).
 * Steering matrices use the mirror identity.  The centred ramp
   ``(M - 1) / 2 - j`` satisfies ``ramp[M - 1 - j] == -ramp[j]`` exactly, and
@@ -72,27 +73,36 @@ def _centred_ramp(m: int) -> np.ndarray:
 
 
 def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
-    """exp(-iπ cos θ ((m - 1) / 2 - j)) for every angle (rows) and element j,
-    with the right half of each row mirrored from the left half."""
+    """exp(-iπ cos θ ((m - 1) / 2 - j)) for every angle in ``cos_angles``
+    (any shape) and element j, on a new last axis, with the right half of
+    each row mirrored from the left half."""
     half = (m + 1) // 2
-    out = np.empty((len(cos_angles), m), dtype=np.complex128)
-    np.exp(-1j * math.pi * cos_angles[:, None] * _centred_ramp(m)[None, :half],
-           out=out[:, :half])
-    np.conjugate(out[:, :m // 2][:, ::-1], out=out[:, half:])
+    out = np.empty(cos_angles.shape + (m,), dtype=np.complex128)
+    np.exp(-1j * math.pi * cos_angles[..., None] * _centred_ramp(m)[:half],
+           out=out[..., :half])
+    np.conjugate(out[..., :m // 2][..., ::-1], out=out[..., half:])
     return out
 
 
 def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
             m_ue: int, m_bs: int) -> np.ndarray:
-    """Row vector v^H H for a matched combiner v = a_UE(aoas[0]) / sqrt(M_UE).
+    """Row vector v^H H for a matched combiner v = a_UE(aoas[..., 0]) / sqrt(M_UE).
 
-    H is never materialized: each path contributes its receive inner
-    product times its transmit steering row.  One call per user.
+    The paths lie on the last axis of ``gains``, ``aods`` and ``aoas``
+    (..., 1 + L); the rows come back as (..., M_BS), so one call takes a
+    single user or a whole block of (trial, user) rows.  H is never
+    materialized: each path contributes its receive inner product times its
+    transmit steering row.  Both products are stacked matmuls, which run
+    the BLAS (or no-BLAS) routine of a single row's call on every row, so
+    each row keeps the bits of its own ``(gains * rx) @ steering``.
     """
-    a_ue = np.exp(1j * math.pi * np.cos(aoas)[:, None] * _centred_ramp(m_ue)[None, :])
-    v = a_ue[0] / math.sqrt(m_ue)
-    rx = a_ue @ v.conj()
-    return (gains * rx) @ _steering_conj(np.cos(aods), m_bs)
+    a_ue = np.exp(1j * math.pi * np.cos(aoas)[..., None] * _centred_ramp(m_ue))
+    v = a_ue[..., 0, :] / math.sqrt(m_ue)
+    rx = (a_ue @ v.conj()[..., :, None])[..., 0]
+    # np.multiply, not ``gains * rx``: rx is a temporary of the product's
+    # shape, which numpy may reuse as the output (see the module notes)
+    weights = np.multiply(gains, rx)[..., None, :]
+    return (weights @ _steering_conj(np.cos(aods), m_bs))[..., 0, :]
 
 
 def segment_gains(rows: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,

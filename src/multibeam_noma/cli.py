@@ -25,6 +25,7 @@ from .channel import ScenarioConfig, UlaConfig, dbm_to_watt
 from .config import ConfigError, load_config
 from .effective import effective_asymptotic, effective_channel_matrix, effective_closed_form
 from .experiments import (
+    MAX_TRIALS,
     BeamPatternConfig,
     InfeasibleSpecError,
     SweepSpec,
@@ -215,6 +216,8 @@ def _load(args) -> dict:
         raise ConfigError("seed must be nonnegative")
     if cfg.get("trials", 1) < 1:
         raise ConfigError("trials must be positive")
+    if cfg.get("trials", 1) > MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {MAX_TRIALS}, got {cfg['trials']}")
     if not math.isfinite(cfg.get("ratio", 1.0)):
         raise ConfigError(f"ratio must be finite, got {cfg['ratio']}")
     if getattr(args, "workers", 1) < 1:

@@ -6,11 +6,12 @@ evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
 the block size and however many worker threads ran it.  The antenna sweep
 takes blocks of ``TRIAL_BLOCK``: a block seeds all of its keys at once,
-draws every user's paths as arrays and evaluates all of its trials along
-an array axis, split-beam sweep, full-array gains and threshold included,
-with no loop over trials.  Those draws are the ones of ``drop_users``, bit
-for bit; the power sweep still draws each trial through ``drop_users`` and
-stacks its users' path arrays.  CSV files start with '# key = value' comment
+draws every user's paths as arrays, builds all of its v^H H rows in one
+``vhh_row`` call and evaluates all of its trials along an array axis,
+split-beam sweep, full-array gains and threshold included, with no loop
+over trials or rows.  Those draws and rows are the ones of ``drop_users``
+and per-user ``vhh_row`` calls, bit for bit; the power sweep still draws
+each trial through ``drop_users`` and makes one ``vhh_row`` call per user.  CSV files start with '# key = value' comment
 lines carrying the scenario, so each file can be recomputed in isolation.
 """
 
@@ -86,8 +87,9 @@ def _check_gain_ratio(num_users: int, gain_ratio: float | None) -> None:
 
 
 def _scalar_abs(z: np.ndarray) -> np.ndarray:
-    # scalar abs: numpy's vectorized complex abs differs from it in the last bit
-    return np.array([abs(v) for v in z.ravel().tolist()], dtype=np.float64).reshape(z.shape)
+    # the bits of scalar abs(complex): both call libm hypot, while numpy's
+    # vectorized complex abs differs from it in the last bit
+    return np.hypot(z.real, z.imag)
 
 
 def _scalar_squares(x: np.ndarray) -> np.ndarray:
@@ -117,29 +119,17 @@ def _pin_factor(mags: np.ndarray, gain_ratio: float) -> np.ndarray:
     return mags[..., 0] / gain_ratio / mags[..., 1]
 
 
-def _trial_arrays(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
-                  scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LOS gain magnitudes (..., K), LOS departure angles (..., K) and v^H H
-    rows (..., K, M_BS) of users whose 1 + L paths lie on the last axis."""
-    m_ue = scenario.ue_config.num_antennas
-    m_bs = scenario.bs_config.num_antennas
-    rows = np.empty(gains.shape[:-1] + (m_bs,), dtype=np.complex128)
-    num_paths = gains.shape[-1]
-    for row, g, aod, aoa in zip(rows.reshape(-1, m_bs), gains.reshape(-1, num_paths),
-                                aods.reshape(-1, num_paths), aoas.reshape(-1, num_paths)):
-        row[:] = _kernels.vhh_row(g, aod, aoa, m_ue, m_bs)
-    return _scalar_abs(gains[..., 0]), np.ascontiguousarray(aods[..., 0]), rows
-
-
 def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
                 gain_ratio: float | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_trial_arrays`` of ``drop_users(scenario, t, gain_ratio)`` for every
-    trial t in [trial_lo, trial_hi), as (T, K), (T, K) and (T, K, M_BS) arrays.
+    """LOS gain magnitudes (T, K), LOS departure angles (T, K) and v^H H rows
+    (T, K, M_BS) of ``drop_users(scenario, t, gain_ratio)`` for every trial t
+    in [trial_lo, trial_hi).
 
     Same streams, order and bits as ``drop_users``: each user's distance
     and paths come from the first 4 + 4 L draws of its ``user_rng``
-    stream, and the drop rules above sort and pin the users.
+    stream, and the drop rules above sort and pin the users.  One
+    ``vhh_row`` call builds every row of the block.
     """
     k = scenario.num_users
     _check_gain_ratio(k, gain_ratio)
@@ -150,7 +140,9 @@ def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
     gains, aods, aoas = (np.take_along_axis(a, order, axis=1) for a in (gains, aods, aoas))
     if gain_ratio is not None:
         gains[:, 1] *= _pin_factor(_scalar_abs(gains[..., 0]), gain_ratio)[:, None]
-    return _trial_arrays(gains, aods, aoas, scenario)
+    rows = _kernels.vhh_row(gains, aods, aoas, scenario.ue_config.num_antennas,
+                            scenario.bs_config.num_antennas)
+    return _scalar_abs(gains[..., 0]), np.ascontiguousarray(aods[..., 0]), rows
 
 
 @dataclass(frozen=True)
@@ -161,8 +153,14 @@ class MonteCarloResult:
 
 
 # Trials per evaluator call.  At the paper's power-sweep sizes (5 users,
-# 30 NLOS paths, 128 antennas) a block's draws and rows take about 1 MB.
+# 30 NLOS paths, 128 antennas) a block's draws and rows take about 1 MB; the
+# steering temporaries of a block's vhh_row call hold T·K·(1+L)·M_BS complex
+# values, about 8 MB at two users and 31 paths.
 TRIAL_BLOCK = 64
+
+# Most trials a run takes: a trial index is one 32-bit word of its users'
+# spawn keys (channel.spawn_state_words), so indices stop at 2**32 - 1.
+MAX_TRIALS = 2 ** 32
 
 
 def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
@@ -246,6 +244,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if len(self.values) == 0:
             raise InfeasibleSpecError("sweep needs at least one value")
         m_bs = self.scenario.bs_config.num_antennas
@@ -425,9 +425,13 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
     out = np.empty((hi - lo, len(pmax_w), 4))
     for t in range(lo, hi):
         channels = drop_users(scenario, t)
-        mags, aods, rows = _trial_arrays(np.array([c.gains for c in channels]),
-                                         np.array([c.aods for c in channels]),
-                                         np.array([c.aoas for c in channels]), scenario)
+        mags = _scalar_abs(np.array([c.gains[0] for c in channels]))
+        aods = np.array([c.aods[0] for c in channels])
+        # one call per user, not one stacked call: the traced benchmark
+        # self-test counts len(gains) * M_BS vhh_row elements per call, and
+        # at 31 paths a stacked call would save nothing
+        rows = np.array([_kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
+                         for c in channels])
         cos_aods = np.cos(aods)
         h = _kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs)
         split_gains = _scalar_squares(_scalar_abs(h))

@@ -177,6 +177,22 @@ def assert_same_bits(actual, expected):
                                   np.signbit(expected.view(np.float64)))
 
 
+def test_scalar_abs_matches_python_abs_bit_for_bit():
+    # the sweeps' magnitudes are those of scalar abs(complex); numpy's
+    # vectorized complex abs differs from it in the last bit
+    rng = np.random.default_rng(17)
+    n = 99_999
+    scales = 10.0 ** rng.uniform(-6.0, 5.0, size=(2, n))
+    parts = rng.normal(size=(2, n)) * scales
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-308, 3e-320, 1.0, -2.5])
+    corner = np.stack(np.meshgrid(tiny, tiny)).reshape(2, -1)
+    re, im = np.concatenate((parts, corner), axis=1)
+    z = (re + 1j * im).reshape(-1, 3)
+    assert (np.signbit(z.real) != np.signbit(z.imag)).any()
+    want = np.array([abs(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    assert_same_bits(experiments._scalar_abs(z), want)
+
+
 @pytest.mark.parametrize("num_users,num_nlos,gain_ratio",
                          [(1, 0, None), (2, 0, None), (2, 0, 5.0), (2, 3, 1.5), (5, 30, None)])
 def test_block_draw_matches_drop_users_bit_for_bit(num_users, num_nlos, gain_ratio):
@@ -271,6 +287,9 @@ def test_sweep_spec_validation():
         SweepSpec("frequency", TWO_USER_LOS, 1, (1,))
     with pytest.raises(ValueError, match="trials"):
         SweepSpec("antennas", TWO_USER_LOS, 0, (10,))
+    SweepSpec("antennas", TWO_USER_LOS, 2 ** 32, (10,))
+    with pytest.raises(ValueError, match="trials must be at most 4294967296"):
+        SweepSpec("antennas", TWO_USER_LOS, 2 ** 32 + 1, (10,))
     with pytest.raises(InfeasibleSpecError, match="at least one value"):
         SweepSpec("antennas", TWO_USER_LOS, 1, ())
     with pytest.raises(InfeasibleSpecError, match="two users"):

@@ -160,6 +160,31 @@ def test_vhh_row_matches_per_path_formula_bit_for_bit():
                                  oracle_vhh_row(gains, aods, aoas, m_ue, m_bs))
 
 
+@pytest.mark.parametrize("lead", ((), (5,), (3, 2)))
+def test_vhh_row_over_leading_axes_matches_per_row_calls_bit_for_bit(lead):
+    # Every row of a stacked call runs the matmul routine of its own 1-D
+    # call, so it keeps that call's bits, and the per-path formula's,
+    # whatever the stack holds.
+    rng = np.random.default_rng(18 + len(lead))
+    cases = [(lead, num_paths, m_ue, m_bs) for num_paths in (1, 2, 4, 31)
+             for m_ue in (1, 4, 10) for m_bs in (1, 2, 7, 32, 128, 256, 512)]
+    # a block whose (..., P, M_BS) temporaries pass 256 KiB, where numpy may
+    # reuse a temporary operand as a product's output
+    cases.append(((64, 2), 4, 4, 512))
+    for shape, num_paths, m_ue, m_bs in cases:
+        size = shape + (num_paths,)
+        gains = rng.normal(size=size) + 1j * rng.normal(size=size)
+        aods = rng.uniform(0.05, math.pi - 0.05, size=size)
+        aoas = rng.uniform(0.05, math.pi - 0.05, size=size)
+        got = _kernels.vhh_row(gains, aods, aoas, m_ue, m_bs)
+        assert got.shape == shape + (m_bs,)
+        per_row = list(zip(gains.reshape(-1, num_paths), aods.reshape(-1, num_paths),
+                           aoas.reshape(-1, num_paths)))
+        for row_of in (_kernels.vhh_row, oracle_vhh_row):
+            want = np.array([row_of(g, d, a, m_ue, m_bs) for g, d, a in per_row])
+            assert_same_bits(got, want.reshape(shape + (m_bs,)))
+
+
 def test_pattern_mags_matches_full_exp_matrix_bit_for_bit():
     rng = np.random.default_rng(12)
     # ±0 included: the mirror flips a zero's sign there, which |.| hides

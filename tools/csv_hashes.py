@@ -3,9 +3,10 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order.  The matrix covers the antenna and
-power sweeps over seeds, user counts, NLOS path counts, array sizes, pinned
-gain ratios and trial counts on either side of multiples of 64, plus the CLI
+all of them concatenated in that order: 1276 CSVs.  The matrix covers the
+antenna and power sweeps over seeds, user counts, NLOS path counts, array
+sizes (up to 256 elements for the antenna sweep), pinned gain ratios and
+trial counts on either side of multiples of 64, plus the CLI
 ``effective``, ``rates`` and ``beampattern`` reports and both CLI sweeps at
 their default config.  The package is imported from the ``src`` directory next
 to this script, so a copy of the script run from another checkout hashes that
@@ -29,6 +30,10 @@ from multibeam_noma.channel import ScenarioConfig, UlaConfig  # noqa: E402
 SEEDS = (1, 2, 7, 12345, 2 ** 32 + 5, 2 ** 64 + 3)
 TRIALS = (1, 70, 130)
 ARRAYS = ((128, 10), (64, 4), (32, 1))          # (M_BS, M_UE)
+# The antenna sweep also runs a 256-element array, so that its block-sized
+# products, the (T, K, M_BS) rows included, pass the 256 KiB at which numpy
+# may reuse a temporary operand as the output.
+ANTENNA_ARRAYS = ARRAYS + ((256, 10),)
 ANTENNA_NLOS_PATHS = (0, 1, 3)
 POWER_NLOS_PATHS = (0, 2, 30)
 POWER_USERS = (1, 2, 3, 5, 9)
@@ -54,7 +59,7 @@ def scenario(num_users: int, num_nlos: int, arrays: tuple[int, int], seed: int):
 def sweep_csvs():
     for seed in SEEDS:
         for trials in TRIALS:
-            for arrays in ARRAYS:
+            for arrays in ANTENNA_ARRAYS:
                 m_bs = arrays[0]
                 for num_nlos in ANTENNA_NLOS_PATHS:
                     for ratio in RATIOS:
