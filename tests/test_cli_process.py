@@ -31,13 +31,13 @@ def test_beampattern_process_writes_csv(tmp_path):
 
 @pytest.mark.parametrize("args,code,message", [
     (("sweep-power", "--trials", "0"), 2, "config error: trials must be positive"),
+    (("beampattern", "--ratio", "3", "--trials", "5"), 2, "config error: "),
+    (("effective", "--config", "alloc.cfg", "--trials", "1"), 3, "infeasible: "),
+    (("sweep-power", "--config", "alloc.cfg", "--trials", "1"), 3, "infeasible: "),
     # past 2**32 trials the run stops at the config check, before any block
     # bounds are built
     (("sweep-antennas", "--trials", "99999999999999999999"), 2,
      "config error: trials must be at most 4294967296"),
-    (("beampattern", "--ratio", "3", "--trials", "5"), 2, "config error: "),
-    (("effective", "--config", "alloc.cfg", "--trials", "1"), 3, "infeasible: "),
-    (("sweep-power", "--config", "alloc.cfg", "--trials", "1"), 3, "infeasible: "),
 ])
 def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, message):
     (tmp_path / "alloc.cfg").write_text("num_users = 2\nantenna_alloc = 128, 7\n")
