@@ -9,7 +9,7 @@ results are deterministic regardless of thread count.
 Each distinct steering phase is computed once per call:
 
 * ``segment_gains`` takes a trial's rows stacked as a ``(K, M_BS)`` array
-  and builds its precoder phases once for all of them.
+  and builds all of its segment weights in one exp, shared by every row.
   ``two_segment_sweep`` takes the rows of a whole block of trials,
   ``(T, K, M_BS)``, with one steering pair per trial, and builds each
   trial's phases once as a ``(T, 1, M_BS)`` array broadcast against its K
@@ -28,15 +28,17 @@ Each distinct steering phase is computed once per call:
   the zero imaginary part; no float angle has a zero cosine, and
   ``pattern_mags`` returns magnitudes, which hide the sign of a zero.
   ``tests/test_kernels.py`` checks the identity directly, so a libm that
-  breaks it fails there.  The mirror is applied only to the transmit
-  steering matrices of ``vhh_row`` and ``pattern_mags``: a single row (one
-  precoder segment) or the small M_UE-wide receive matrix costs more to
-  mirror than the exps it saves, and the ``exp(-iπ cos m)`` ramps of
-  ``two_segment_sweep`` are not centred.
+  breaks it fails there.  ``_mirrored_exp`` applies it to the transmit
+  steering matrices of ``vhh_row`` and ``pattern_mags`` and to the
+  full-array weights of ``experiments._full_array_gains``, each with its
+  own phase order.  The short segment weights of ``segment_gains`` and the
+  small M_UE-wide receive matrix cost more to mirror than the exps it
+  saves, and the ``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not
+  centred.
 
 Each phase expression keeps its original association order, because the
 orders round differently: steering matrices use ``((±1j*π)*cos)*ramp``,
-segment weights ``((1j*π)*ramp)*cos``.
+segment and full-array weights ``((1j*π)*ramp)*cos``.
 
 A complex product depends on its layout, not only on its operands.
 numpy's complex multiply is not commutative in the last bit (x * y and
@@ -72,16 +74,23 @@ def _centred_ramp(m: int) -> np.ndarray:
     return ramp
 
 
-def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
-    """exp(-iπ cos θ ((m - 1) / 2 - j)) for every angle in ``cos_angles``
-    (any shape) and element j, on a new last axis, with the right half of
-    each row mirrored from the left half."""
+def _mirrored_exp(left_phases: np.ndarray, m: int) -> np.ndarray:
+    """exp of a centred-ramp phase over m elements, given only the phases
+    of the first ``(m + 1) // 2`` elements (last axis of ``left_phases``):
+    the right half of each row is the mirrored conjugate of its left half
+    (module notes)."""
     half = (m + 1) // 2
-    out = np.empty(cos_angles.shape + (m,), dtype=np.complex128)
-    np.exp(-1j * math.pi * cos_angles[..., None] * _centred_ramp(m)[:half],
-           out=out[..., :half])
+    out = np.empty(left_phases.shape[:-1] + (m,), dtype=np.complex128)
+    np.exp(left_phases, out=out[..., :half])
     np.conjugate(out[..., :m // 2][..., ::-1], out=out[..., half:])
     return out
+
+
+def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
+    """exp(-iπ cos θ ((m - 1) / 2 - j)) for every angle in ``cos_angles``
+    (any shape) and element j, on a new last axis."""
+    ramp = _centred_ramp(m)[:(m + 1) // 2]
+    return _mirrored_exp(-1j * math.pi * cos_angles[..., None] * ramp, m)
 
 
 def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
@@ -110,22 +119,24 @@ def segment_gains(rows: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
     """Effective channel of each row of ``rows`` (K, M_BS) under one
     multi-segment precoder; returns K complex gains.
 
-    Each segment weight is built once.  Every row sums its own segment
+    All segment weights come from one exp.  Every row sums its own segment
     inner products in segment order, starting from 0j, so a row's result
-    does not depend on which other rows share the call.
+    does not depend on which other rows share the call.  The loop runs over
+    segments only; each step takes every row at once.
     """
-    inv = 1.0 / math.sqrt(m_bs)
-    weights = [
-        (slice(off, off + length),
-         inv * np.exp(1j * math.pi * _centred_ramp(int(length)) * cos_s))
-        for cos_s, off, length in zip(cos_steers, offsets, lengths)
-    ]
-    totals = np.empty(len(rows), dtype=np.complex128)
-    for k, row in enumerate(rows):
-        total = 0.0 + 0.0j
-        for seg, w in weights:
-            total += row[seg] @ w
-        totals[k] = total
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ramps = np.concatenate([_centred_ramp(n) for n in lengths.tolist()])
+    # every segment's weight in one exp: the phases are element-wise, so
+    # each keeps the bits of its own segment's ((1j*π)*ramp)*cos
+    w = (1.0 / math.sqrt(m_bs)) * np.exp(
+        1j * math.pi * ramps * np.repeat(np.asarray(cos_steers, dtype=np.float64), lengths))
+    totals = np.zeros(len(rows), dtype=np.complex128)
+    start = 0
+    for off, length in zip(np.asarray(offsets).tolist(), lengths.tolist()):
+        # a stacked (1, len) @ (len, 1) matmul: one BLAS dot per row, the
+        # bits of that row's own ``row[seg] @ w``
+        totals += (rows[:, None, off:off + length] @ w[start:start + length, None])[:, 0, 0]
+        start += length
     return totals
 
 

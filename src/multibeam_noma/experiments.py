@@ -10,9 +10,14 @@ draws every user's paths as arrays, builds all of its v^H H rows in one
 ``vhh_row`` call and evaluates all of its trials along an array axis,
 split-beam sweep, full-array gains and threshold included, with no loop
 over trials or rows.  Those draws and rows are the ones of ``drop_users``
-and per-user ``vhh_row`` calls, bit for bit; the power sweep still draws
-each trial through ``drop_users`` and makes one ``vhh_row`` call per user.  CSV files start with '# key = value' comment
-lines carrying the scenario, so each file can be recomputed in isolation.
+and per-user ``vhh_row`` calls, bit for bit.  The power sweep still draws
+each trial through ``drop_users`` and makes one ``vhh_row`` call per user;
+after the rows, its segment gains, single-beam baseline and TDMA rates are
+a few array operations per trial, looping only over segments, multi-user
+baseline clusters and the TDMA dot of each budget.
+
+CSV files start with '# key = value' comment lines carrying the scenario,
+so each file can be recomputed in isolation.
 """
 
 from __future__ import annotations
@@ -325,13 +330,15 @@ def _full_array_gains(rows: np.ndarray, cos_aods: np.ndarray, m_bs: int) -> np.n
     matched to its own LOS, ``cos_aods`` (...).
 
     The weights are ``segment_gains``' one-segment weights, phase order
-    ``((1j*π)*ramp)*cos``, built in one exp.  The stacked (1, M_BS) @
+    ``((1j*π)*ramp)*cos``, built in one exp of the left half of the ramp
+    and mirrored (``_kernels`` module notes).  The stacked (1, M_BS) @
     (M_BS, 1) matmul takes one BLAS dot per row, the ``row @ w`` of a
     one-segment ``segment_gains`` call; that call's 0j start only moves the
     sign of a zero, which the magnitude hides.
     """
-    w = (1.0 / math.sqrt(m_bs)) * np.exp(
-        1j * math.pi * _kernels._centred_ramp(m_bs) * cos_aods[..., None])
+    ramp = _kernels._centred_ramp(m_bs)[:(m_bs + 1) // 2]
+    w = (1.0 / math.sqrt(m_bs)) * _kernels._mirrored_exp(
+        1j * math.pi * ramp * cos_aods[..., None], m_bs)
     h = (rows[..., None, :] @ w[..., :, None])[..., 0, 0]
     return _scalar_squares(_scalar_abs(h))
 
@@ -444,9 +451,9 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
         trial[:, 0] = noma.sum(axis=1)
         trial[:, 1] = single_beam_noma_baseline(
             aods, mags, m_ue, m_bs, group_size, pmax_w, scenario.noise_w).system_sum
-        # one dot per budget: a batched x @ shares rounds differently for K >= 3
-        for i, p in enumerate(pmax_w):
-            trial[i, 2] = shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w)
+        tdma = np.log2(1.0 + pmax_w[:, None] * tdma_gains / scenario.noise_w)
+        # one dot per budget: a batched tdma @ shares rounds differently for K >= 3
+        trial[:, 2] = [shares @ row for row in tdma]
         trial[:, 3] = pred
     return out
 
@@ -460,6 +467,12 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     is shared across budget points inside a trial.  ``predicted_gain`` is
     the per-drop asymptotic NOMA-over-TDMA gap averaged over trials (it
     does not depend on the budget).
+
+    ``baseline_sum_mean`` averages the baseline's rates over every drop,
+    including drops where its own SIC audit fails (a stronger cluster
+    member cannot decode a weaker one's message), and the CSV does not say
+    how many did.  At paper defaults about 0.3-0.4% of the audit's checks
+    fail.  ``noma_sum_mean`` is likewise not audited.
     """
     scenario = spec.scenario
     alloc = spec.antenna_alloc

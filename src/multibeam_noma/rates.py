@@ -228,7 +228,9 @@ def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
     lie within one beamwidth of its own, strongest first, up to the cap.
     """
     order = SicOrder.from_los_gains(los_gains).order
-    assigned = np.zeros(len(order), dtype=bool)
+    # Python floats: the same IEEE differences as numpy scalars, and cheaper
+    aods = np.asarray(los_aods, dtype=np.float64).tolist()
+    assigned = [False] * len(order)
     clusters = []
     for head in order:
         if assigned[head]:
@@ -238,7 +240,7 @@ def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
         for k in order:
             if len(members) >= max_cluster_size:
                 break
-            if not assigned[k] and abs(los_aods[k] - los_aods[head]) <= beamwidth_rad:
+            if not assigned[k] and abs(aods[k] - aods[head]) <= beamwidth_rad:
                 members.append(k)
                 assigned[k] = True
         clusters.append(members)
@@ -272,20 +274,27 @@ def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,
     # (budget, user): each row sums along its contiguous axis exactly as a
     # single budget's (K,) vector does.
     per_user = np.zeros((len(budgets), num_users))
+    # A singleton's beam points at itself, so its Dirichlet factor is exactly
+    # m_bs (x is 0, or a last-bit cos difference far below dirichlet's
+    # threshold) and its power the whole budget: all singletons' rates are
+    # one element-wise _rate over (budget, singleton), with nothing stronger.
+    singles = [members[0] for members in clusters if len(members) == 1]
+    if singles:
+        gains_sq = np.abs(los_gains[singles]) ** 2 * (m_ue / m_bs) * float(m_bs * m_bs)
+        per_user[:, singles] = share * _rate(gains_sq, budgets[:, None], 0.0, 0.0, noise_w)
     audits = []
     for chain, members in enumerate(clusters):
+        if len(members) < 2:
+            continue
         head = members[0]
         x = 0.5 * math.pi * (math.cos(los_aods[head]) - np.cos(los_aods[members]))
         gains_sq = (np.abs(los_gains[members]) ** 2 * (m_ue / m_bs)
                     * np.asarray(dirichlet(m_bs, x)) ** 2)
         powers = np.tile(budgets / len(members), (len(members), 1))
-        if len(members) < 2:
-            rates = noma_rates_from_gains(gains_sq, powers, noise_w)
-        else:
-            rates, decode = sic_rates(gains_sq, powers, noise_w)
-            # budget first: rates[b] is (K,), decode[b] is (K, K)
-            audits.append((chain, members, rates.T.tolist(),
-                           decode.transpose(2, 0, 1).tolist()))
+        rates, decode = sic_rates(gains_sq, powers, noise_w)
+        # budget first: rates[b] is (K,), decode[b] is (K, K)
+        audits.append((chain, members, rates.T.tolist(),
+                       decode.transpose(2, 0, 1).tolist()))
         per_user[:, members] = share * rates.T
     checks = [[c for chain, members, rates, decode in audits
                for c in _pair_checks(members, chain, rates[b], decode[b])]

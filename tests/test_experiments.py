@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from multibeam_noma import _kernels, experiments
-from multibeam_noma.asymptotic import min_antennas_for_superiority
+from multibeam_noma.asymptotic import (
+    min_antennas_for_superiority,
+    noma_gain,
+    sic_condition_asymptotic,
+)
 from multibeam_noma.beams import PlanError
 from multibeam_noma.channel import (
     ScenarioConfig,
@@ -29,7 +33,8 @@ from multibeam_noma.experiments import (
     single_chain_plan,
     write_table,
 )
-from multibeam_noma.rates import noma_rates_from_gains
+from multibeam_noma.rates import equal_time_shares, noma_rates_from_gains
+from test_rates import per_cluster_baseline
 
 TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
 
@@ -261,6 +266,82 @@ def test_antenna_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_
             for lo, hi in ((0, 64), (64, 100)):
                 assert_same_bits(experiments._antenna_trials(spec, lo, hi),
                                  oracle_antenna_trials(spec, lo, hi))
+
+
+def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):
+    """The power evaluator with a per-row, per-segment ``segment_gains``
+    loop, the per-cluster single-beam baseline and one log2 per budget.
+    Returns the results and the baseline's cluster sizes."""
+    scenario = spec.scenario
+    m_bs = scenario.bs_config.num_antennas
+    m_ue = scenario.ue_config.num_antennas
+    k = scenario.num_users
+    group_size = k if spec.max_group_size is None else spec.max_group_size
+    shares = equal_time_shares(k)
+    inv = 1.0 / math.sqrt(m_bs)
+    out = np.empty((hi - lo, len(pmax_w), 4))
+    sizes = []
+    for t in range(lo, hi):
+        channels = drop_users(scenario, t)
+        mags = experiments._scalar_abs(np.array([c.gains[0] for c in channels]))
+        aods = np.array([c.aods[0] for c in channels])
+        rows = np.array([_kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
+                         for c in channels])
+        cos_aods = np.cos(aods)
+        h = np.empty(k, dtype=np.complex128)
+        for i, row in enumerate(rows):
+            total = 0.0 + 0.0j
+            for cos_s, off, length in zip(cos_aods, offsets, alloc):
+                ramp = (length - 1) / 2.0 - np.arange(length)
+                total += row[off:off + length] @ (inv * np.exp(1j * math.pi * ramp * cos_s))
+            h[i] = total
+        split_gains = experiments._scalar_squares(experiments._scalar_abs(h))
+        tdma_gains = experiments._full_array_gains(rows, cos_aods, m_bs)
+        asym = experiments._asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
+        pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
+        trial = out[t - lo]
+        noma = noma_rates_from_gains(split_gains, powers, scenario.noise_w).T.copy()
+        trial[:, 0] = noma.sum(axis=1)
+        baseline, trial_sizes = per_cluster_baseline(aods, mags, m_ue, m_bs, group_size,
+                                                     pmax_w, scenario.noise_w)
+        trial[:, 1] = baseline.system_sum
+        sizes += trial_sizes
+        for i, p in enumerate(pmax_w):
+            trial[i, 2] = shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w)
+        trial[:, 3] = pred
+    return out, sizes
+
+
+# (M_BS, M_UE, K, antenna_alloc); None is the default split.  On 16 elements
+# the default split fits at most two users, so five and eight get explicit
+# ones; (60, 20, 10, 5, 3) leaves 30 of 128 antennas unused.
+POWER_ORACLE_CASES = [
+    (128, 10, 1, None), (128, 10, 2, None), (128, 10, 5, None), (128, 10, 8, None),
+    (128, 10, 5, (60, 20, 10, 5, 3)),
+    (16, 4, 1, None), (16, 4, 2, None), (16, 4, 5, (4, 3, 3, 3, 3)),
+    (16, 4, 8, (2, 2, 2, 2, 2, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("m_bs,m_ue,num_users,alloc", POWER_ORACLE_CASES)
+@pytest.mark.parametrize("num_nlos", [0, 3])
+def test_power_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_users, alloc,
+                                                              num_nlos):
+    scenario = ScenarioConfig(num_users=num_users, num_nlos_paths=num_nlos,
+                              bs_config=UlaConfig(m_bs), ue_config=UlaConfig(m_ue),
+                              rng_seed=23)
+    values = tuple(float(v) for v in range(30, 47, 2))
+    spec = SweepSpec("power", scenario, 60, values, antenna_alloc=alloc)
+    alloc = np.array(alloc or default_antenna_alloc(num_users, m_bs), dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(alloc)[:-1])).astype(np.int64)
+    pmax_w = np.array([dbm_to_watt(v) for v in values])
+    powers = np.tile(pmax_w / num_users, (num_users, 1))
+    want, sizes = oracle_power_trials(spec, alloc, offsets, pmax_w, powers, 0, 60)
+    assert_same_bits(experiments._power_trials(spec, alloc, offsets, pmax_w, powers, 0, 60),
+                     want)
+    if m_bs == 16 and num_users > 1:
+        # a 6.4 deg beam: some drops put two or more users in one cluster
+        assert max(sizes) > 1
 
 
 def test_default_antenna_alloc():

@@ -151,6 +151,21 @@ def test_steering_mirror_identity_holds_bit_for_bit():
         assert_same_bits(full[:, m - 1 - np.arange(m // 2)], full[:, :m // 2].conj())
 
 
+@pytest.mark.parametrize("lead", ((), (5,), (3, 4)))
+def test_mirrored_exp_matches_the_unmirrored_phases_bit_for_bit(lead):
+    # Both users of the mirror keep their own phase order: steering rows
+    # ((-1j*π)*cos)*ramp, full-array weights ((1j*π)*ramp)*cos.
+    rng = np.random.default_rng(19 + len(lead))
+    for m in (1, 2, 3, 10, 127, 128, 256):
+        cos = np.cos(rng.uniform(0.01, math.pi - 0.01, size=lead))
+        ramp = (m - 1) / 2.0 - np.arange(m)
+        left = ramp[:(m + 1) // 2]
+        assert_same_bits(_kernels._steering_conj(cos, m),
+                         np.exp(-1j * math.pi * cos[..., None] * ramp))
+        assert_same_bits(_kernels._mirrored_exp(1j * math.pi * left * cos[..., None], m),
+                         np.exp(1j * math.pi * ramp * cos[..., None]))
+
+
 def test_vhh_row_matches_per_path_formula_bit_for_bit():
     for seed, m_bs in enumerate(SIZES):
         for num_paths in (1, 4, 31):

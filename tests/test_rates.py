@@ -10,11 +10,13 @@ from multibeam_noma.effective import EffectiveChannelMatrix, dirichlet, tdma_eff
 from multibeam_noma.rates import (
     RateReport,
     SicOrder,
+    _pair_checks,
     beamwidth_3db_deg,
     cluster_users,
     equal_time_shares,
     noma_rates_from_gains,
     sic_feasible,
+    sic_rates,
     single_beam_noma_baseline,
     system_sum_rate,
     tdma_rates,
@@ -406,3 +408,109 @@ def test_single_beam_baseline_checks_equal_the_plan_path_on_one_cluster():
     assert len(base.sic_checks) == 6
     # the off-axis second user cannot decode the on-axis third one
     assert not base.sic_feasible and not base.sic_checks[3].ok
+
+
+def per_cluster_baseline(los_aods, los_gains, m_ue, m_bs, max_group_size, max_power_w,
+                         noise_w):
+    """The single-beam baseline as it was written before its singletons were
+    batched: one chain of small array calls per cluster, singletons
+    included, and clustering over numpy scalars.  Returns the report and
+    the cluster sizes."""
+    los_aods = np.asarray(los_aods, dtype=np.float64)
+    los_gains = np.asarray(los_gains)
+    budgets = np.atleast_1d(np.asarray(max_power_w, dtype=np.float64))
+    beamwidth_rad = math.radians(beamwidth_3db_deg(m_bs))
+    order = SicOrder.from_los_gains(los_gains).order
+    assigned = np.zeros(len(order), dtype=bool)
+    clusters = []
+    for head in order:
+        if assigned[head]:
+            continue
+        members = [head]
+        assigned[head] = True
+        for k in order:
+            if len(members) >= max_group_size:
+                break
+            if not assigned[k] and abs(los_aods[k] - los_aods[head]) <= beamwidth_rad:
+                members.append(k)
+                assigned[k] = True
+        clusters.append(members)
+    share = 1.0 / len(clusters)
+    per_user = np.zeros((len(budgets), len(los_aods)))
+    audits = []
+    for chain, members in enumerate(clusters):
+        head = members[0]
+        x = 0.5 * math.pi * (math.cos(los_aods[head]) - np.cos(los_aods[members]))
+        gains_sq = (np.abs(los_gains[members]) ** 2 * (m_ue / m_bs)
+                    * np.asarray(dirichlet(m_bs, x)) ** 2)
+        powers = np.tile(budgets / len(members), (len(members), 1))
+        if len(members) < 2:
+            rates = noma_rates_from_gains(gains_sq, powers, noise_w)
+        else:
+            rates, decode = sic_rates(gains_sq, powers, noise_w)
+            audits.append((chain, members, rates.T.tolist(),
+                           decode.transpose(2, 0, 1).tolist()))
+        per_user[:, members] = share * rates.T
+    checks = [[c for chain, members, rates, decode in audits
+               for c in _pair_checks(members, chain, rates[b], decode[b])]
+              for b in range(len(budgets))]
+    totals = per_user.sum(axis=1)
+    feasible = np.array([all(c.ok for c in cs) for cs in checks])
+    all_checks = tuple(c for cs in checks for c in cs)
+    sizes = [len(members) for members in clusters]
+    if np.ndim(max_power_w) == 0:
+        total = float(totals[0])
+        return RateReport(per_user[0], np.array([total]), total, all_checks,
+                          bool(feasible[0])), sizes
+    return RateReport(per_user.T, totals[None, :], totals, all_checks, feasible), sizes
+
+
+def assert_same_report(actual, expected):
+    for name in ("per_user", "group_sums", "system_sum", "sic_feasible"):
+        a, e = np.asarray(getattr(actual, name)), np.asarray(getattr(expected, name))
+        assert a.shape == e.shape and a.dtype == e.dtype, name
+        assert type(getattr(actual, name)) is type(getattr(expected, name)), name
+        if a.dtype == bool:
+            np.testing.assert_array_equal(a, e)
+        else:
+            np.testing.assert_array_equal(a.view(np.int64), e.view(np.int64))
+
+    def fields(c):
+        return (c.decoder, c.message, c.chain, c.decode_rate.hex(), c.target_rate.hex(), c.ok)
+
+    assert [fields(c) for c in actual.sic_checks] == [fields(c) for c in expected.sic_checks]
+    assert all(type(c.ok) is bool for c in actual.sic_checks)
+
+
+@pytest.mark.parametrize("num_users", (1, 2, 5, 8))
+@pytest.mark.parametrize("m_bs", (128, 100))
+def test_single_beam_baseline_matches_per_cluster_oracle_bit_for_bit(num_users, m_bs):
+    # For every cluster size s, drops in which s users sit inside one 3 dB
+    # beam of their head and the rest stand apart, plus random drops inside
+    # a few beamwidths.  An array size that is not a power of two makes
+    # m_ue / m_bs inexact, so reordering the gain products shows.
+    rng = np.random.default_rng(30 + num_users + m_bs)
+    m_ue, noise = 10, 3.98e-12
+    width = math.radians(beamwidth_3db_deg(m_bs))
+    budgets = 10.0 ** (np.arange(30.0, 47.0, 2.0) / 10.0 - 3.0)
+    seen = set()
+
+    def check(aods, gains, cap, budget):
+        want, sizes = per_cluster_baseline(aods, gains, m_ue, m_bs, cap, budget, noise)
+        assert_same_report(single_beam_noma_baseline(aods, gains, m_ue, m_bs, cap, budget,
+                                                     noise), want)
+        seen.update(sizes)
+
+    for size in range(1, num_users + 1):
+        for _ in range(6):
+            aods = 0.2 + 0.3 * rng.permutation(num_users).astype(np.float64)
+            near = rng.choice(num_users, size=size, replace=False)
+            aods[near] = aods[near[0]] + rng.uniform(-0.9, 0.9, size=size) * width
+            gains = 10.0 ** rng.uniform(-7.0, -5.0, size=num_users)
+            for cap in sorted({num_users, max(1, size - 1)}):
+                for budget in (float(budgets[3]), budgets):
+                    check(aods, gains, cap, budget)
+    for _ in range(20):
+        aods = rng.uniform(1.0, 1.0 + 3 * width, size=num_users)
+        check(aods, 10.0 ** rng.uniform(-7.0, -5.0, size=num_users), num_users, budgets)
+    assert seen == set(range(1, num_users + 1))

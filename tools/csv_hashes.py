@@ -3,10 +3,11 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1276 CSVs.  The matrix covers the
+all of them concatenated in that order: 1312 CSVs.  The matrix covers the
 antenna and power sweeps over seeds, user counts, NLOS path counts, array
-sizes (up to 256 elements for the antenna sweep), pinned gain ratios and
-trial counts on either side of multiples of 64, plus the CLI
+sizes (up to 256 elements for the antenna sweep), pinned gain ratios,
+explicit power-sweep antenna splits and trial counts on either side of
+multiples of 64, plus the CLI
 ``effective``, ``rates`` and ``beampattern`` reports and both CLI sweeps at
 their default config.  The package is imported from the ``src`` directory next
 to this script, so a copy of the script run from another checkout hashes that
@@ -39,6 +40,11 @@ POWER_NLOS_PATHS = (0, 2, 30)
 POWER_USERS = (1, 2, 3, 5, 9)
 POWER_BUDGETS_DBM = (30.0, 34.0, 38.0, 42.0, 46.0)
 RATIOS = (None, 5.0, 1.5)
+# (arrays, num_users, num_nlos_paths, antenna_alloc) of power sweeps with an
+# explicit split that leaves antennas unused.  On 32 elements the 3 dB beam
+# is 3.2 deg wide, so the single-beam baseline forms clusters of 2 and more.
+POWER_ALLOCS = (((128, 10), 5, 30, (60, 20, 10, 5, 3)),
+                ((32, 1), 9, 2, (8, 4, 3, 3, 2, 2, 2, 2, 1)))
 # (num_users, num_nlos_paths, ratio) of the effective and rates reports
 PLAN_DROPS = ((1, 0, None), (2, 0, None), (2, 0, 3.0), (2, 5, None), (3, 5, None),
               (5, 30, None))
@@ -78,6 +84,13 @@ def sweep_csvs():
                         yield (f"power seed={seed} trials={trials} m_bs={arrays[0]} "
                                f"users={num_users} nlos={num_nlos}",
                                experiments.run_power_sweep(spec).csv_text())
+            for arrays, num_users, num_nlos, alloc in POWER_ALLOCS:
+                spec = experiments.SweepSpec(
+                    "power", scenario(num_users, num_nlos, arrays, seed), trials,
+                    POWER_BUDGETS_DBM, antenna_alloc=alloc)
+                yield (f"power seed={seed} trials={trials} m_bs={arrays[0]} "
+                       f"users={num_users} nlos={num_nlos} alloc={alloc}",
+                       experiments.run_power_sweep(spec).csv_text())
 
 
 def cli_csv(workdir: str, command: str, config: str, *flags: str) -> str:
