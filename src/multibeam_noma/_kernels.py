@@ -9,12 +9,12 @@ results are deterministic regardless of thread count.
 Each distinct steering phase is computed once per call:
 
 * ``segment_gains`` takes a trial's rows stacked as a ``(K, M_BS)`` array
-  and builds all of its segment weights in one exp, shared by every row.
-  ``two_segment_sweep`` takes the rows of a whole block of trials,
-  ``(T, K, M_BS)``, with one steering pair per trial, and builds each
-  trial's phases once as a ``(T, 1, M_BS)`` array broadcast against its K
-  rows.  ``vhh_row`` takes a block's paths as (T, K, 1 + L) arrays and
-  builds every (trial, user) row in one call.
+  and weighs them all with one matvec against its segment weights, which
+  come from one exp.  ``two_segment_sweep`` takes the rows of a whole
+  block of trials, ``(T, K, M_BS)``, with one steering pair per trial, and
+  builds each trial's phases once as a ``(T, 1, M_BS)`` array broadcast
+  against its K rows.  ``vhh_row`` takes a block's paths as (T, K, 1 + L)
+  arrays and builds every (trial, user) row in one call.
 * The centred element ramps are cached per array size (bounded, read-only).
 * Steering matrices use the mirror identity.  The centred ramp
   ``(M - 1) / 2 - j`` satisfies ``ramp[M - 1 - j] == -ramp[j]`` exactly, and
@@ -119,25 +119,23 @@ def segment_gains(rows: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
     """Effective channel of each row of ``rows`` (K, M_BS) under one
     multi-segment precoder; returns K complex gains.
 
-    All segment weights come from one exp.  Every row sums its own segment
-    inner products in segment order, starting from 0j, so a row's result
-    does not depend on which other rows share the call.  The loop runs over
-    segments only; each step takes every row at once.
+    The segments run contiguously from antenna 0, as on one RF chain:
+    ``offsets`` must be the running sum of ``lengths``.  All segment weights
+    come from one exp, and each row takes one BLAS dot with them over the
+    used antennas, so a row's result does not depend on which other rows
+    share the call.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    if not np.array_equal(offsets, np.cumsum(lengths) - lengths):
+        raise ValueError("segment offsets must be the running sum of their lengths from 0")
     ramps = np.concatenate([_centred_ramp(n) for n in lengths.tolist()])
     # every segment's weight in one exp: the phases are element-wise, so
     # each keeps the bits of its own segment's ((1j*π)*ramp)*cos
     w = (1.0 / math.sqrt(m_bs)) * np.exp(
         1j * math.pi * ramps * np.repeat(np.asarray(cos_steers, dtype=np.float64), lengths))
-    totals = np.zeros(len(rows), dtype=np.complex128)
-    start = 0
-    for off, length in zip(np.asarray(offsets).tolist(), lengths.tolist()):
-        # a stacked (1, len) @ (len, 1) matmul: one BLAS dot per row, the
-        # bits of that row's own ``row[seg] @ w``
-        totals += (rows[:, None, off:off + length] @ w[start:start + length, None])[:, 0, 0]
-        start += length
-    return totals
+    # a stacked (1, used) @ (used, 1) matmul: one BLAS dot per row, the bits
+    # of that row's own ``row[:used] @ w``
+    return (rows[..., None, :len(w)] @ w[:, None])[..., 0, 0]
 
 
 def two_segment_sweep(rows: np.ndarray, cos_a: float | np.ndarray,

@@ -45,6 +45,8 @@ class AsymptoticScenario:
         object.__setattr__(self, "power_split", p)
         if g.ndim != 1 or m.shape != g.shape or p.shape != g.shape:
             raise ValueError("gains, antennas and powers must be 1-D with equal length")
+        if not np.isfinite(g).all():
+            raise ValueError("LOS gain magnitudes must be finite")
         if (g <= 0.0).any():
             raise ValueError("LOS gain magnitudes must be positive")
         if (np.diff(g) > 0.0).any():
@@ -157,16 +159,15 @@ def min_antennas_for_superiority(los_gain_mags: np.ndarray,
     no split wins.
     """
     g = np.asarray(los_gain_mags, dtype=np.float64)
+    if not np.isfinite(g).all():
+        raise ValueError("LOS gain magnitudes must be finite")
     if g.ndim == 0 or g.shape[-1] == 0 or (g <= 0.0).any():
         raise ValueError("LOS gain magnitudes must be positive")
     if (np.diff(g, axis=-1) > 0.0).any():
         raise ValueError("users must be sorted by descending LOS gain")
     mean_log_ratio = np.mean(np.log(g / g[..., :1]), axis=-1)
-    # scalar math.exp: numpy's vectorized exp may differ in the last bit.
-    # The mean log ratio is at most 0, so m1 is at most m_bs + 1.
-    m1 = np.array([math.floor(m_bs * math.exp(v)) + 1
-                   for v in np.ravel(mean_log_ratio).tolist()],
-                  dtype=np.int64).reshape(mean_log_ratio.shape)
+    # the mean log ratio is at most 0, so m1 is at most m_bs + 1
+    m1 = (np.floor(m_bs * np.exp(mean_log_ratio)) + 1).astype(np.int64)
     if g.ndim > 1:
         return m1
     return int(m1) if m1 <= m_bs else None

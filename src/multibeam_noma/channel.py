@@ -180,10 +180,7 @@ def draw_paths(u: np.ndarray, distance_m, scenario: ScenarioConfig
     lo, hi = NLOS_EXTRA_LOSS_DB
     atten = np.ones(u.shape[:-1] + (1 + num_nlos,))
     loss_db = lo + (hi - lo) * u[..., 3::4]
-    # Python float ** calls libm pow; numpy's vectorized power differs
-    # from it in the last bit for some values.
-    atten[..., 1:] = np.array([10.0 ** x for x in (-loss_db / 20.0).ravel().tolist()]
-                              ).reshape(loss_db.shape)
+    atten[..., 1:] = np.power(10.0, -loss_db / 20.0)
     gains = g_los[..., None] * atten * np.exp(1j * (_TWO_PI * u[..., 0::4]))
     # np.clip, spelled as its two ufuncs: its Python wrapper costs more than
     # the arithmetic at one user's size

@@ -12,9 +12,8 @@ split-beam sweep, full-array gains and threshold included, with no loop
 over trials or rows.  Those draws and rows are the ones of ``drop_users``
 and per-user ``vhh_row`` calls, bit for bit.  The power sweep still draws
 each trial through ``drop_users`` and makes one ``vhh_row`` call per user;
-after the rows, its segment gains, single-beam baseline and TDMA rates are
-a few array operations per trial, looping only over segments, multi-user
-baseline clusters and the TDMA dot of each budget.
+after the rows, a trial is a few array operations and a loop over the
+baseline's multi-user clusters.
 
 CSV files start with '# key = value' comment lines carrying the scenario,
 so each file can be recomputed in isolation.
@@ -49,7 +48,12 @@ from .channel import (
     user_rng,
     user_uniforms,
 )
-from .rates import equal_time_shares, noma_rates_from_gains, single_beam_noma_baseline
+from .rates import (
+    equal_time_shares,
+    noma_rates_from_gains,
+    single_beam_noma_baseline,
+    strongest_first,
+)
 
 
 class InfeasibleSpecError(Exception):
@@ -73,7 +77,7 @@ def drop_users(scenario: ScenarioConfig, trial_index: int = 0,
         users.append(generate_user_channel(rng, float(_distances(rng.random(), scenario)),
                                            scenario))
     mags = _scalar_abs(np.array([u.gains[0] for u in users]))
-    order = _strongest_first(mags)
+    order = strongest_first(mags)
     users = [users[i] for i in order.tolist()]
     if gain_ratio is not None:
         users[1] = users[1].scaled(float(_pin_factor(mags[order], gain_ratio)))
@@ -93,14 +97,9 @@ def _check_gain_ratio(num_users: int, gain_ratio: float | None) -> None:
 
 def _scalar_abs(z: np.ndarray) -> np.ndarray:
     # the bits of scalar abs(complex): both call libm hypot, while numpy's
-    # vectorized complex abs differs from it in the last bit
+    # complex abs picks its loop by memory layout, so a block's magnitudes
+    # could differ in the last bit from those of the same trials one by one
     return np.hypot(z.real, z.imag)
-
-
-def _scalar_squares(x: np.ndarray) -> np.ndarray:
-    # scalar x ** 2 calls libm pow, which differs from an array's x * x in
-    # the last bit for some values
-    return np.array([v ** 2 for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
 
 
 # The rules of a drop, shared by ``drop_users`` and ``_draw_block``.
@@ -110,12 +109,6 @@ def _distances(u, scenario: ScenarioConfig) -> np.ndarray:
     the exclusion radius.  ``rng.uniform(lo, hi)`` scales a draw the same way."""
     d_lo, d_hi = MIN_USER_DISTANCE_M ** 2, scenario.cell_radius_m ** 2
     return np.sqrt(d_lo + (d_hi - d_lo) * u)
-
-
-def _strongest_first(mags: np.ndarray) -> np.ndarray:
-    """Order of the users on the last axis by descending LOS power; ties keep
-    the draw order."""
-    return np.argsort(-_scalar_squares(mags), axis=-1, kind="stable")
 
 
 def _pin_factor(mags: np.ndarray, gain_ratio: float) -> np.ndarray:
@@ -141,7 +134,7 @@ def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
     u = user_uniforms(scenario.rng_seed, trial_lo, trial_hi, k,
                       4 + 4 * scenario.num_nlos_paths)
     gains, aods, aoas = draw_paths(u[..., 1:], _distances(u[..., 0], scenario), scenario)
-    order = _strongest_first(_scalar_abs(gains[..., 0]))[..., None]
+    order = strongest_first(_scalar_abs(gains[..., 0]))[..., None]
     gains, aods, aoas = (np.take_along_axis(a, order, axis=1) for a in (gains, aods, aoas))
     if gain_ratio is not None:
         gains[:, 1] *= _pin_factor(_scalar_abs(gains[..., 0]), gain_ratio)[:, None]
@@ -333,14 +326,13 @@ def _full_array_gains(rows: np.ndarray, cos_aods: np.ndarray, m_bs: int) -> np.n
     ``((1j*π)*ramp)*cos``, built in one exp of the left half of the ramp
     and mirrored (``_kernels`` module notes).  The stacked (1, M_BS) @
     (M_BS, 1) matmul takes one BLAS dot per row, the ``row @ w`` of a
-    one-segment ``segment_gains`` call; that call's 0j start only moves the
-    sign of a zero, which the magnitude hides.
+    one-segment ``segment_gains`` call.
     """
     ramp = _kernels._centred_ramp(m_bs)[:(m_bs + 1) // 2]
     w = (1.0 / math.sqrt(m_bs)) * _kernels._mirrored_exp(
         1j * math.pi * ramp * cos_aods[..., None], m_bs)
-    h = (rows[..., None, :] @ w[..., :, None])[..., 0, 0]
-    return _scalar_squares(_scalar_abs(h))
+    mags = _scalar_abs((rows[..., None, :] @ w[..., :, None])[..., 0, 0])
+    return mags * mags
 
 
 def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
@@ -372,7 +364,7 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
                                         scenario.noise_w).sum(axis=0)
     out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]
-    out[..., 2] = np.log2((scenario.max_power_w * _scalar_squares(mags[:, 0]) * m_ue)[:, None]
+    out[..., 2] = np.log2((scenario.max_power_w * (mags[:, 0] * mags[:, 0]) * m_ue)[:, None]
                           * m1_values.astype(np.float64) ** 2 * rho / m_bs)
     out[..., 3] = np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho
                           ).mean(axis=1)[:, None]
@@ -440,20 +432,16 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
         rows = np.array([_kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
                          for c in channels])
         cos_aods = np.cos(aods)
-        h = _kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs)
-        split_gains = _scalar_squares(_scalar_abs(h))
+        split_mags = _scalar_abs(_kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs))
         tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
         asym = _asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
         pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
         trial = out[t - lo]
-        # (budget, user) rows, summed along the user axis like a (K,) vector
-        noma = noma_rates_from_gains(split_gains, powers, scenario.noise_w).T.copy()
-        trial[:, 0] = noma.sum(axis=1)
+        trial[:, 0] = noma_rates_from_gains(split_mags * split_mags, powers,
+                                            scenario.noise_w).sum(axis=0)
         trial[:, 1] = single_beam_noma_baseline(
             aods, mags, m_ue, m_bs, group_size, pmax_w, scenario.noise_w).system_sum
-        tdma = np.log2(1.0 + pmax_w[:, None] * tdma_gains / scenario.noise_w)
-        # one dot per budget: a batched tdma @ shares rounds differently for K >= 3
-        trial[:, 2] = [shares @ row for row in tdma]
+        trial[:, 2] = np.log2(1.0 + pmax_w[:, None] * tdma_gains / scenario.noise_w) @ shares
         trial[:, 3] = pred
     return out
 

@@ -35,6 +35,12 @@ def beamwidth_3db_deg(num_antennas: int) -> float:
     return BEAM_3DB_COEF_DEG / num_antennas
 
 
+def strongest_first(mags: np.ndarray) -> np.ndarray:
+    """Order of the users on the last axis of the LOS gain magnitudes
+    ``mags`` by descending LOS power; ties keep the smaller user index."""
+    return np.argsort(-(mags * mags), axis=-1, kind="stable")
+
+
 @dataclass(frozen=True)
 class SicOrder:
     """Decoding order: user indices sorted by descending LOS power.
@@ -51,17 +57,7 @@ class SicOrder:
 
     @classmethod
     def from_los_gains(cls, los_gains: np.ndarray) -> "SicOrder":
-        power = np.abs(np.asarray(los_gains)) ** 2
-        idx = np.argsort(-power, kind="stable")
-        return cls(tuple(int(i) for i in idx))
-
-    def position(self, user: int) -> int:
-        return self.order.index(user)
-
-    def positions(self) -> np.ndarray:
-        pos = np.empty(len(self.order), dtype=np.int64)
-        pos[list(self.order)] = np.arange(len(self.order))
-        return pos
+        return cls(tuple(strongest_first(np.abs(los_gains)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,7 @@ def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
     a cluster and absorbs the unassigned users whose LOS departure angles
     lie within one beamwidth of its own, strongest first, up to the cap.
     """
-    order = SicOrder.from_los_gains(los_gains).order
+    order = strongest_first(np.abs(los_gains)).tolist()
     # Python floats: the same IEEE differences as numpy scalars, and cheaper
     aods = np.asarray(los_aods, dtype=np.float64).tolist()
     assigned = [False] * len(order)

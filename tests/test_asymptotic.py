@@ -53,6 +53,9 @@ def test_scenario_validation():
         scen([1.0], [128], noise=0.0)
     with pytest.raises(ValueError, match="array sizes"):
         scen([1.0], [1], m_ue=0, m_bs=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            scen([1.0, bad], [64, 64])
     # exactly on budget is fine
     s = scen([1.0, 0.5], [64, 64], pmax=1.0, split=[0.5, 0.5])
     assert s.num_users == 2
@@ -218,6 +221,40 @@ def test_min_antennas_over_trials_matches_per_row_calls_bit_for_bit():
     block = np.array([[[1.0, 0.2], [1.0, 1.0]], [[1.0, 0.1], [1.0, 0.9]]])
     np.testing.assert_array_equal(min_antennas_for_superiority(block, 128),
                                   [[58, 129], [41, 122]])
+
+
+def test_min_antennas_rejects_non_finite_gains():
+    for bad in (math.nan, math.inf, -math.inf):
+        for gains in ([bad], [1.0, bad], [bad, 0.5]):
+            with pytest.raises(ValueError, match="finite"):
+                min_antennas_for_superiority(np.array(gains), 128)
+        block = np.array([[1.0, 0.2], [1.0, 0.5], [0.9, 0.1]])
+        block[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_antennas_for_superiority(block, 128)
+        with pytest.raises(ValueError, match="finite"):
+            min_antennas_for_superiority(np.full((2, 3, 2), bad), 128)
+
+
+def test_min_antennas_over_trials_matches_scalar_exp_and_floor():
+    # The threshold is floor(M_BS exp(mean log ratio)) + 1 over the whole
+    # block; a last-bit difference of the vectorized exp would show where
+    # the product lands next to an integer.
+    rng = np.random.default_rng(46)
+    for k in (2, 5):
+        gains = -np.sort(-rng.uniform(1e-3, 1.0, size=(100_000, k)), axis=1)
+        # ties: equal gains (no split wins), and gain ratios with geometric
+        # mean 1/2, which put M_BS exp(mean log ratio) on M_BS / 2
+        half = {2: [1.0, 0.25], 5: [1.0, 0.5, 0.5, 0.5, 0.25]}[k]
+        gains[:100] = gains[:100, :1]
+        gains[100:200] = gains[100:200, :1] * np.array(half)
+        mean_log_ratio = np.mean(np.log(gains / gains[:, :1]), axis=-1)
+        for m_bs in (4, 32, 128, 256):
+            want = [math.floor(m_bs * math.exp(v)) + 1 for v in mean_log_ratio.tolist()]
+            got = min_antennas_for_superiority(gains, m_bs)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            assert (got[:100] == m_bs + 1).all()
 
 
 def test_min_antennas_over_trials_validation():

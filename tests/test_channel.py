@@ -211,22 +211,25 @@ def test_scenario_validation():
 
 
 def scalar_draw_oracle(rng, distance_m, num_nlos):
-    """The per-path scalar draw the block draw must reproduce bit for bit."""
+    """The per-path scalar draw the block draw must reproduce bit for bit:
+    one ``uniform`` call per value in stream order, and the NLOS
+    attenuations from one ``np.power`` over the drawn losses."""
     def angles():
         return np.clip(rng.uniform(0.0, math.pi, size=2), 1e-12, math.pi - 1e-12)
 
     g_los = los_gain_magnitude(distance_m)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
+    phases, losses = [rng.uniform(0.0, 2.0 * math.pi)], []
     aod, aoa = angles()
-    gains, aods, aoas = [g_los * np.exp(1j * phase)], [aod], [aoa]
+    aods, aoas = [aod], [aoa]
     lo, hi = NLOS_EXTRA_LOSS_DB
     for _ in range(num_nlos):
-        loss_db = rng.uniform(lo, hi)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+        losses.append(rng.uniform(lo, hi))
+        phases.append(rng.uniform(0.0, 2.0 * math.pi))
         aod, aoa = angles()
-        gains.append(g_los * 10.0 ** (-loss_db / 20.0) * np.exp(1j * phase))
         aods.append(aod)
         aoas.append(aoa)
+    atten = [1.0] + np.power(10.0, -np.array(losses) / 20.0).tolist()
+    gains = [g_los * a * np.exp(1j * phase) for a, phase in zip(atten, phases)]
     return np.array(gains), np.array(aods), np.array(aoas)
 
 
@@ -257,6 +260,22 @@ def test_generate_user_channel_matches_scalar_draws_bit_for_bit():
             for i, distance in enumerate(distances):
                 for a, e in zip(stacked, draw_paths(draws[i], distance, scenario)):
                     assert_same_bits(a[i], e)
+
+
+@pytest.mark.parametrize("num_nlos", (1, 2, 7, 8, 9, 15, 16, 17, 30, 33))
+def test_draw_paths_over_trials_and_users_matches_per_user_calls_bit_for_bit(num_nlos):
+    # The attenuations are one np.power over every path of the block; path
+    # counts on either side of the SIMD widths put paths in vector tails.
+    scenario = ScenarioConfig(num_nlos_paths=num_nlos)
+    rng = np.random.default_rng(30 + num_nlos)
+    for shape in ((1, 1), (3, 5), (64, 2)):
+        u = rng.random(shape + (3 + 4 * num_nlos,))
+        distances = rng.uniform(MIN_USER_DISTANCE_M, scenario.cell_radius_m, size=shape)
+        block = draw_paths(u, distances, scenario)
+        for index in np.ndindex(shape):
+            for a, e in zip(block, draw_paths(u[index], distances[index], scenario)):
+                assert a.shape == shape + (1 + num_nlos,)
+                assert_same_bits(a[index], e)
 
 
 def test_generate_user_channel_structure():

@@ -34,6 +34,7 @@ from multibeam_noma.experiments import (
     write_table,
 )
 from multibeam_noma.rates import equal_time_shares, noma_rates_from_gains
+from test_kernels import oracle_segment_weights
 from test_rates import per_cluster_baseline
 
 TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
@@ -236,15 +237,14 @@ def oracle_antenna_trials(spec, lo, hi):
         for k in range(2):
             (g,) = _kernels.segment_gains(rows[t][k:k + 1], cos_aods[t][k:k + 1],
                                           offsets, lengths, m_bs)
-            tdma_gains[t, k] = abs(g) ** 2
+            tdma_gains[t, k] = abs(g) * abs(g)
         m1_min = min_antennas_for_superiority(mags[t], m_bs)
         threshold[t] = m_bs + 1 if m1_min is None else m1_min
     out = np.empty((n, len(m1_values), 6))
     out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
                                         scenario.noise_w).sum(axis=0)
     out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]
-    out[..., 2] = np.log2((scenario.max_power_w * experiments._scalar_squares(mags[:, 0])
-                           * m_ue)[:, None]
+    out[..., 2] = np.log2((scenario.max_power_w * (mags[:, 0] * mags[:, 0]) * m_ue)[:, None]
                           * m1_values.astype(np.float64) ** 2 * rho / m_bs)
     out[..., 3] = np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho
                           ).mean(axis=1)[:, None]
@@ -269,16 +269,15 @@ def test_antenna_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_
 
 
 def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):
-    """The power evaluator with a per-row, per-segment ``segment_gains``
-    loop, the per-cluster single-beam baseline and one log2 per budget.
-    Returns the results and the baseline's cluster sizes."""
+    """The power evaluator with a per-row ``segment_gains`` loop over
+    per-segment weights and the per-cluster single-beam baseline.  Returns
+    the results and the baseline's cluster sizes."""
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
     k = scenario.num_users
     group_size = k if spec.max_group_size is None else spec.max_group_size
     shares = equal_time_shares(k)
-    inv = 1.0 / math.sqrt(m_bs)
     out = np.empty((hi - lo, len(pmax_w), 4))
     sizes = []
     for t in range(lo, hi):
@@ -288,26 +287,20 @@ def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):
         rows = np.array([_kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
                          for c in channels])
         cos_aods = np.cos(aods)
-        h = np.empty(k, dtype=np.complex128)
-        for i, row in enumerate(rows):
-            total = 0.0 + 0.0j
-            for cos_s, off, length in zip(cos_aods, offsets, alloc):
-                ramp = (length - 1) / 2.0 - np.arange(length)
-                total += row[off:off + length] @ (inv * np.exp(1j * math.pi * ramp * cos_s))
-            h[i] = total
-        split_gains = experiments._scalar_squares(experiments._scalar_abs(h))
+        w = oracle_segment_weights(cos_aods, alloc, m_bs)
+        h = np.array([row[:len(w)] @ w for row in rows])
+        split_mags = experiments._scalar_abs(h)
         tdma_gains = experiments._full_array_gains(rows, cos_aods, m_bs)
         asym = experiments._asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
         pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
         trial = out[t - lo]
-        noma = noma_rates_from_gains(split_gains, powers, scenario.noise_w).T.copy()
-        trial[:, 0] = noma.sum(axis=1)
+        trial[:, 0] = noma_rates_from_gains(split_mags * split_mags, powers,
+                                            scenario.noise_w).sum(axis=0)
         baseline, trial_sizes = per_cluster_baseline(aods, mags, m_ue, m_bs, group_size,
                                                      pmax_w, scenario.noise_w)
         trial[:, 1] = baseline.system_sum
         sizes += trial_sizes
-        for i, p in enumerate(pmax_w):
-            trial[i, 2] = shares @ np.log2(1.0 + p * tdma_gains / scenario.noise_w)
+        trial[:, 2] = np.log2(1.0 + pmax_w[:, None] * tdma_gains / scenario.noise_w) @ shares
         trial[:, 3] = pred
     return out, sizes
 

@@ -108,6 +108,13 @@ def oracle_segment_gains(row, cos_steers, offsets, lengths, m_bs):
     return total
 
 
+def oracle_segment_weights(cos_steers, lengths, m_bs):
+    """Every segment's weights, one exp per segment, end to end."""
+    inv = 1.0 / math.sqrt(m_bs)
+    return np.concatenate([inv * np.exp(1j * math.pi * ((n - 1) / 2.0 - np.arange(n)) * c)
+                           for c, n in zip(cos_steers, lengths)])
+
+
 def oracle_two_segment_sweep(row, cos_a, cos_b, m1_values, m_bs):
     inv = 1.0 / math.sqrt(m_bs)
     m = np.arange(m_bs)
@@ -222,12 +229,26 @@ def test_segment_gains_over_rows_matches_per_row_formula_bit_for_bit():
         for lengths in (full, full[:1]):
             offsets = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.int64)
             cos_steers = np.cos(rng.uniform(0.05, math.pi - 0.05, size=len(lengths)))
+            w = oracle_segment_weights(cos_steers, lengths, m_bs)
             for k in (1, 3, 5):
                 rows = random_rows(rng, k, m_bs)
                 got = _kernels.segment_gains(rows, cos_steers, offsets, lengths, m_bs)
-                want = np.array([oracle_segment_gains(r, cos_steers, offsets, lengths, m_bs)
-                                 for r in rows])
-                assert_same_bits(got, want)
+                # each row's own dot with the weights of the antennas in use
+                assert_same_bits(got, np.array([r[:len(w)] @ w for r in rows]))
+                # and the sum of the per-segment inner products, up to rounding
+                per_segment = [oracle_segment_gains(r, cos_steers, offsets, lengths, m_bs)
+                               for r in rows]
+                np.testing.assert_allclose(got, per_segment, rtol=1e-13, atol=0.0)
+
+
+def test_segment_gains_rejects_segments_that_do_not_run_from_antenna_0():
+    rows = random_rows(np.random.default_rng(20), 2, 48)
+    cos_steers = np.cos(np.array([0.7, 1.9]))
+    lengths = np.array([20, 17], dtype=np.int64)
+    for offsets in ([0, 21], [1, 21], [20, 0], [0], [0, 20, 37]):
+        with pytest.raises(ValueError, match="running sum"):
+            _kernels.segment_gains(rows, cos_steers, np.array(offsets), lengths, 48)
+    _kernels.segment_gains(rows, cos_steers, np.array([0, 20]), lengths, 48)
 
 
 def test_two_segment_sweep_over_rows_matches_per_row_formula_bit_for_bit():
@@ -265,13 +286,13 @@ def test_two_segment_sweep_over_trials_matches_per_trial_calls_bit_for_bit(m_bs)
 
 def per_row_full_array_gains(rows, cos_aods, m_bs):
     """One one-segment ``segment_gains`` call per row, squared magnitude by
-    scalar ``abs`` and ``** 2``."""
+    scalar ``abs`` and a product."""
     offsets = np.zeros(1, dtype=np.int64)
     lengths = np.full(1, m_bs, dtype=np.int64)
     gains = np.empty(len(rows))
     for k in range(len(rows)):
         (h,) = _kernels.segment_gains(rows[k:k + 1], cos_aods[k:k + 1], offsets, lengths, m_bs)
-        gains[k] = abs(h) ** 2
+        gains[k] = abs(h) * abs(h)
     return gains
 
 

@@ -18,6 +18,7 @@ from multibeam_noma.rates import (
     sic_feasible,
     sic_rates,
     single_beam_noma_baseline,
+    strongest_first,
     system_sum_rate,
     tdma_rates,
 )
@@ -42,10 +43,26 @@ def test_sic_order_sorts_by_descending_power_with_stable_ties():
     # complex gains compare by |.|^2, ties keep ascending user index
     tied = SicOrder.from_los_gains(np.array([1.0 + 0.0j, 0.0 + 1.0j, 2.0]))
     assert tied.order == (2, 0, 1)
-    assert tied.position(2) == 0
-    np.testing.assert_array_equal(tied.positions(), [1, 2, 0])
     with pytest.raises(ValueError, match="permutation"):
         SicOrder((0, 2))
+
+
+def test_strongest_first_orders_every_row_by_power_with_stable_ties():
+    rng = np.random.default_rng(45)
+    mags = rng.uniform(0.1, 1.0, size=(50, 6))
+    mags[::3, 2] = mags[::3, 4]                  # exact ties keep the smaller index
+    mags[1::3, 1] = np.nextafter(mags[1::3, 3], 0.0)
+    got = strongest_first(mags)
+    assert got.shape == mags.shape
+    for row, order in zip(mags, got):
+        np.testing.assert_array_equal(order, strongest_first(row))
+        want = sorted(range(len(row)), key=lambda k: (-(row[k] * row[k]), k))
+        assert order.tolist() == want
+    for order in got[::3].tolist():
+        assert order.index(2) < order.index(4)
+    # the plan path and the clustering visit users in this one order
+    gains = rng.uniform(0.1, 1.0, size=5) * np.exp(2j * np.pi * rng.random(5))
+    assert SicOrder.from_los_gains(gains).order == tuple(strongest_first(np.abs(gains)).tolist())
 
 
 def test_interference_terms_single_chain_pair():
@@ -176,7 +193,7 @@ def test_system_sum_rate_is_invariant_to_user_relabeling():
 
 def per_pair_oracle(g, plan, order, noise_w):
     """The per-user and per-pair SIC formulas, one scalar at a time."""
-    pos = order.positions()
+    pos = np.argsort(order.order)
     per_chain = (plan.scheduling * plan.power_alloc).sum(axis=0)
 
     def sinr_rate(receiver, message, chain):

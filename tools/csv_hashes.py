@@ -3,16 +3,21 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1312 CSVs.  The matrix covers the
-antenna and power sweeps over seeds, user counts, NLOS path counts, array
-sizes (up to 256 elements for the antenna sweep), pinned gain ratios,
-explicit power-sweep antenna splits and trial counts on either side of
-multiples of 64, plus the CLI
-``effective``, ``rates`` and ``beampattern`` reports and both CLI sweeps at
-their default config.  The package is imported from the ``src`` directory next
-to this script, so a copy of the script run from another checkout hashes that
-checkout.  Every warning is raised as an
-error.  Two checkouts that produce the same CSV bytes print the same lines.
+all of them concatenated in that order: 1312 CSVs.  After that section come
+one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
+full-precision float64 values, and one line for all 1224 sweeps.  The CSV
+cells carry 9 significant digits, which hide most last-bit moves: equal CSV
+lines with unequal ``bits`` lines mean the bytes held and the bits did not.
+
+The matrix covers the antenna and power sweeps over seeds, user counts, NLOS
+path counts, array sizes (up to 256 elements for the antenna sweep), pinned
+gain ratios, explicit power-sweep antenna splits and trial counts on either
+side of multiples of 64, plus the CLI ``effective``, ``rates`` and
+``beampattern`` reports and both CLI sweeps at their default config.  The
+package is imported from the ``src`` directory next to this script, so a copy
+of the script run from another checkout hashes that checkout.  Every warning
+is raised as an error.  Two checkouts that produce the same CSV bytes print the same CSV
+lines, and the same ``bits`` lines if their sweeps hold the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import os
 import sys
 import tempfile
 import warnings
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
@@ -62,7 +69,7 @@ def scenario(num_users: int, num_nlos: int, arrays: tuple[int, int], seed: int):
                           rng_seed=seed)
 
 
-def sweep_csvs():
+def sweep_tables():
     for seed in SEEDS:
         for trials in TRIALS:
             for arrays in ANTENNA_ARRAYS:
@@ -74,7 +81,7 @@ def sweep_csvs():
                             tuple(range(1, m_bs, 3)), gain_ratio=ratio)
                         yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
                                f"nlos={num_nlos} ratio={ratio}",
-                               experiments.run_antenna_sweep(spec).csv_text())
+                               experiments.run_antenna_sweep(spec))
             for arrays in ARRAYS[:2]:
                 for num_users in POWER_USERS:
                     for num_nlos in POWER_NLOS_PATHS:
@@ -83,14 +90,14 @@ def sweep_csvs():
                             POWER_BUDGETS_DBM)
                         yield (f"power seed={seed} trials={trials} m_bs={arrays[0]} "
                                f"users={num_users} nlos={num_nlos}",
-                               experiments.run_power_sweep(spec).csv_text())
+                               experiments.run_power_sweep(spec))
             for arrays, num_users, num_nlos, alloc in POWER_ALLOCS:
                 spec = experiments.SweepSpec(
                     "power", scenario(num_users, num_nlos, arrays, seed), trials,
                     POWER_BUDGETS_DBM, antenna_alloc=alloc)
                 yield (f"power seed={seed} trials={trials} m_bs={arrays[0]} "
                        f"users={num_users} nlos={num_nlos} alloc={alloc}",
-                       experiments.run_power_sweep(spec).csv_text())
+                       experiments.run_power_sweep(spec))
 
 
 def cli_csv(workdir: str, command: str, config: str, *flags: str) -> str:
@@ -126,14 +133,27 @@ def main() -> int:
     warnings.simplefilter("error")
     total = hashlib.sha256()
     count = 0
+
+    def emit(name: str, text: str) -> None:
+        nonlocal count
+        data = text.encode()
+        total.update(data)
+        count += 1
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+    sweep_bits = []
     with tempfile.TemporaryDirectory() as workdir:
-        for source in (sweep_csvs(), cli_csvs(workdir)):
-            for name, text in source:
-                data = text.encode()
-                total.update(data)
-                count += 1
-                print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+        for name, table in sweep_tables():
+            sweep_bits.append((name, np.asarray(table.rows, dtype=np.float64).tobytes()))
+            emit(name, table.csv_text())
+        for name, text in cli_csvs(workdir):
+            emit(name, text)
     print(f"{total.hexdigest()}  all {count} CSVs")
+    bits_total = hashlib.sha256()
+    for name, data in sweep_bits:
+        bits_total.update(data)
+        print(f"{hashlib.sha256(data).hexdigest()}  bits {name}")
+    print(f"{bits_total.hexdigest()}  bits of all {len(sweep_bits)} sweeps")
     return 0
 
 
