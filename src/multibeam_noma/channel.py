@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,9 +214,26 @@ def user_rng(master_seed: int, trial_index: int, user_index: int) -> np.random.G
     return np.random.default_rng(seq)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
 # (pcg64.h), which ``user_rng`` runs once per key and ``user_uniforms`` runs
-# for a block of keys at once.  None of the constants depends on the data.
+# for a block of keys at once.
+#
+# The hash: a key's entropy is the master seed's 32-bit words, padded with
+# zeros to the pool size, then the trial word and the user word.  Every
+# ``hashmix`` xors a word with the running hash constant, advances the
+# constant and multiplies by it; ``mix`` folds a hashed word into a pool
+# word; all of it is mod 2**32.  The constants meet the words in a fixed
+# order, so everything before the trial word depends on the master seed
+# alone, and each of the four pool words (lanes) meets the trial and user
+# words with a xor and a multiply constant of its own.
+#
+# PCG64 is the 128-bit LCG s -> MULT s + inc (mod 2**128).  Seeded with the
+# words (seed, w) it sets inc = 2 w + 1, steps from 0, adds seed and steps
+# again; each draw steps once and outputs the XSL-RR of the new state,
+# rotr64(hi ^ lo, s >> 122).  So the state behind draw j (state 0 being the
+# seeded state) is an affine map of the key's words,
+#     s_j = A_(j+1) seed + B_(j+2) (2 w + 1)   (mod 2**128),
+# with A_j = MULT**j and B_j = 1 + MULT + ... + MULT**(j - 1) (LCG jump-ahead).
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -238,40 +255,43 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def spawn_state_words(master_seed: int, trial_lo: int, trial_hi: int,
-                      num_users: int) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=(t, k)).generate_state(4, np.uint64)``
-    for every trial t in [trial_lo, trial_hi) and user k < num_users, as a
-    (T, K, 4) uint64 array.
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of a hash constant, as uint32."""
+    chain = [init]
+    for _ in range(count - 1):
+        chain.append((chain[-1] * mult) & _MASK32)
+    return np.array(chain, dtype=np.uint32)
 
-    The words and the hash constants that the master seed meets do not
-    depend on (t, k), so they are mixed once as Python ints; the two key
-    words are mixed for all keys at once as uint32 arrays, which wrap as the
-    C code does.  Each integer op is masked to 32 bits, so the same steps
-    serve both.
-    """
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
-    if not 0 <= trial_lo <= trial_hi <= _MASK32 + 1:
-        raise ValueError(f"trial range [{trial_lo}, {trial_hi}) must lie in [0, 2**32): "
-                         "a larger index is more than one spawn-key word")
-    trials = np.repeat(np.arange(trial_lo, trial_hi, dtype=np.uint32), num_users)
-    users = np.tile(np.arange(num_users, dtype=np.uint32), trial_hi - trial_lo)
+
+def _xorshift16(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> 16)
+
+
+# generate_state: output word i is pool word i % 4 hashed with the i-th and
+# (i + 1)-th constants of a chain of its own; the same for every key
+_OUT_CHAIN = _hash_chain(_INIT_B, _MULT_B, 9)
+
+
+@lru_cache(maxsize=16)
+def _master_lanes(master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the hash of every key under ``master_seed`` takes from the master
+    alone: ``_MIX_MULT_L`` times the pool, then the xor and the multiply
+    constants of the trial and user words' ``hashmix``, as (4,), (2, 4) and
+    (2, 4) uint32 lanes, trial word first."""
     run = _uint32_words(master_seed)
     # a spawned sequence pads its run entropy with zeros to the pool size
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [trials, users]
+    entropy = run + [0] * (_POOL_SIZE - len(run))
     hash_const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value: int) -> int:
         nonlocal hash_const
-        value = value ^ hash_const
+        value ^= hash_const
         hash_const = (hash_const * _MULT_A) & _MASK32
         value = (value * hash_const) & _MASK32
         return value ^ (value >> 16)
 
-    def mix(x, y):
-        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    def mix(x: int, y: int) -> int:
+        result = ((_MIX_MULT_L * x) - (_MIX_MULT_R * y)) & _MASK32
         return result ^ (result >> 16)
 
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -282,25 +302,113 @@ def spawn_state_words(master_seed: int, trial_lo: int, trial_hi: int,
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-
-    state = np.empty((len(trials), 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        state[:, i] = value ^ (value >> 16)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
-    return words.reshape(trial_hi - trial_lo, num_users, 4)
+    chain = _hash_chain(hash_const, _MULT_A, 2 * _POOL_SIZE + 1)
+    lanes = (np.array([(_MIX_MULT_L * word) & _MASK32 for word in pool], dtype=np.uint32),
+             chain[:-1].reshape(2, _POOL_SIZE), chain[1:].reshape(2, _POOL_SIZE))
+    for lane in lanes:
+        lane.flags.writeable = False
+    return lanes
 
 
-def pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
-    """The state of ``PCG64`` seeded with four ``generate_state`` words, as
-    ``PCG64(seed_sequence).state`` reports it."""
-    inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
-    state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+def spawn_state_words(master_seed: int, trial_lo: int, trial_hi: int,
+                      num_users: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(t, k)).generate_state(4, np.uint64)``
+    for every trial t in [trial_lo, trial_hi) and user k < num_users, as a
+    (T, K, 4) uint64 array.
+
+    The master seed is hashed once as Python ints (``_master_lanes``).  The
+    four pool lanes sit on the last axis: the trial word is hashed into a
+    (T, 4) array, the user word into (K, 4), they mix into (T, K, 4), and
+    one step over (T, K, 8) hashes out the eight 32-bit output words.
+    uint32 arrays wrap as the C code does.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
+    if not 0 <= trial_lo <= trial_hi <= _MASK32 + 1:
+        raise ValueError(f"trial range [{trial_lo}, {trial_hi}) must lie in [0, 2**32): "
+                         "a larger index is more than one spawn-key word")
+    pool_l, xor, mul = _master_lanes(master_seed)
+    trials = np.arange(trial_lo, trial_hi, dtype=np.uint32)[:, None]
+    users = np.arange(num_users, dtype=np.uint32)[:, None]
+    # hashmix of each key word into each lane, then mix into the pool
+    hashed_t = _xorshift16((trials ^ xor[0]) * mul[0])
+    hashed_u = _xorshift16((users ^ xor[1]) * mul[1])
+    pool = _xorshift16(pool_l - _MIX_MULT_R * hashed_t)
+    pool = _xorshift16((_MIX_MULT_L * pool)[:, None] - (_MIX_MULT_R * hashed_u))
+    state = _xorshift16((np.concatenate((pool, pool), axis=-1) ^ _OUT_CHAIN[:-1])
+                        * _OUT_CHAIN[1:])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+# The float64 2**52 + x, for an integer 0 <= x < 2**52, has the bits
+# _EXPONENT + x, so a chunk sum offset by 2**52 is read as uint64 with no
+# conversion.  The offsets added to chunks 1..3 cancel _EXPONENT mod 2**64 in
+# the carry step of ``pcg64_states``: chunk 1's offset shifted by 32 is
+# -_EXPONENT, and it leaves 2**32 + _EXPONENT in the carry, which chunks 2
+# and 3 cancel in the high half.
+_EXPONENT = 0x433 << 52
+_MASK64 = (1 << 64) - 1
+_HI_OFFSET = -(_EXPONENT + (_EXPONENT >> 32) + 1) & _MASK64
+_CHUNK_OFFSETS = (0, (-_EXPONENT & _MASK64) >> 32, _HI_OFFSET & _MASK32, _HI_OFFSET >> 32)
+
+
+@lru_cache(maxsize=8)
+def _jump_table(n: int) -> np.ndarray:
+    """The (4, 17, n + 1) float64 table of ``pcg64_states`` for states 0..n.
+
+    Entry [q, i, j] is the 32-bit chunk q of s_j's coefficient on input i,
+    mod 2**128.  Inputs 0..15 are the 16-bit limbs of a key's words
+    (seed_hi, seed_lo, inc_hi, inc_lo), limb i % 4 of word i // 4, with
+    coefficients A_(j+1) on the seed and 2 B_(j+2) on w; input 16 is a 1,
+    for the B_(j+2) term, and also carries 2**52 and the chunk offsets.
+    """
+    seed_coefs, inc_coefs = [], []
+    power, partial = _PCG64_MULT, 1 + _PCG64_MULT  # A_(j+1), B_(j+2) at j = 0
+    for _ in range(n + 1):
+        seed_coefs.append(power)
+        inc_coefs.append(partial)
+        power = (power * _PCG64_MULT) & _MASK128
+        partial = (partial + power) & _MASK128
+    inputs = [(seed_coefs if i < 8 else [2 * coef for coef in inc_coefs],
+               64 * (1 - i // 4 % 2) + 16 * (i % 4)) for i in range(16)]
+    inputs.append((inc_coefs, 0))
+    table = np.array([[[(((coef << shift) & _MASK128) >> (32 * q)) & _MASK32 for coef in coefs]
+                       for coefs, shift in inputs] for q in range(4)], dtype=np.float64)
+    table[:, -1] += np.add(_CHUNK_OFFSETS, 2.0 ** 52)[:, None]
+    table.flags.writeable = False
+    return table
+
+
+def pcg64_states(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the states 0..n of the PCG64 seeded with
+    each ``generate_state(4, np.uint64)`` row of ``words`` (..., 4): two
+    (..., n + 1) uint64 arrays.  State 0 is the seeded state, the one that
+    ``PCG64(seed_sequence).state`` reports; state j is the one whose output
+    is draw j.
+
+    The 32-bit chunk sums of every s_j are one float64 matmul of the keys'
+    16-bit limbs with ``_jump_table(n)``.  A product is below 2**48 and a
+    chunk sum below 2**52, so the matmul is exact in any summation order;
+    the sums are then read as uint64 and carried into the two halves, which
+    wrap mod 2**64.
+    """
+    words = np.ascontiguousarray(words, dtype="<u8")
+    limbs = np.ones((words.size // 4, 17))
+    limbs[:, :16] = words.view("<u2").reshape(-1, 16)
+    chunks = np.matmul(limbs, _jump_table(n)).view(np.uint64)
+    c0, c1, c2, c3 = chunks.reshape((4,) + words.shape[:-1] + (n + 1,))
+    carry = c0 >> 32
+    carry += c1
+    carry >>= 32
+    lo = c1
+    lo <<= 32
+    lo += c0
+    hi = c3
+    hi <<= 32
+    hi += c2
+    hi += carry
+    return hi, lo
 
 
 def user_uniforms(master_seed: int, trial_lo: int, trial_hi: int, num_users: int,
@@ -308,15 +416,21 @@ def user_uniforms(master_seed: int, trial_lo: int, trial_hi: int, num_users: int
     """``user_rng(master_seed, t, k).random(n)`` for every trial t in
     [trial_lo, trial_hi) and user k < num_users, as a (T, K, n) array.
 
-    The same streams, bit for bit, without building a SeedSequence and a
-    Generator per key: the keys are hashed together, and each key's state
-    is set on one bit generator that this call owns.
+    The same streams, bit for bit, without a SeedSequence or a Generator per
+    key: ``spawn_state_words`` hashes all keys at once and ``pcg64_states``
+    jumps each to the states s_1..s_n of its draws.  Draw j is
+    ``(rotr64(hi ^ lo, hi >> 58) >> 11) * 2**-53`` of s_j's halves, as
+    ``Generator.random`` computes it.
     """
-    words = spawn_state_words(master_seed, trial_lo, trial_hi, num_users)
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    out = np.empty((trial_hi - trial_lo, num_users, n))
-    for row, key_words in zip(out.reshape(-1, n), words.reshape(-1, 4).tolist()):
-        bit_gen.state = pcg64_state(*key_words)
-        gen.random(out=row)
-    return out
+    hi, lo = pcg64_states(spawn_state_words(master_seed, trial_lo, trial_hi, num_users), n)
+    hi, lo = hi[..., 1:], lo[..., 1:]
+    rot = hi >> 58
+    lo ^= hi
+    out = lo >> rot
+    # the left shift by (64 - rot) mod 64, in place on the large arrays
+    np.subtract(64, rot, out=rot)
+    rot &= 63
+    lo <<= rot
+    out |= lo
+    out >>= 11
+    return out * 2.0 ** -53

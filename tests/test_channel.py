@@ -20,7 +20,7 @@ from multibeam_noma.channel import (
     draw_paths,
     generate_user_channel,
     los_gain_magnitude,
-    pcg64_state,
+    pcg64_states,
     spawn_state_words,
     user_rng,
     user_uniforms,
@@ -337,6 +337,9 @@ def test_generate_user_channel_wraps_the_array_draw():
 
 
 SEED_MASTERS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
+DRAW_COUNTS = (1, 4, 5, 124)
+# numpy's PCG64 multiplier (pcg64.h): state j + 1 is MULT * state j + inc
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @pytest.mark.parametrize("master", SEED_MASTERS)
@@ -344,16 +347,23 @@ def test_block_seeding_matches_seed_sequence_key_by_key(master):
     # trials 60..139 cross the 64- and 128-trial block boundaries
     lo, hi, num_users = 60, 140, 9
     words = spawn_state_words(master, lo, hi, num_users)
-    draws = user_uniforms(master, lo, hi, num_users, 5)
+    state_hi, state_lo = pcg64_states(words, 1)
+    draws = {n: user_uniforms(master, lo, hi, num_users, n) for n in DRAW_COUNTS}
     assert words.shape == (hi - lo, num_users, 4) and words.dtype == np.uint64
-    assert draws.shape == (hi - lo, num_users, 5)
+    assert state_hi.shape == state_lo.shape == (hi - lo, num_users, 2)
+    for n, block in draws.items():
+        assert block.shape == (hi - lo, num_users, n)
     for t in range(lo, hi):
         for k in range(num_users):
             seq = np.random.SeedSequence(master, spawn_key=(t, k))
             expected = seq.generate_state(4, np.uint64)
             np.testing.assert_array_equal(words[t - lo, k], expected)
-            assert pcg64_state(*words[t - lo, k].tolist()) == np.random.PCG64(seq).state
-            assert_same_bits(draws[t - lo, k], user_rng(master, t, k).random(5))
+            seeded, stepped = ((int(h) << 64) | int(l)
+                               for h, l in zip(state_hi[t - lo, k], state_lo[t - lo, k]))
+            inc = (stepped - PCG64_MULT * seeded) % 2 ** 128
+            assert {"state": seeded, "inc": inc} == np.random.PCG64(seq).state["state"]
+            for n, block in draws.items():
+                assert_same_bits(block[t - lo, k], user_rng(master, t, k).random(n))
     # fewer users and the last trial indices that fit one spawn-key word
     top = 2 ** 32
     for num_users in (1, 2):
@@ -361,6 +371,12 @@ def test_block_seeding_matches_seed_sequence_key_by_key(master):
             spawn_state_words(master, top - 2, top, num_users),
             [[np.random.SeedSequence(master, spawn_key=(t, k)).generate_state(4, np.uint64)
               for k in range(num_users)] for t in (top - 2, top - 1)])
+        for n in DRAW_COUNTS:
+            assert_same_bits(user_uniforms(master, top - 2, top, num_users, n),
+                             [[user_rng(master, t, k).random(n) for k in range(num_users)]
+                              for t in (top - 2, top - 1)])
+    # an empty block
+    assert user_uniforms(master, 7, 7, 3, 5).shape == (0, 3, 5)
 
 
 def test_block_seeding_rejects_what_it_cannot_hash():
