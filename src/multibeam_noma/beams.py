@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -170,12 +171,23 @@ def default_angle_grid(num_points: int = 2048) -> np.ndarray:
     return np.linspace(0.0, math.pi, num_points + 2)[1:-1]
 
 
-def beam_pattern(precoder: AnalogPrecoder, angle_grid: np.ndarray) -> np.ndarray:
-    """|a_BS(theta)^H w| over the grid, with w embedded on the full array."""
+def beam_pattern(precoders: AnalogPrecoder | Sequence[AnalogPrecoder],
+                 angle_grid: np.ndarray) -> np.ndarray:
+    """|a_BS(theta)^H w| over the grid, with w embedded on the full array.
+
+    ``precoders`` is one precoder, for an array of the grid's shape, or a
+    sequence of n precoders on one array, for an (n, len(grid)) array.  The
+    precoders of a sequence share one steering matrix (``pattern_mags``).
+    """
     angle_grid = np.asarray(angle_grid, dtype=np.float64)
     if angle_grid.size and not ((angle_grid > 0.0) & (angle_grid < math.pi)).all():
         raise ValueError("angles must lie in (0, pi)")
     from ._kernels import pattern_mags
 
-    w = precoder.embedded()
-    return pattern_mags(w, np.cos(angle_grid))
+    single = isinstance(precoders, AnalogPrecoder)
+    group = [precoders] if single else list(precoders)
+    if len({p.bs_antennas for p in group}) != 1:
+        raise ValueError("the precoders must share one array")
+    mags = pattern_mags(np.stack([p.embedded() for p in group], axis=-1),
+                        np.cos(angle_grid))
+    return mags[..., 0] if single else np.moveaxis(mags, -1, 0)

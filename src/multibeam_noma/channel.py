@@ -16,6 +16,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import _kernels
+
 SPEED_OF_LIGHT = 299792458.0
 CARRIER_HZ = 28e9
 WAVELENGTH_M = SPEED_OF_LIGHT / CARRIER_HZ
@@ -132,21 +134,53 @@ def array_response(config: UlaConfig, angle: float) -> np.ndarray:
     """
     if not 0.0 < angle < math.pi:
         raise ValueError(f"angle must lie in (0, pi), got {angle}")
-    m = np.arange(config.num_antennas)
-    phase = ((config.num_antennas - 1) / 2.0 - m) * math.pi * math.cos(angle)
-    return np.exp(1j * phase)
+    return _responses(config.num_antennas, np.array([angle], dtype=np.float64))[0]
+
+
+def _check_angles(angles: np.ndarray) -> None:
+    """``array_response``'s ValueError for the first of ``angles`` (1-D)
+    outside (0, pi)."""
+    inside = (angles > 0.0) & (angles < math.pi)
+    if not inside.all():
+        raise ValueError(f"angle must lie in (0, pi), got {angles[np.argmin(inside)]}")
+
+
+def _math_cos(angles: np.ndarray) -> np.ndarray:
+    """``math.cos`` of each of ``angles`` (1-D), as an array.  The plan path
+    takes its cosines from ``math.cos``, so that its array forms keep the
+    bits of their one-angle forms, ``array_response`` among them."""
+    return np.array(list(map(math.cos, angles.tolist())), dtype=np.float64)
+
+
+def _responses(num_antennas: int, angles: np.ndarray) -> np.ndarray:
+    """``array_response`` toward each of ``angles`` (1-D), one row each, from
+    one exp.  The phase keeps the order ``(ramp * pi) * cos`` and the cosines
+    come from ``math.cos``, so each row has the bits of its own call."""
+    ramp = _kernels._centred_ramp(num_antennas)
+    return np.exp(1j * ((ramp * math.pi) * _math_cos(angles)[:, None]))
 
 
 def channel_matrix(channel: UserChannel) -> np.ndarray:
-    """Materialize the M_UE x M_BS matrix: sum of rank-one path contributions."""
-    m_ue = channel.ue_config.num_antennas
-    m_bs = channel.bs_config.num_antennas
-    h = np.zeros((m_ue, m_bs), dtype=np.complex128)
-    for gain, aod, aoa in channel.paths:
-        rx = array_response(channel.ue_config, aoa)
-        tx = array_response(channel.bs_config, aod)
-        h += gain * np.outer(rx, tx.conj())
-    return h
+    """Materialize the M_UE x M_BS matrix: sum of rank-one path contributions.
+
+    Path l contributes ``gain_l * outer(a_UE(aoa_l), conj(a_BS(aod_l)))``, and
+    the contributions are added in path order, starting from zero.  Both
+    products are ``np.multiply`` calls with the operands in that order, so
+    numpy's complex multiply, which is not commutative in the last bit, sees
+    each pair as the one-path form ``gain * np.outer(rx, tx_conj)`` does.  The sum is one reduction over the
+    leading path axis of a float64 view, which numpy runs as one element-wise
+    add per path: the view keeps at least two values per path, so the
+    reduction never becomes numpy's pairwise sum along a single axis.
+    """
+    # checked path by path, aoa before aod: aoa_0, aod_0, aoa_1, ...
+    _check_angles(np.stack((channel.aoas, channel.aods), axis=-1).ravel())
+    rx = _responses(channel.ue_config.num_antennas, channel.aoas)
+    tx_conj = _responses(channel.bs_config.num_antennas, channel.aods).conj()
+    terms = np.zeros((1 + len(channel.gains), rx.shape[1], tx_conj.shape[1]),
+                     dtype=np.complex128)
+    np.multiply(channel.gains[:, None, None],
+                np.multiply(rx[:, :, None], tx_conj[:, None, :]), out=terms[1:])
+    return np.add.reduce(terms.view(np.float64), axis=0).view(np.complex128)
 
 
 def los_gain_magnitude(distance_m: float) -> float:

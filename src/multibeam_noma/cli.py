@@ -6,12 +6,13 @@ keys it reads; any other key ends the run as a config error.  Keys that a
 command leaves out go to the dataclass defaults (``ScenarioConfig``,
 ``BeamPatternConfig``).  Exit codes: 0 on success, 2 for config problems,
 3 when the requested experiment is infeasible (e.g. an antenna split that
-cannot fit).
+cannot fit, or arrays too large for memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -181,7 +182,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="multibeam-noma",
         description="Beam splitting and multi-beam NOMA experiments",
@@ -235,6 +238,10 @@ def main(argv=None) -> int:
         return 2
     except (InfeasibleSpecError, SicConditionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a size that no memory holds, e.g. angle_points = 10**18
+        print(f"infeasible: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

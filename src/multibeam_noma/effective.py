@@ -16,20 +16,21 @@ from typing import Sequence
 import numpy as np
 
 from .beams import AnalogPrecoder, GroupPlan, rf_chain_precoder, segment_layout, user_combiner
-from .channel import UserChannel
+from .channel import UserChannel, _math_cos
 
 # Below this, sin(x) is treated as zero and the kernel takes its limit.
 # Angles live in (0, pi), so |x| < pi and the only reachable zero is x = 0.
 DIRICHLET_EPS = 1e-9
 
 
-def dirichlet(m: int, x) -> np.ndarray | float:
-    """sin(m x) / sin(x), continued with its limit value m at x = 0."""
+def dirichlet(m, x) -> np.ndarray | float:
+    """sin(m x) / sin(x), continued with its limit value m at x = 0.  ``m``
+    (integers) and ``x`` broadcast; a float comes back when both are scalars."""
     x = np.asarray(x, dtype=np.float64)
     denom = np.sin(x)
     small = np.abs(denom) < DIRICHLET_EPS
     safe = np.where(small, 1.0, denom)
-    out = np.where(small, float(m), np.sin(m * x) / safe)
+    out = np.where(small, np.asarray(m, dtype=np.float64), np.sin(m * x) / safe)
     return out if out.ndim else float(out)
 
 
@@ -60,25 +61,37 @@ def effective_closed_form(channel: UserChannel, plan: GroupPlan, rf_index: int,
     segment center to the array center in half-wavelengths.  The phase
     factor accounts for segments sitting off-center on the array; it
     disappears for a single full-array beam.
+
+    All (path, segment) terms are built as one array, with the value of the
+    scalar expression ``(((gain * norm) * rx) * D) * phase`` term by term:
+    the cosines come from ``math.cos``, and the factors are multiplied in
+    that order.  In a product by a real factor one of the two products in
+    each component is an exact zero, so numpy's array multiply gives it the
+    scalar bits.  The last product, by the complex phase, is spelled in real
+    arithmetic: numpy's array loop fuses a multiply and an add there, and
+    rounds once where a scalar product rounds twice (``_kernels`` notes).
+    The terms are summed in path-major, segment-minor order from 0j by one
+    sequential ``cumsum``; a pairwise ``np.sum`` would round differently.
     """
     m_ue = channel.ue_config.num_antennas
     m_bs = plan.bs_antennas
-    layout = segment_layout(plan, rf_index)
+    layout = np.array(segment_layout(plan, rf_index), dtype=np.int64).reshape(-1, 3)
+    users, offsets, lengths = layout.T
     center = (m_bs - 1) / 2.0
-    cos_aoa0 = math.cos(channel.aoas[0])
     norm = 1.0 / math.sqrt(m_ue * m_bs)
+    cos_aods = _math_cos(channel.aods)[:, None]
+    cos_aoas = _math_cos(channel.aoas)
+    cos_steers = _math_cos(np.asarray(los_aods, dtype=np.float64)[users])
 
-    total = 0.0 + 0.0j
-    for gain, aod, aoa in channel.paths:
-        kappa = 0.5 * math.pi * (cos_aoa0 - math.cos(aoa))
-        rx = dirichlet(m_ue, kappa)
-        cos_aod = math.cos(aod)
-        for user, offset, length in layout:
-            x = 0.5 * math.pi * (math.cos(los_aods[user]) - cos_aod)
-            c_seg = offset + (length - 1) / 2.0 - center
-            phase = np.exp(1j * math.pi * c_seg * cos_aod)
-            total += gain * norm * rx * dirichlet(length, x) * phase
-    return complex(total)
+    rx = dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[0] - cos_aoas))
+    x = 0.5 * math.pi * (cos_steers - cos_aods)
+    c_seg = offsets + (lengths - 1) / 2.0 - center
+    phase = np.exp(1j * math.pi * c_seg * cos_aods)
+    a = ((channel.gains * norm) * rx)[:, None] * dirichlet(lengths, x)
+    terms = np.zeros(1 + a.size, dtype=np.complex128)
+    terms[1:].real = (a.real * phase.real - a.imag * phase.imag).ravel()
+    terms[1:].imag = (a.real * phase.imag + a.imag * phase.real).ravel()
+    return complex(np.cumsum(terms)[-1])
 
 
 def effective_asymptotic(los_gain: complex, m_ue: int, m_bs: int, m_user: int) -> complex:

@@ -285,17 +285,45 @@ class SweepTable:
         return np.array([row[i] for row in self.rows], dtype=np.float64)
 
     def csv_text(self) -> str:
+        """The ``#`` metadata lines, the header and one line per row.
+
+        Cells follow ``_format_cell``: integers (bool, ``np.bool_``, int,
+        ``np.integer``) print as integers, other values as floats with 9
+        significant digits.  A column of only integers or only floats takes
+        one ``%`` format, and each row is one ``%`` of the table's row format;
+        any other column is formatted cell by cell.
+        """
         lines = [f"# {key} = {value}" for key, value in self.meta.items()]
         lines.append(",".join(self.header))
-        for row in self.rows:
-            lines.append(",".join(_format_cell(c) for c in row))
+        if set(map(len, self.rows)) - {len(self.header)}:
+            raise ValueError("every row needs one cell per header column")
+        columns = list(zip(*self.rows))
+        specs = []
+        for i, column in enumerate(columns):
+            kinds = set(map(_column_format, set(map(type, column))))
+            if len(kinds) > 1 or None in kinds:
+                columns[i] = list(map(_format_cell, column))
+                kinds = {"%s"}
+            specs.append(kinds.pop())
+        lines.extend(map(",".join(specs).__mod__, zip(*columns)))
         return "\n".join(lines) + "\n"
 
 
+_INTEGER_CELLS = (bool, np.bool_, int, np.integer)
+
+
+def _column_format(cell_type: type) -> str | None:
+    """The ``%`` format that prints a cell of this type as ``_format_cell``
+    does, if one does."""
+    if issubclass(cell_type, _INTEGER_CELLS):
+        return "%d"
+    if issubclass(cell_type, (float, np.floating)):
+        return "%.9g"
+    return None
+
+
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, _INTEGER_CELLS):
         return str(int(value))
     return f"{float(value):.9g}"
 
@@ -546,7 +574,6 @@ def run_beam_pattern(config: BeamPatternConfig = BeamPatternConfig(),
         max_power_w=1.0,
     )
     split_aods = np.radians(config.split_angles_deg)
-    split = beam_pattern(rf_chain_precoder(split_plan, 0, split_aods), angles)
     full_plan = GroupPlan(
         scheduling=np.ones((1, 1), dtype=np.int64),
         antenna_alloc=np.full((1, 1), config.bs_antennas, dtype=np.int64),
@@ -556,15 +583,16 @@ def run_beam_pattern(config: BeamPatternConfig = BeamPatternConfig(),
         max_power_w=1.0,
     )
     full_aods = np.array([math.radians(config.full_angle_deg)])
-    full = beam_pattern(rf_chain_precoder(full_plan, 0, full_aods), angles)
+    mags = beam_pattern([rf_chain_precoder(split_plan, 0, split_aods),
+                         rf_chain_precoder(full_plan, 0, full_aods)], angles)
 
-    floor = 1e-20  # keep the dB columns finite at pattern nulls
+    # the floor keeps the dB columns finite at pattern nulls; np.maximum, like
+    # max(v, floor), passes a NaN through.  math.log10, not np.log10, which
+    # differs from it in the last bit of some values.
+    floor = 1e-20
+    db = 20.0 * np.array(list(map(math.log10, np.maximum(mags, floor).ravel().tolist())))
     header = ("angle_deg", "split_mag_db", "full_mag_db")
-    rows = []
-    for i, a in enumerate(angles):
-        rows.append((math.degrees(a),
-                     20.0 * math.log10(max(split[i], floor)),
-                     20.0 * math.log10(max(full[i], floor))))
+    rows = list(zip(map(math.degrees, angles.tolist()), *db.reshape(mags.shape).tolist()))
     meta = {
         "experiment": "beam_pattern",
         "bs_antennas": config.bs_antennas,

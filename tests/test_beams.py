@@ -202,6 +202,20 @@ def test_beam_pattern_matches_direct_inner_products():
     np.testing.assert_allclose(mags, manual, rtol=1e-10, atol=1e-12)
 
 
+def test_beam_pattern_of_several_precoders_stacks_their_patterns():
+    grid = default_angle_grid(300)
+    split = rf_chain_precoder(two_user_plan(m1=6, m2=9, m_bs=16), 0, np.array([0.9, 2.2]))
+    full = rf_chain_precoder(GroupPlan(np.array([[1]]), np.array([[16]]), np.array([[1.0]]),
+                                       1, 16, 1.0), 0, np.array([1.3]))
+    both = beam_pattern([split, full], grid)
+    assert both.shape == (2, 300)
+    for got, pre in zip(both, (split, full)):
+        np.testing.assert_array_equal(got.view(np.uint64), beam_pattern(pre, grid).view(np.uint64))
+    other = rf_chain_precoder(two_user_plan(m1=4, m2=4, m_bs=8), 0, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="share one array"):
+        beam_pattern([split, other], grid)
+
+
 def test_beam_pattern_full_array_peaks_at_steering_angle():
     steer = 2.0943951023931953  # 120 degrees
     plan = GroupPlan(np.array([[1]]), np.array([[128]]), np.array([[1.0]]),

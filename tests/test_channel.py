@@ -25,6 +25,7 @@ from multibeam_noma.channel import (
     user_rng,
     user_uniforms,
 )
+from test_kernels import assert_same_bits
 
 
 def los_only_channel(gain, aod, aoa, m_ue, m_bs):
@@ -103,6 +104,49 @@ def test_channel_matrix_superposes_identical_paths():
     single = los_only_channel(gain, aod, aoa, 4, 8)
     double = UserChannel([gain, gain], [aod, aod], [aoa, aoa], UlaConfig(4), UlaConfig(8))
     np.testing.assert_allclose(double.matrix, 2.0 * single.matrix, rtol=1e-12)
+
+
+def oracle_array_response(m, angle):
+    """The per-angle response of ``array_response``."""
+    if not 0.0 < angle < math.pi:
+        raise ValueError(f"angle must lie in (0, pi), got {angle}")
+    phase = ((m - 1) / 2.0 - np.arange(m)) * math.pi * math.cos(angle)
+    return np.exp(1j * phase)
+
+
+def oracle_channel_matrix(channel):
+    """Two responses per path, each rank-one term added in path order from zero."""
+    m_ue, m_bs = channel.ue_config.num_antennas, channel.bs_config.num_antennas
+    h = np.zeros((m_ue, m_bs), dtype=np.complex128)
+    for gain, aod, aoa in channel.paths:
+        rx = oracle_array_response(m_ue, aoa)
+        tx = oracle_array_response(m_bs, aod)
+        h += gain * np.outer(rx, tx.conj())
+    return h
+
+
+def test_channel_matrix_matches_per_path_oracle_bit_for_bit():
+    # (1, 1): one element per path, where numpy would sum a single axis pairwise
+    for m_ue, m_bs in ((1, 128), (10, 128), (1, 127), (10, 127), (1, 1), (4, 1)):
+        for num_nlos in (0, 1, 30):
+            scenario = ScenarioConfig(num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs),
+                                      ue_config=UlaConfig(m_ue))
+            for seed in range(8):
+                ch = generate_user_channel(np.random.default_rng(seed), 40.0 + seed, scenario)
+                assert_same_bits(channel_matrix(ch), oracle_channel_matrix(ch))
+                assert_same_bits(array_response(UlaConfig(m_bs), ch.aods[-1]),
+                                 oracle_array_response(m_bs, ch.aods[-1]))
+
+
+def test_channel_matrix_names_the_first_bad_angle_in_path_order():
+    # a per-path loop meets aoa_0, aod_0, aoa_1, aod_1, ...
+    ch = UserChannel([1.0, 0.5, 0.5], [0.7, 4.0, 1.0], [1.0, 1.2, -1.0],
+                     UlaConfig(3), UlaConfig(8))
+    with pytest.raises(ValueError, match=r"angle must lie in \(0, pi\), got 4.0"):
+        channel_matrix(ch)
+    ch = UserChannel([1.0, 0.5], [0.7, math.nan], [1.0, 0.0], UlaConfig(3), UlaConfig(8))
+    with pytest.raises(ValueError, match="got 0.0"):
+        channel_matrix(ch)
 
 
 def test_scaled_channel_scales_matrix_and_los():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multibeam_noma.cli import COMMANDS, main
+from multibeam_noma.cli import COMMANDS, build_parser, main
 from multibeam_noma.config import KEY_PARSERS
 
 
@@ -21,6 +21,10 @@ def read_csv(path):
     columns = {name: np.array([row[i] for row in data])
                for i, name in enumerate(header)}
     return meta, header, columns
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_beampattern_writes_csv(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multibeam_noma.beams import GroupPlan, rf_chain_precoder, user_combiner
+from multibeam_noma.beams import GroupPlan, rf_chain_precoder, segment_layout, user_combiner
 from multibeam_noma.channel import (
     ScenarioConfig,
     UlaConfig,
@@ -22,6 +22,7 @@ from multibeam_noma.effective import (
     effective_direct,
     tdma_effective_gain,
 )
+from test_kernels import assert_same_bits
 
 
 def los_only(gain, aod, aoa, m_ue, m_bs):
@@ -137,6 +138,68 @@ def test_closed_form_matches_direct_on_random_instances():
             closed = effective_closed_form(ch, plan, 0, aods)
             worst = max(worst, abs(closed - direct) / abs(direct))
     assert worst < 1e-9
+
+
+def oracle_dirichlet(m, x):
+    """``dirichlet`` of one scalar, as the per-term loop called it."""
+    x = np.asarray(x, dtype=np.float64)
+    denom = np.sin(x)
+    small = np.abs(denom) < DIRICHLET_EPS
+    out = np.where(small, float(m), np.sin(m * x) / np.where(small, 1.0, denom))
+    return float(out)
+
+
+def oracle_closed_form(channel, plan, rf_index, los_aods):
+    """One scalar expression per (path, segment), summed in that order from 0j."""
+    m_ue = channel.ue_config.num_antennas
+    m_bs = plan.bs_antennas
+    center = (m_bs - 1) / 2.0
+    cos_aoa0 = math.cos(channel.aoas[0])
+    norm = 1.0 / math.sqrt(m_ue * m_bs)
+    total = 0.0 + 0.0j
+    for gain, aod, aoa in channel.paths:
+        rx = oracle_dirichlet(m_ue, 0.5 * math.pi * (cos_aoa0 - math.cos(aoa)))
+        cos_aod = math.cos(aod)
+        for user, offset, length in segment_layout(plan, rf_index):
+            x = 0.5 * math.pi * (math.cos(los_aods[user]) - cos_aod)
+            c_seg = offset + (length - 1) / 2.0 - center
+            phase = np.exp(1j * math.pi * c_seg * cos_aod)
+            total += gain * norm * rx * oracle_dirichlet(length, x) * phase
+    return complex(total)
+
+
+def random_plan(rng, k, m_bs):
+    """Users on chains 0 and 1 or on none; chain 2 stays empty.  Segment
+    lengths are random, or all 1 on some chains."""
+    chain = rng.integers(-1, 2, size=k)
+    scheduling = np.zeros((k, 3), dtype=np.int64)
+    alloc = np.zeros((k, 3), dtype=np.int64)
+    for r in range(2):
+        users = np.flatnonzero(chain == r)
+        scheduling[users, r] = 1
+        if rng.random() < 0.3:
+            alloc[users, r] = 1
+        elif len(users):
+            alloc[users, r] = rng.integers(1, m_bs // len(users) + 1, size=len(users))
+    return GroupPlan(scheduling, alloc, np.zeros((k, 3)), k, m_bs, 1.0)
+
+
+def test_closed_form_matches_per_term_oracle_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for k in (1, 2, 5, 9, 12):
+        for num_nlos in (0, 1, 30):
+            for m_ue, m_bs in ((10, 128), (1, 33)):
+                channels = [random_channel(rng, m_ue, m_bs, num_nlos) for _ in range(k)]
+                aods = np.array([ch.aods[0] for ch in channels])
+                plan = random_plan(rng, k, m_bs)
+                got, want = [], []
+                for ch in channels:
+                    for r in range(plan.num_chains):
+                        got.append(effective_closed_form(ch, plan, r, aods))
+                        want.append(oracle_closed_form(ch, plan, r, aods))
+                assert all(type(v) is complex for v in got)
+                assert got[2] == 0j   # the empty chain
+                assert_same_bits(np.array(got), np.array(want))
 
 
 def test_effective_asymptotic_reference_and_bounds():

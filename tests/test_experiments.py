@@ -11,7 +11,7 @@ from multibeam_noma.asymptotic import (
     noma_gain,
     sic_condition_asymptotic,
 )
-from multibeam_noma.beams import PlanError
+from multibeam_noma.beams import PlanError, default_angle_grid
 from multibeam_noma.channel import (
     ScenarioConfig,
     UlaConfig,
@@ -34,7 +34,7 @@ from multibeam_noma.experiments import (
     write_table,
 )
 from multibeam_noma.rates import equal_time_shares, noma_rates_from_gains
-from test_kernels import oracle_segment_weights
+from test_kernels import oracle_pattern_mags, oracle_segment_weights
 from test_rates import per_cluster_baseline
 
 TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
@@ -417,6 +417,40 @@ def test_sweep_table_formatting_and_columns():
         table.column("missing")
 
 
+def oracle_format_cell(value):
+    """The per-cell rule of ``csv_text``."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.9g}"
+
+
+def test_csv_text_matches_per_cell_rules():
+    columns = {
+        "bool": [True, False],
+        "np_bool": [np.True_, np.False_],
+        "int": [0, -7, 2 ** 70],
+        "np_integer": [np.int64(-2 ** 63), np.uint64(2 ** 64 - 1), np.int32(5), np.int8(-3)],
+        "float": [0.0, -0.0, math.inf, -math.inf, math.nan, 0.1234567891234, -1e-300,
+                  5e-324, 1e22, 123456789.5],
+        "np_float64": [np.float64(-0.0), np.float64(math.inf), np.float64(-math.nan),
+                       np.float64(2.0 / 3.0), np.float64(-1e100)],
+        "np_floating": [np.float32(0.1), np.float16(-2.5), np.longdouble(1) / 3],
+        "mixed": [3, 2.5, True, np.int64(9), np.float64(-0.0), np.bool_(False), 10 ** 12],
+        "str": ["2.5", "1e400", "-0"],
+    }
+    n = max(map(len, columns.values()))
+    rows = [tuple(values[i % len(values)] for values in columns.values()) for i in range(n)]
+    table = SweepTable({"experiment": "cells"}, tuple(columns), rows)
+    want = ["# experiment = cells", ",".join(columns)]
+    want += [",".join(oracle_format_cell(c) for c in row) for row in rows]
+    assert table.csv_text() == "\n".join(want) + "\n"
+    assert SweepTable({}, ("a", "b"), []).csv_text() == "a,b\n"
+    with pytest.raises(ValueError, match="one cell per header column"):
+        SweepTable({}, ("a", "b"), [(1, 2.0), (3,)]).csv_text()
+
+
 def test_write_table_uses_unix_newlines(tmp_path):
     table = SweepTable({"a": 1}, ("x",), [(1,)])
     out = tmp_path / "t.csv"
@@ -544,6 +578,39 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch, kind, num_users, nu
         powers = np.tile(pmax_w / num_users, (num_users, 1))
         block = experiments._power_trials(spec, alloc, offsets, pmax_w, powers, 0, trials)
         assert_same_bits(block, data)
+
+
+def oracle_beam_pattern_rows(angles, split, full):
+    floor = 1e-20
+    return [(math.degrees(a), 20.0 * math.log10(max(split[i], floor)),
+             20.0 * math.log10(max(full[i], floor))) for i, a in enumerate(angles)]
+
+
+@pytest.mark.parametrize("nulls", [False, True])
+def test_run_beam_pattern_rows_match_per_row_oracle_bit_for_bit(monkeypatch, nulls):
+    pattern_mags = _kernels.pattern_mags
+    seen = []
+
+    def recording(weights, cos_angles):
+        mags = pattern_mags(weights, cos_angles)
+        for j in range(mags.shape[1]):
+            assert_same_bits(mags[:, j], oracle_pattern_mags(
+                np.ascontiguousarray(weights[:, j]), cos_angles))
+        if nulls:
+            # exact nulls under the 1e-20 floor, the smallest denormal, and a NaN
+            mags[::7] = 0.0
+            mags[1::7] = 5e-324
+            mags[5, 1] = math.nan
+        seen.append(mags)
+        return mags
+
+    monkeypatch.setattr(_kernels, "pattern_mags", recording)
+    table = run_beam_pattern(BeamPatternConfig())
+    (mags,) = seen
+    want = oracle_beam_pattern_rows(default_angle_grid(2048), mags[:, 0], mags[:, 1])
+    assert all(type(c) is float for row in table.rows for c in row)
+    assert_same_bits(np.array(table.rows), np.array(want))
+    assert math.isnan(table.rows[5][2]) == nulls
 
 
 def test_beam_pattern_config_validation():

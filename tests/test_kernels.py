@@ -217,6 +217,11 @@ def test_pattern_mags_matches_full_exp_matrix_bit_for_bit():
         w[rng.random(m_bs) < 0.3] = 0.0
         assert_same_bits(_kernels.pattern_mags(w, cos_angles),
                          oracle_pattern_mags(w, cos_angles))
+        # n weight columns share one steering matrix; each keeps its own bits
+        w2 = np.exp(1j * rng.uniform(0, 2 * math.pi, size=m_bs)) / math.sqrt(m_bs)
+        both = _kernels.pattern_mags(np.stack((w, w2, w), axis=-1), cos_angles)
+        for j, col in enumerate((w, w2, w)):
+            assert_same_bits(both[:, j], oracle_pattern_mags(col, cos_angles))
 
 
 def test_segment_gains_over_rows_matches_per_row_formula_bit_for_bit():
