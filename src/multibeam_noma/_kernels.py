@@ -29,16 +29,18 @@ Each distinct steering phase is computed once per call:
   ``pattern_mags`` returns magnitudes, which hide the sign of a zero.
   ``tests/test_kernels.py`` checks the identity directly, so a libm that
   breaks it fails there.  ``_mirrored_exp`` applies it to the transmit
-  steering matrices of ``vhh_row`` and ``pattern_mags`` and to the
-  full-array weights of ``experiments._full_array_gains``, each with its
-  own phase order.  The short segment weights of ``segment_gains`` and the
-  small M_UE-wide receive matrix cost more to mirror than the exps it
-  saves, and the ``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not
-  centred.
+  steering matrices of ``vhh_row`` and ``pattern_mags``, to the full-array
+  weights of ``experiments._full_array_gains`` and to the array responses
+  of ``channel._responses`` (so of ``array_response`` and both sides of
+  ``channel_matrix``), each with its own phase order.  The short segment
+  weights of ``segment_gains`` and the small M_UE-wide receive matrix of
+  ``vhh_row`` cost more to mirror than the exps it saves, and the
+  ``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not centred.
 
 Each phase expression keeps its original association order, because the
 orders round differently: steering matrices use ``((±1j*π)*cos)*ramp``,
-segment and full-array weights ``((1j*π)*ramp)*cos``.
+segment and full-array weights ``((1j*π)*ramp)*cos``, array responses
+``1j*((ramp*π)*cos)``.
 
 A complex product depends on its layout, not only on its operands.
 numpy's complex multiply is not commutative in the last bit (x * y and

@@ -20,7 +20,7 @@ class PlanError(ValueError):
     """A group plan violates a scheduling, antenna, or power constraint."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GroupPlan:
     """Scheduling, antenna and power allocation across users and RF chains.
 
@@ -28,6 +28,10 @@ class GroupPlan:
     user k may appear on at most one chain.  Per chain, at most
     ``max_group_size`` users are scheduled, allocated antennas sum to at
     most ``bs_antennas`` and transmit powers sum to at most ``max_power_w``.
+
+    A plan is immutable: its fields cannot be reassigned, and its tables are
+    read-only copies of the arrays it was built from.  So it is validated
+    once, when it is built, and stays valid.
     """
 
     scheduling: np.ndarray
@@ -38,20 +42,11 @@ class GroupPlan:
     max_power_w: float
 
     def __post_init__(self) -> None:
-        self.scheduling = np.asarray(self.scheduling, dtype=np.int64)
-        self.antenna_alloc = np.asarray(self.antenna_alloc, dtype=np.int64)
-        self.power_alloc = np.asarray(self.power_alloc, dtype=np.float64)
-        self.validate()
-
-    @property
-    def num_users(self) -> int:
-        return self.scheduling.shape[0]
-
-    @property
-    def num_chains(self) -> int:
-        return self.scheduling.shape[1]
-
-    def validate(self) -> None:
+        for name, dtype in (("scheduling", np.int64), ("antenna_alloc", np.int64),
+                            ("power_alloc", np.float64)):
+            table = np.array(getattr(self, name), dtype=dtype)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
         u, m, p = self.scheduling, self.antenna_alloc, self.power_alloc
         if u.ndim != 2 or m.shape != u.shape or p.shape != u.shape:
             raise PlanError("scheduling, antenna and power tables must share a K x N_RF shape")
@@ -72,6 +67,14 @@ class GroupPlan:
         budget = self.max_power_w * (1.0 + 1e-12)
         if ((u * p).sum(axis=0) > budget).any():
             raise PlanError("allocated power exceeds the budget on some RF chain")
+
+    @property
+    def num_users(self) -> int:
+        return self.scheduling.shape[0]
+
+    @property
+    def num_chains(self) -> int:
+        return self.scheduling.shape[1]
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,10 @@ class AnalogPrecoder:
             if offset != expected:
                 raise ValueError("segments must be contiguous from antenna 0")
             expected += length
-        if total and not np.allclose(
-            np.abs(self.weights), 1.0 / math.sqrt(self.bs_antennas), rtol=1e-9, atol=0.0
-        ):
+        # np.allclose(|w|, modulus, rtol=1e-9, atol=0) in one comparison: a
+        # NaN or an infinite |w| fails it, as there
+        modulus = 1.0 / math.sqrt(self.bs_antennas)
+        if total and not (np.abs(np.abs(self.weights) - modulus) <= 1e-9 * modulus).all():
             raise ValueError("weights must have constant modulus 1/sqrt(M_BS)")
 
     def embedded(self) -> np.ndarray:
@@ -143,7 +147,6 @@ def segment_layout(plan: GroupPlan, rf_index: int) -> tuple[tuple[int, int, int]
 
 def rf_chain_precoder(plan: GroupPlan, rf_index: int, los_aods: np.ndarray) -> AnalogPrecoder:
     """Concatenate the scheduled users' segment precoders for one RF chain."""
-    plan.validate()
     if not 0 <= rf_index < plan.num_chains:
         raise ValueError(f"rf_index {rf_index} out of range")
     layout = segment_layout(plan, rf_index)

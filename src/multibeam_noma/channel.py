@@ -31,6 +31,10 @@ _TWO_PI = 2.0 * math.pi
 # Drawn angles are kept this far inside the open interval (0, pi).
 _ANGLE_EPS = 1e-12
 
+# Most float64 values one numpy array holds: its size in bytes must fit a
+# signed pointer-sized integer, or numpy refuses to size it.
+MAX_FLOAT64_ELEMENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 def dbm_to_watt(dbm: float) -> float:
     """Power in watt; ValueError when it is too large for a float."""
@@ -109,6 +113,9 @@ class ScenarioConfig:
             raise ValueError("num_users must be positive")
         if self.num_nlos_paths < 0:
             raise ValueError("num_nlos_paths must be nonnegative")
+        if 4 + 4 * self.num_nlos_paths > MAX_FLOAT64_ELEMENTS:
+            raise ValueError(f"num_nlos_paths = {self.num_nlos_paths} is too large: a user's "
+                             "4 + 4 L uniform draws do not fit one numpy array")
         if not all(map(math.isfinite, (self.cell_radius_m, self.max_power_w, self.noise_w))):
             raise ValueError("cell radius and powers must be finite")
         if not math.isfinite(self.cell_radius_m * self.cell_radius_m):
@@ -154,10 +161,12 @@ def _math_cos(angles: np.ndarray) -> np.ndarray:
 
 def _responses(num_antennas: int, angles: np.ndarray) -> np.ndarray:
     """``array_response`` toward each of ``angles`` (1-D), one row each, from
-    one exp.  The phase keeps the order ``(ramp * pi) * cos`` and the cosines
+    one exp of the left half of the ramp, mirrored (``_kernels`` module
+    notes).  The phase keeps the order ``(ramp * pi) * cos`` and the cosines
     come from ``math.cos``, so each row has the bits of its own call."""
-    ramp = _kernels._centred_ramp(num_antennas)
-    return np.exp(1j * ((ramp * math.pi) * _math_cos(angles)[:, None]))
+    ramp = _kernels._centred_ramp(num_antennas)[:(num_antennas + 1) // 2]
+    return _kernels._mirrored_exp(1j * ((ramp * math.pi) * _math_cos(angles)[:, None]),
+                                  num_antennas)
 
 
 def channel_matrix(channel: UserChannel) -> np.ndarray:
@@ -167,19 +176,23 @@ def channel_matrix(channel: UserChannel) -> np.ndarray:
     the contributions are added in path order, starting from zero.  Both
     products are ``np.multiply`` calls with the operands in that order, so
     numpy's complex multiply, which is not commutative in the last bit, sees
-    each pair as the one-path form ``gain * np.outer(rx, tx_conj)`` does.  The sum is one reduction over the
-    leading path axis of a float64 view, which numpy runs as one element-wise
-    add per path: the view keeps at least two values per path, so the
-    reduction never becomes numpy's pairwise sum along a single axis.
+    each pair as the one-path form ``gain * np.outer(rx, tx_conj)`` does; both
+    write into the terms' own slabs, and only the leading zero slab is
+    filled.  The sum is one reduction over the leading path axis of a float64
+    view, which numpy runs as one element-wise add per path: the view keeps at
+    least two values per path, so the reduction never becomes numpy's
+    pairwise sum along a single axis.
     """
     # checked path by path, aoa before aod: aoa_0, aod_0, aoa_1, ...
     _check_angles(np.stack((channel.aoas, channel.aods), axis=-1).ravel())
     rx = _responses(channel.ue_config.num_antennas, channel.aoas)
     tx_conj = _responses(channel.bs_config.num_antennas, channel.aods).conj()
-    terms = np.zeros((1 + len(channel.gains), rx.shape[1], tx_conj.shape[1]),
+    terms = np.empty((1 + len(channel.gains), rx.shape[1], tx_conj.shape[1]),
                      dtype=np.complex128)
-    np.multiply(channel.gains[:, None, None],
-                np.multiply(rx[:, :, None], tx_conj[:, None, :]), out=terms[1:])
+    terms[0] = 0.0
+    paths = terms[1:]
+    np.multiply(rx[:, :, None], tx_conj[:, None, :], out=paths)
+    np.multiply(channel.gains[:, None, None], paths, out=paths)
     return np.add.reduce(terms.view(np.float64), axis=0).view(np.complex128)
 
 

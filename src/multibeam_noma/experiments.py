@@ -39,6 +39,7 @@ from .asymptotic import (
 )
 from .beams import GroupPlan, rf_chain_precoder
 from .channel import (
+    MAX_FLOAT64_ELEMENTS,
     MIN_USER_DISTANCE_M,
     ScenarioConfig,
     UserChannel,
@@ -291,33 +292,35 @@ class SweepTable:
         ``np.integer``) print as integers, other values as floats with 9
         significant digits.  A column of only integers or only floats takes
         one ``%`` format, and each row is one ``%`` of the table's row format;
-        any other column is formatted cell by cell.
+        any other column is formatted cell by cell.  The rows are formatted
+        as they are unless some column is.
         """
         lines = [f"# {key} = {value}" for key, value in self.meta.items()]
         lines.append(",".join(self.header))
         if set(map(len, self.rows)) - {len(self.header)}:
             raise ValueError("every row needs one cell per header column")
         columns = list(zip(*self.rows))
-        specs = []
-        for i, column in enumerate(columns):
-            kinds = set(map(_column_format, set(map(type, column))))
-            if len(kinds) > 1 or None in kinds:
-                columns[i] = list(map(_format_cell, column))
-                kinds = {"%s"}
-            specs.append(kinds.pop())
-        lines.extend(map(",".join(specs).__mod__, zip(*columns)))
+        specs = [_column_format(column) for column in columns]
+        if None in specs:
+            rows = zip(*(column if spec else map(_format_cell, column)
+                         for column, spec in zip(columns, specs)))
+            specs = [spec or "%s" for spec in specs]
+        else:
+            rows = map(tuple, self.rows)
+        lines.extend(map(",".join(specs).__mod__, rows))
         return "\n".join(lines) + "\n"
 
 
 _INTEGER_CELLS = (bool, np.bool_, int, np.integer)
 
 
-def _column_format(cell_type: type) -> str | None:
-    """The ``%`` format that prints a cell of this type as ``_format_cell``
-    does, if one does."""
-    if issubclass(cell_type, _INTEGER_CELLS):
+def _column_format(column: tuple) -> str | None:
+    """The one ``%`` format that prints every cell of ``column`` as
+    ``_format_cell`` does, if there is one."""
+    types = set(map(type, column))
+    if all(issubclass(t, _INTEGER_CELLS) for t in types):
         return "%d"
-    if issubclass(cell_type, (float, np.floating)):
+    if all(issubclass(t, (float, np.floating)) for t in types):
         return "%.9g"
     return None
 
@@ -554,6 +557,11 @@ class BeamPatternConfig:
             raise InfeasibleSpecError("segments exceed the array")
         if self.num_points < 2:
             raise InfeasibleSpecError("the angle grid needs at least two points")
+        if self.num_points + 2 > MAX_FLOAT64_ELEMENTS:
+            # a config error, not an infeasible experiment: numpy cannot size
+            # such a grid at all
+            raise ValueError(f"angle_points = {self.num_points} is too large: the angle grid "
+                             "does not fit one numpy array")
         if not all(0.0 < a < 180.0 for a in (*self.split_angles_deg, self.full_angle_deg)):
             raise InfeasibleSpecError("steering angles must lie strictly inside (0, 180) deg")
 

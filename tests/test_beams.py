@@ -1,5 +1,6 @@
 """Beam splitting: plan validation, segment precoders, beam patterns."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,30 @@ def test_group_plan_power_budget():
     two_user_plan(p1=1.0, p2=1.0, budget=2.0)
 
 
+def test_group_plan_is_immutable():
+    scheduling = np.array([[1], [1]])
+    alloc = np.array([[50], [78]])
+    power = np.array([[1.0], [1.0]])
+    plan = GroupPlan(scheduling, alloc, power, 2, 128, 2.0)
+    for name, value in (("bs_antennas", 64), ("max_power_w", 0.5),
+                        ("scheduling", np.zeros((2, 1), dtype=np.int64))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, value)
+    for table in (plan.scheduling, plan.antenna_alloc, plan.power_alloc):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    # the plan holds copies: what the caller does to its arrays later does not reach it
+    scheduling[1, 0] = 2
+    alloc[:] = 500
+    power[:] = -1.0
+    assert plan.scheduling.tolist() == [[1], [1]]
+    assert plan.antenna_alloc.tolist() == [[50], [78]]
+    assert plan.power_alloc.tolist() == [[1.0], [1.0]]
+    assert rf_chain_precoder(plan, 0, np.array([1.0, 2.0])).segment_map == (
+        (0, 0, 50), (1, 50, 78))
+
+
 def test_segment_layout_is_contiguous_ascending():
     plan = GroupPlan(
         scheduling=np.array([[1, 0], [0, 1], [1, 0]]),
@@ -161,6 +186,29 @@ def test_analog_precoder_validation():
         AnalogPrecoder(np.full(5, 0.5 + 0.0j), ((0, 0, 5),), 4)
     with pytest.raises(ValueError, match="modulus"):
         AnalogPrecoder(np.full(4, 0.3 + 0.0j), ((0, 0, 4),), 16)
+
+
+def test_analog_precoder_modulus_check_matches_allclose():
+    m_bs = 16
+    modulus = 1.0 / math.sqrt(m_bs)
+    tol = 1e-9 * modulus
+    # magnitudes a few ulps either side of both ends of the tolerance band
+    edges = [edge + k * math.ulp(edge) for edge in (modulus - tol, modulus + tol)
+             for k in range(-3, 4)]
+    odd = [math.nan, math.inf, -math.inf, complex(math.inf, math.nan),
+           complex(math.nan, 0.0), complex(0.0, math.inf), -modulus, 1j * modulus,
+           modulus * (0.6 + 0.8j)]
+    decisions = set()
+    for value in edges + odd:
+        w = np.array([modulus, value], dtype=np.complex128)
+        accepted = np.allclose(np.abs(w), modulus, rtol=1e-9, atol=0.0)
+        decisions.add(accepted)
+        if accepted:
+            AnalogPrecoder(w, ((0, 0, 2),), m_bs)
+        else:
+            with pytest.raises(ValueError, match="modulus"):
+                AnalogPrecoder(w, ((0, 0, 2),), m_bs)
+    assert decisions == {True, False}
 
 
 def test_analog_precoder_embedded_zero_pads_idle_antennas():

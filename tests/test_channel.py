@@ -7,6 +7,7 @@ import pytest
 
 from multibeam_noma.channel import (
     CARRIER_HZ,
+    MAX_FLOAT64_ELEMENTS,
     MIN_USER_DISTANCE_M,
     NLOS_EXTRA_LOSS_DB,
     SPEED_OF_LIGHT,
@@ -24,6 +25,7 @@ from multibeam_noma.channel import (
     spawn_state_words,
     user_rng,
     user_uniforms,
+    _responses,
 )
 from test_kernels import assert_same_bits
 
@@ -138,6 +140,22 @@ def test_channel_matrix_matches_per_path_oracle_bit_for_bit():
                                  oracle_array_response(m_bs, ch.aods[-1]))
 
 
+@pytest.mark.parametrize("m", (1, 2, 3, 10, 127, 128, 255, 256))
+def test_mirrored_responses_match_the_full_exp_bit_for_bit(m):
+    # both ends of (0, pi), both neighbours of broadside, and random angles
+    rng = np.random.default_rng(m)
+    angles = np.concatenate(([1e-12, math.nextafter(math.pi / 2, 0.0), math.pi / 2,
+                              math.nextafter(math.pi / 2, 4.0), math.pi - 1e-12],
+                             rng.uniform(1e-12, math.pi - 1e-12, 60)))
+    ramp = (m - 1) / 2.0 - np.arange(m)
+    cos = np.array([math.cos(angle) for angle in angles])
+    full = np.exp(1j * ((ramp * math.pi) * cos[:, None]))
+    np.testing.assert_array_equal(_responses(m, angles).view(np.uint64), full.view(np.uint64))
+    for angle, row in zip(angles.tolist(), full):
+        np.testing.assert_array_equal(array_response(UlaConfig(m), angle).view(np.uint64),
+                                      row.view(np.uint64))
+
+
 def test_channel_matrix_names_the_first_bad_angle_in_path_order():
     # a per-path loop meets aoa_0, aod_0, aoa_1, aod_1, ...
     ch = UserChannel([1.0, 0.5, 0.5], [0.7, 4.0, 1.0], [1.0, 1.2, -1.0],
@@ -232,6 +250,12 @@ def test_scenario_validation():
         ScenarioConfig(num_users=0)
     with pytest.raises(ValueError):
         ScenarioConfig(num_nlos_paths=-1)
+    # a user draws 4 + 4 L float64 uniforms in one array, which numpy must size
+    largest = (MAX_FLOAT64_ELEMENTS - 4) // 4
+    ScenarioConfig(num_nlos_paths=largest)
+    for count in (largest + 1, 10 ** 18):
+        with pytest.raises(ValueError, match="num_nlos_paths = .* is too large"):
+            ScenarioConfig(num_nlos_paths=count)
     with pytest.raises(ValueError):
         ScenarioConfig(cell_radius_m=MIN_USER_DISTANCE_M / 2)
     with pytest.raises(ValueError):

@@ -40,10 +40,15 @@ def test_beampattern_process_writes_csv(tmp_path):
      "config error: trials must be at most 4294967296"),
     # an angle grid that no address space holds: numpy's allocation fails at once
     (("beampattern", "--config", "huge.cfg"), 3, "infeasible: out of memory: "),
+    # counts past numpy's index range: no array of that size can even be described
+    (("beampattern", "--config", "grid.cfg"), 2, "config error: angle_points = "),
+    (("effective", "--config", "paths.cfg"), 2, "config error: num_nlos_paths = "),
 ])
 def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, message):
     (tmp_path / "alloc.cfg").write_text("num_users = 2\nantenna_alloc = 128, 7\n")
     (tmp_path / "huge.cfg").write_text(f"angle_points = {10 ** 18}\n")
+    (tmp_path / "grid.cfg").write_text(f"angle_points = {10 ** 19}\n")
+    (tmp_path / "paths.cfg").write_text(f"num_nlos_paths = {10 ** 18}\n")
     proc = run_cli(tmp_path, *args, "--out", "x.csv")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

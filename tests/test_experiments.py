@@ -13,6 +13,7 @@ from multibeam_noma.asymptotic import (
 )
 from multibeam_noma.beams import PlanError, default_angle_grid
 from multibeam_noma.channel import (
+    MAX_FLOAT64_ELEMENTS,
     ScenarioConfig,
     UlaConfig,
     dbm_to_watt,
@@ -451,6 +452,17 @@ def test_csv_text_matches_per_cell_rules():
         SweepTable({}, ("a", "b"), [(1, 2.0), (3,)]).csv_text()
 
 
+def test_csv_text_takes_rows_as_lists():
+    header = ("m1", "value", "flag")
+    rows = [[4, 0.5, True], [8, 1e-12, False]]
+    text = SweepTable({"a": 1}, header, rows).csv_text()
+    assert text == "# a = 1\nm1,value,flag\n4,0.5,1\n8,1e-12,0\n"
+    assert text == SweepTable({"a": 1}, header, list(map(tuple, rows))).csv_text()
+    # a column that takes no one format is formatted cell by cell
+    mixed = [[1, 2.5], [2.5, np.int64(3)]]
+    assert SweepTable({}, ("x", "y"), mixed).csv_text() == "x,y\n1,2.5\n2.5,3\n"
+
+
 def test_write_table_uses_unix_newlines(tmp_path):
     table = SweepTable({"a": 1}, ("x",), [(1,)])
     out = tmp_path / "t.csv"
@@ -622,6 +634,13 @@ def test_beam_pattern_config_validation():
         BeamPatternConfig(split_lengths=(100, 100))
     with pytest.raises(InfeasibleSpecError, match="grid"):
         BeamPatternConfig(num_points=1)
+    # the grid holds num_points + 2 float64 values before its ends are cut,
+    # and numpy must be able to size it
+    largest = MAX_FLOAT64_ELEMENTS - 2
+    BeamPatternConfig(num_points=largest)
+    for count in (largest + 1, 10 ** 19):
+        with pytest.raises(ValueError, match="angle_points = .* is too large"):
+            BeamPatternConfig(num_points=count)
     for angles in ({"full_angle_deg": 200.0}, {"full_angle_deg": 0.0},
                    {"full_angle_deg": math.nan}, {"split_angles_deg": (70.0, 180.0)}):
         with pytest.raises(InfeasibleSpecError, match=r"\(0, 180\)"):
