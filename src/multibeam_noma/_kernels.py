@@ -28,19 +28,22 @@ Each distinct steering phase is computed once per call:
   the zero imaginary part; no float angle has a zero cosine, and
   ``pattern_mags`` returns magnitudes, which hide the sign of a zero.
   ``tests/test_kernels.py`` checks the identity directly, so a libm that
-  breaks it fails there.  ``_mirrored_exp`` applies it to the transmit
-  steering matrices of ``vhh_row`` and ``pattern_mags``, to the full-array
-  weights of ``experiments._full_array_gains`` and to the array responses
-  of ``channel._responses`` (so of ``array_response`` and both sides of
-  ``channel_matrix``), each with its own phase order.  The short segment
-  weights of ``segment_gains`` and the small M_UE-wide receive matrix of
-  ``vhh_row`` cost more to mirror than the exps it saves, and the
-  ``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not centred.
+  breaks it fails there.
 
-Each phase expression keeps its original association order, because the
-orders round differently: steering matrices use ``((±1j*π)*cos)*ramp``,
-segment and full-array weights ``((1j*π)*ramp)*cos``, array responses
-``1j*((ramp*π)*cos)``.
+``steering`` gives every other module its mirrored steering vectors: the
+array responses of ``channel._responses`` (so ``array_response`` and both
+sides of ``channel_matrix``), the full-array weights of
+``experiments._full_array_gains`` and the segment weights of
+``beams.segment_precoder``.  Two sites keep their own form.
+``_steering_conj``, the transmit side of ``vhh_row`` and the steering matrix
+of ``pattern_mags``, keeps its phase order ``((-1j*π)*cos)*ramp``: the
+beam-pattern golden holds an exact null of the full-array beam (60°, about
+-293 dB), whose value is rounding noise and depends on its bits.  The small
+M_UE-wide receive matrix of ``vhh_row`` is not mirrored: at M_UE = 10 the
+mirror saves no time, and ``steering``'s phase order would move the bits of
+every sweep's rows.  The short segment weights of ``segment_gains`` come
+from one exp over every segment, and the ``exp(-iπ cos m)`` ramps of
+``two_segment_sweep`` are not centred.
 
 A complex product depends on its layout, not only on its operands.
 numpy's complex multiply is not commutative in the last bit (x * y and
@@ -54,17 +57,6 @@ its 16384 elements differed from the per-trial ``(K, M)`` × ``(M,)``
 products, while the ``(T, 1, M)`` × ``(T, K, M)`` broadcast cannot reuse
 an operand and matches them.  Where the shapes can coincide (one row per
 trial), ``np.multiply`` is called as a function, which never reuses one.
-
-Nor does an array complex product round like a scalar one.  numpy's SIMD
-loop fuses one multiply with the add or subtract of each component, so
-``ar*br - ai*bi`` rounds once where Python's and numpy's scalar products
-round twice; 43772 of 100000 random products differed in the last bit
-(numpy 2.4.6).  A product by a real factor, promoted to complex, is not
-affected: one of the two products in each component is an exact zero.
-Where an array must hold the bits of scalar complex products, as in
-``effective.effective_closed_form``, the product is spelled in real
-arithmetic, ``ar*br - ai*bi`` and ``ar*bi + ai*br``, one rounding per
-operation.
 
 Callers look the kernels up on this module at call time
 (``_kernels.vhh_row(...)``), so a wrapper patched onto the module sees
@@ -106,6 +98,14 @@ def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
     return _mirrored_exp(-1j * math.pi * cos_angles[..., None] * ramp, m)
 
 
+def steering(cos_angles, m: int) -> np.ndarray:
+    """exp(iπ cos θ ((m - 1) / 2 - j)) for every cos θ in ``cos_angles`` (any
+    shape) and element j, on a new last axis: the array response of an
+    m-element ULA, from one exp of the left half of the ramp, mirrored."""
+    ramp = _centred_ramp(m)[:(m + 1) // 2]
+    return _mirrored_exp(1j * ((ramp * math.pi) * np.asarray(cos_angles)[..., None]), m)
+
+
 def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
             m_ue: int, m_bs: int) -> np.ndarray:
     """Row vector v^H H for a matched combiner v = a_UE(aoas[..., 0]) / sqrt(M_UE).
@@ -118,6 +118,7 @@ def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
     the BLAS (or no-BLAS) routine of a single row's call on every row, so
     each row keeps the bits of its own ``(gains * rx) @ steering``.
     """
+    # the receive matrix is not mirrored (module notes)
     a_ue = np.exp(1j * math.pi * np.cos(aoas)[..., None] * _centred_ramp(m_ue))
     v = a_ue[..., 0, :] / math.sqrt(m_ue)
     rx = (a_ue @ v.conj()[..., :, None])[..., 0]

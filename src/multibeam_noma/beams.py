@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .channel import UlaConfig, array_response
 
 
@@ -50,7 +51,7 @@ class GroupPlan:
         u, m, p = self.scheduling, self.antenna_alloc, self.power_alloc
         if u.ndim != 2 or m.shape != u.shape or p.shape != u.shape:
             raise PlanError("scheduling, antenna and power tables must share a K x N_RF shape")
-        if not np.isin(u, (0, 1)).all():
+        if not ((u == 0) | (u == 1)).all():
             raise PlanError("scheduling entries must be 0 or 1")
         if (u.sum(axis=1) > 1).any():
             raise PlanError("a user may be scheduled on at most one RF chain")
@@ -128,9 +129,7 @@ def segment_precoder(seg_len: int, steer_angle: float, bs_antennas: int) -> np.n
         raise ValueError(f"segment of {seg_len} antennas exceeds the {bs_antennas}-element array")
     if not 0.0 < steer_angle < math.pi:
         raise ValueError(f"steering angle must lie in (0, pi), got {steer_angle}")
-    m = np.arange(seg_len)
-    phase = ((seg_len - 1) / 2.0 - m) * math.pi * math.cos(steer_angle)
-    return np.exp(1j * phase) / math.sqrt(bs_antennas)
+    return _kernels.steering(np.cos(steer_angle), seg_len) / math.sqrt(bs_antennas)
 
 
 def segment_layout(plan: GroupPlan, rf_index: int) -> tuple[tuple[int, int, int], ...]:

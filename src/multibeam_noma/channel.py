@@ -152,48 +152,23 @@ def _check_angles(angles: np.ndarray) -> None:
         raise ValueError(f"angle must lie in (0, pi), got {angles[np.argmin(inside)]}")
 
 
-def _math_cos(angles: np.ndarray) -> np.ndarray:
-    """``math.cos`` of each of ``angles`` (1-D), as an array.  The plan path
-    takes its cosines from ``math.cos``, so that its array forms keep the
-    bits of their one-angle forms, ``array_response`` among them."""
-    return np.array(list(map(math.cos, angles.tolist())), dtype=np.float64)
-
-
 def _responses(num_antennas: int, angles: np.ndarray) -> np.ndarray:
-    """``array_response`` toward each of ``angles`` (1-D), one row each, from
-    one exp of the left half of the ramp, mirrored (``_kernels`` module
-    notes).  The phase keeps the order ``(ramp * pi) * cos`` and the cosines
-    come from ``math.cos``, so each row has the bits of its own call."""
-    ramp = _kernels._centred_ramp(num_antennas)[:(num_antennas + 1) // 2]
-    return _kernels._mirrored_exp(1j * ((ramp * math.pi) * _math_cos(angles)[:, None]),
-                                  num_antennas)
+    """``array_response`` toward each of ``angles`` (1-D), one row each."""
+    return _kernels.steering(np.cos(angles), num_antennas)
 
 
 def channel_matrix(channel: UserChannel) -> np.ndarray:
     """Materialize the M_UE x M_BS matrix: sum of rank-one path contributions.
 
-    Path l contributes ``gain_l * outer(a_UE(aoa_l), conj(a_BS(aod_l)))``, and
-    the contributions are added in path order, starting from zero.  Both
-    products are ``np.multiply`` calls with the operands in that order, so
-    numpy's complex multiply, which is not commutative in the last bit, sees
-    each pair as the one-path form ``gain * np.outer(rx, tx_conj)`` does; both
-    write into the terms' own slabs, and only the leading zero slab is
-    filled.  The sum is one reduction over the leading path axis of a float64
-    view, which numpy runs as one element-wise add per path: the view keeps at
-    least two values per path, so the reduction never becomes numpy's
-    pairwise sum along a single axis.
+    Path l contributes ``gain_l * outer(a_UE(aoa_l), conj(a_BS(aod_l)))``;
+    the sum over paths is one matrix product of the gain-weighted receive
+    responses with the conjugated transmit responses.
     """
     # checked path by path, aoa before aod: aoa_0, aod_0, aoa_1, ...
     _check_angles(np.stack((channel.aoas, channel.aods), axis=-1).ravel())
     rx = _responses(channel.ue_config.num_antennas, channel.aoas)
     tx_conj = _responses(channel.bs_config.num_antennas, channel.aods).conj()
-    terms = np.empty((1 + len(channel.gains), rx.shape[1], tx_conj.shape[1]),
-                     dtype=np.complex128)
-    terms[0] = 0.0
-    paths = terms[1:]
-    np.multiply(rx[:, :, None], tx_conj[:, None, :], out=paths)
-    np.multiply(channel.gains[:, None, None], paths, out=paths)
-    return np.add.reduce(terms.view(np.float64), axis=0).view(np.complex128)
+    return (channel.gains[:, None] * rx).T @ tx_conj
 
 
 def los_gain_magnitude(distance_m: float) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .beams import AnalogPrecoder, GroupPlan, rf_chain_precoder, segment_layout, user_combiner
-from .channel import UserChannel, _math_cos
+from .channel import UserChannel
 
 # Below this, sin(x) is treated as zero and the kernel takes its limit.
 # Angles live in (0, pi), so |x| < pi and the only reachable zero is x = 0.
@@ -62,16 +62,7 @@ def effective_closed_form(channel: UserChannel, plan: GroupPlan, rf_index: int,
     factor accounts for segments sitting off-center on the array; it
     disappears for a single full-array beam.
 
-    All (path, segment) terms are built as one array, with the value of the
-    scalar expression ``(((gain * norm) * rx) * D) * phase`` term by term:
-    the cosines come from ``math.cos``, and the factors are multiplied in
-    that order.  In a product by a real factor one of the two products in
-    each component is an exact zero, so numpy's array multiply gives it the
-    scalar bits.  The last product, by the complex phase, is spelled in real
-    arithmetic: numpy's array loop fuses a multiply and an add there, and
-    rounds once where a scalar product rounds twice (``_kernels`` notes).
-    The terms are summed in path-major, segment-minor order from 0j by one
-    sequential ``cumsum``; a pairwise ``np.sum`` would round differently.
+    All (path, segment) terms are built as one array and summed.
     """
     m_ue = channel.ue_config.num_antennas
     m_bs = plan.bs_antennas
@@ -79,19 +70,16 @@ def effective_closed_form(channel: UserChannel, plan: GroupPlan, rf_index: int,
     users, offsets, lengths = layout.T
     center = (m_bs - 1) / 2.0
     norm = 1.0 / math.sqrt(m_ue * m_bs)
-    cos_aods = _math_cos(channel.aods)[:, None]
-    cos_aoas = _math_cos(channel.aoas)
-    cos_steers = _math_cos(np.asarray(los_aods, dtype=np.float64)[users])
+    cos_aods = np.cos(channel.aods)[:, None]
+    cos_aoas = np.cos(channel.aoas)
+    cos_steers = np.cos(np.asarray(los_aods, dtype=np.float64)[users])
 
     rx = dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[0] - cos_aoas))
     x = 0.5 * math.pi * (cos_steers - cos_aods)
     c_seg = offsets + (lengths - 1) / 2.0 - center
     phase = np.exp(1j * math.pi * c_seg * cos_aods)
-    a = ((channel.gains * norm) * rx)[:, None] * dirichlet(lengths, x)
-    terms = np.zeros(1 + a.size, dtype=np.complex128)
-    terms[1:].real = (a.real * phase.real - a.imag * phase.imag).ravel()
-    terms[1:].imag = (a.real * phase.imag + a.imag * phase.real).ravel()
-    return complex(np.cumsum(terms)[-1])
+    terms = ((channel.gains * norm) * rx)[:, None] * dirichlet(lengths, x) * phase
+    return complex(terms.sum())
 
 
 def effective_asymptotic(los_gain: complex, m_ue: int, m_bs: int, m_user: int) -> complex:

@@ -353,15 +353,11 @@ def _full_array_gains(rows: np.ndarray, cos_aods: np.ndarray, m_bs: int) -> np.n
     """|v^H H w|^2 of each row of ``rows`` (..., M_BS) with a full-array beam
     matched to its own LOS, ``cos_aods`` (...).
 
-    The weights are ``segment_gains``' one-segment weights, phase order
-    ``((1j*π)*ramp)*cos``, built in one exp of the left half of the ramp
-    and mirrored (``_kernels`` module notes).  The stacked (1, M_BS) @
-    (M_BS, 1) matmul takes one BLAS dot per row, the ``row @ w`` of a
-    one-segment ``segment_gains`` call.
+    The weights are ``segment_gains``' one-segment weights.  The stacked
+    (1, M_BS) @ (M_BS, 1) matmul takes one BLAS dot per row, the ``row @ w``
+    of a one-segment ``segment_gains`` call.
     """
-    ramp = _kernels._centred_ramp(m_bs)[:(m_bs + 1) // 2]
-    w = (1.0 / math.sqrt(m_bs)) * _kernels._mirrored_exp(
-        1j * math.pi * ramp * cos_aods[..., None], m_bs)
+    w = (1.0 / math.sqrt(m_bs)) * _kernels.steering(cos_aods, m_bs)
     mags = _scalar_abs((rows[..., None, :] @ w[..., :, None])[..., 0, 0])
     return mags * mags
 
@@ -594,13 +590,12 @@ def run_beam_pattern(config: BeamPatternConfig = BeamPatternConfig(),
     mags = beam_pattern([rf_chain_precoder(split_plan, 0, split_aods),
                          rf_chain_precoder(full_plan, 0, full_aods)], angles)
 
-    # the floor keeps the dB columns finite at pattern nulls; np.maximum, like
-    # max(v, floor), passes a NaN through.  math.log10, not np.log10, which
-    # differs from it in the last bit of some values.
+    # the floor keeps the dB columns finite at pattern nulls; np.maximum
+    # passes a NaN through
     floor = 1e-20
-    db = 20.0 * np.array(list(map(math.log10, np.maximum(mags, floor).ravel().tolist())))
+    db = 20.0 * np.log10(np.maximum(mags, floor))
     header = ("angle_deg", "split_mag_db", "full_mag_db")
-    rows = list(zip(map(math.degrees, angles.tolist()), *db.reshape(mags.shape).tolist()))
+    rows = list(zip(map(math.degrees, angles.tolist()), *db.tolist()))
     meta = {
         "experiment": "beam_pattern",
         "bs_antennas": config.bs_antennas,

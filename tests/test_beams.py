@@ -69,9 +69,10 @@ def test_group_plan_rejects_shape_mismatch():
 
 
 def test_group_plan_rejects_bad_scheduling_entries():
-    with pytest.raises(PlanError, match="0 or 1"):
-        GroupPlan(np.array([[2], [1]]), np.array([[4], [4]]),
-                  np.array([[0.5], [0.5]]), 2, 16, 1.0)
+    for entry in (2, -1):
+        with pytest.raises(PlanError, match="0 or 1"):
+            GroupPlan(np.array([[entry], [1]]), np.array([[4], [4]]),
+                      np.array([[0.5], [0.5]]), 2, 16, 1.0)
 
 
 def test_group_plan_rejects_user_on_two_chains():

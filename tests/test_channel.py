@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from multibeam_noma import _kernels
 from multibeam_noma.channel import (
     CARRIER_HZ,
     MAX_FLOAT64_ELEMENTS,
@@ -127,15 +128,19 @@ def oracle_channel_matrix(channel):
     return h
 
 
-def test_channel_matrix_matches_per_path_oracle_bit_for_bit():
-    # (1, 1): one element per path, where numpy would sum a single axis pairwise
+def test_channel_matrix_matches_per_path_oracle_to_a_few_ulps():
+    # every entry sums one unit-modulus term per path, times its gain: the
+    # matrix product and the path-order sum differ by rounding only, a few
+    # ulps of sum(|gains|) (under 3 seen over 1680 channels, up to 101 paths)
+    eps = np.finfo(np.float64).eps
     for m_ue, m_bs in ((1, 128), (10, 128), (1, 127), (10, 127), (1, 1), (4, 1)):
         for num_nlos in (0, 1, 30):
             scenario = ScenarioConfig(num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs),
                                       ue_config=UlaConfig(m_ue))
             for seed in range(8):
                 ch = generate_user_channel(np.random.default_rng(seed), 40.0 + seed, scenario)
-                assert_same_bits(channel_matrix(ch), oracle_channel_matrix(ch))
+                bound = 8 * eps * np.abs(ch.gains).sum()
+                assert np.abs(channel_matrix(ch) - oracle_channel_matrix(ch)).max() <= bound
                 assert_same_bits(array_response(UlaConfig(m_bs), ch.aods[-1]),
                                  oracle_array_response(m_bs, ch.aods[-1]))
 
@@ -151,6 +156,9 @@ def test_mirrored_responses_match_the_full_exp_bit_for_bit(m):
     cos = np.array([math.cos(angle) for angle in angles])
     full = np.exp(1j * ((ramp * math.pi) * cos[:, None]))
     np.testing.assert_array_equal(_responses(m, angles).view(np.uint64), full.view(np.uint64))
+    # the kernel takes any shape of cosines and adds the element axis last
+    np.testing.assert_array_equal(_kernels.steering(cos.reshape(5, 13), m).view(np.uint64),
+                                  full.reshape(5, 13, m).view(np.uint64))
     for angle, row in zip(angles.tolist(), full):
         np.testing.assert_array_equal(array_response(UlaConfig(m), angle).view(np.uint64),
                                       row.view(np.uint64))

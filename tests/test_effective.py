@@ -22,7 +22,6 @@ from multibeam_noma.effective import (
     effective_direct,
     tdma_effective_gain,
 )
-from test_kernels import assert_same_bits
 
 
 def los_only(gain, aod, aoa, m_ue, m_bs):
@@ -149,14 +148,14 @@ def oracle_dirichlet(m, x):
     return float(out)
 
 
-def oracle_closed_form(channel, plan, rf_index, los_aods):
-    """One scalar expression per (path, segment), summed in that order from 0j."""
+def oracle_closed_form_terms(channel, plan, rf_index, los_aods):
+    """One scalar expression per (path, segment), in that order."""
     m_ue = channel.ue_config.num_antennas
     m_bs = plan.bs_antennas
     center = (m_bs - 1) / 2.0
     cos_aoa0 = math.cos(channel.aoas[0])
     norm = 1.0 / math.sqrt(m_ue * m_bs)
-    total = 0.0 + 0.0j
+    terms = []
     for gain, aod, aoa in channel.paths:
         rx = oracle_dirichlet(m_ue, 0.5 * math.pi * (cos_aoa0 - math.cos(aoa)))
         cos_aod = math.cos(aod)
@@ -164,8 +163,8 @@ def oracle_closed_form(channel, plan, rf_index, los_aods):
             x = 0.5 * math.pi * (math.cos(los_aods[user]) - cos_aod)
             c_seg = offset + (length - 1) / 2.0 - center
             phase = np.exp(1j * math.pi * c_seg * cos_aod)
-            total += gain * norm * rx * oracle_dirichlet(length, x) * phase
-    return complex(total)
+            terms.append(complex(gain * norm * rx * oracle_dirichlet(length, x) * phase))
+    return terms
 
 
 def random_plan(rng, k, m_bs):
@@ -184,7 +183,11 @@ def random_plan(rng, k, m_bs):
     return GroupPlan(scheduling, alloc, np.zeros((k, 3)), k, m_bs, 1.0)
 
 
-def test_closed_form_matches_per_term_oracle_bit_for_bit():
+def test_closed_form_matches_per_term_oracle_to_a_few_ulps():
+    # the array sum and the per-term sum in path-major order from 0j differ by
+    # rounding only, a few ulps of the summed term magnitudes (under 5 seen
+    # over about 28000 random (user, chain) pairs)
+    eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(14)
     for k in (1, 2, 5, 9, 12):
         for num_nlos in (0, 1, 30):
@@ -192,14 +195,16 @@ def test_closed_form_matches_per_term_oracle_bit_for_bit():
                 channels = [random_channel(rng, m_ue, m_bs, num_nlos) for _ in range(k)]
                 aods = np.array([ch.aods[0] for ch in channels])
                 plan = random_plan(rng, k, m_bs)
-                got, want = [], []
+                got = []
                 for ch in channels:
                     for r in range(plan.num_chains):
-                        got.append(effective_closed_form(ch, plan, r, aods))
-                        want.append(oracle_closed_form(ch, plan, r, aods))
+                        value = effective_closed_form(ch, plan, r, aods)
+                        terms = oracle_closed_form_terms(ch, plan, r, aods)
+                        bound = 8 * eps * sum(map(abs, terms))
+                        assert abs(value - sum(terms, 0j)) <= bound
+                        got.append(value)
                 assert all(type(v) is complex for v in got)
                 assert got[2] == 0j   # the empty chain
-                assert_same_bits(np.array(got), np.array(want))
 
 
 def test_effective_asymptotic_reference_and_bounds():

@@ -599,7 +599,7 @@ def oracle_beam_pattern_rows(angles, split, full):
 
 
 @pytest.mark.parametrize("nulls", [False, True])
-def test_run_beam_pattern_rows_match_per_row_oracle_bit_for_bit(monkeypatch, nulls):
+def test_run_beam_pattern_rows_match_per_row_oracle_within_4_ulp(monkeypatch, nulls):
     pattern_mags = _kernels.pattern_mags
     seen = []
 
@@ -621,7 +621,15 @@ def test_run_beam_pattern_rows_match_per_row_oracle_bit_for_bit(monkeypatch, nul
     (mags,) = seen
     want = oracle_beam_pattern_rows(default_angle_grid(2048), mags[:, 0], mags[:, 1])
     assert all(type(c) is float for row in table.rows for c in row)
-    assert_same_bits(np.array(table.rows), np.array(want))
+    got, want = np.array(table.rows), np.array(want)
+    assert_same_bits(got[:, 0], want[:, 0])
+    # np.log10 may differ from math.log10 in the last bits (2 ulp at most
+    # seen); the floor cells (-400 dB) and a NaN are exact
+    exact = (mags < 1e-20) | np.isnan(mags)
+    assert exact.any() == nulls
+    assert_same_bits(got[:, 1:][exact], want[:, 1:][exact])
+    near = got[:, 1:][~exact] - want[:, 1:][~exact]
+    assert (np.abs(near) <= 4 * np.spacing(np.abs(want[:, 1:][~exact]))).all()
     assert math.isnan(table.rows[5][2]) == nulls
 
 

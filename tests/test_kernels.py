@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multibeam_noma import _kernels, experiments
-from multibeam_noma.beams import segment_precoder, user_combiner
+from multibeam_noma.beams import GroupPlan, rf_chain_precoder, segment_precoder, user_combiner
 from multibeam_noma.channel import (
     ScenarioConfig,
     UlaConfig,
@@ -160,17 +160,16 @@ def test_steering_mirror_identity_holds_bit_for_bit():
 
 @pytest.mark.parametrize("lead", ((), (5,), (3, 4)))
 def test_mirrored_exp_matches_the_unmirrored_phases_bit_for_bit(lead):
-    # Both users of the mirror keep their own phase order: steering rows
-    # ((-1j*π)*cos)*ramp, full-array weights ((1j*π)*ramp)*cos.
+    # Both mirrored forms keep their own phase order: the conjugate steering
+    # rows ((-1j*π)*cos)*ramp and the steering vectors 1j*((ramp*π)*cos).
     rng = np.random.default_rng(19 + len(lead))
     for m in (1, 2, 3, 10, 127, 128, 256):
         cos = np.cos(rng.uniform(0.01, math.pi - 0.01, size=lead))
         ramp = (m - 1) / 2.0 - np.arange(m)
-        left = ramp[:(m + 1) // 2]
         assert_same_bits(_kernels._steering_conj(cos, m),
                          np.exp(-1j * math.pi * cos[..., None] * ramp))
-        assert_same_bits(_kernels._mirrored_exp(1j * math.pi * left * cos[..., None], m),
-                         np.exp(1j * math.pi * ramp * cos[..., None]))
+        assert_same_bits(_kernels.steering(cos, m),
+                         np.exp(1j * ((ramp * math.pi) * cos[..., None])))
 
 
 def test_vhh_row_matches_per_path_formula_bit_for_bit():
@@ -244,6 +243,25 @@ def test_segment_gains_over_rows_matches_per_row_formula_bit_for_bit():
                 per_segment = [oracle_segment_gains(r, cos_steers, offsets, lengths, m_bs)
                                for r in rows]
                 np.testing.assert_allclose(got, per_segment, rtol=1e-13, atol=0.0)
+
+
+def test_rf_chain_precoder_weights_are_the_segment_gains_weights_bit_for_bit():
+    # The plan path and the sweeps use one segment-weight formula: identity
+    # rows recover the weights segment_gains applies, one per antenna in use.
+    rng = np.random.default_rng(15)
+    for m_bs in (1, 2, 7, 33, 128, 256):
+        eye = np.eye(m_bs, dtype=np.complex128)
+        for _ in range(50):
+            k = int(rng.integers(1, min(m_bs, 6) + 1))
+            lengths = rng.multinomial(int(rng.integers(k, m_bs + 1)) - k, np.full(k, 1.0 / k)) + 1
+            plan = GroupPlan(np.ones((k, 1), dtype=np.int64), lengths[:, None],
+                             np.zeros((k, 1)), k, m_bs, 1.0)
+            los_aods = rng.uniform(1e-12, math.pi - 1e-12, size=k)
+            weights = rf_chain_precoder(plan, 0, los_aods).weights
+            offsets = np.cumsum(lengths) - lengths
+            applied = _kernels.segment_gains(eye, np.cos(los_aods), offsets, lengths, m_bs)
+            assert_same_bits(weights, applied[:lengths.sum()])
+            assert (applied[lengths.sum():] == 0.0).all()
 
 
 def test_segment_gains_rejects_segments_that_do_not_run_from_antenna_0():
