@@ -6,6 +6,13 @@ inner products of such rows with segment precoders, and sampling beam
 patterns over dense angle grids.  Each kernel is vectorized numpy, and its
 results are deterministic regardless of thread count.
 
+The antenna sweep builds no rows: ``two_segment_closed_form`` takes a
+block's paths as (T, K, 1 + L) arrays and gives every split-beam and
+full-array channel from the paper's Dirichlet-kernel closed form, with
+``dirichlet`` (shared with ``effective`` and the single-beam baseline of
+``rates``) and one ``steering`` grid per block.  ``two_segment_sweep`` is
+its row-path oracle in the tests.
+
 Each distinct steering phase is computed once per call:
 
 * ``segment_gains`` takes a trial's rows stacked as a ``(K, M_BS)`` array
@@ -34,7 +41,8 @@ Each distinct steering phase is computed once per call:
 array responses of ``channel._responses`` (so ``array_response`` and both
 sides of ``channel_matrix``), the full-array weights of
 ``experiments._full_array_gains`` and the segment weights of
-``beams.segment_precoder``.  Two sites keep their own form.
+``beams.segment_precoder``; it also builds the grid of
+``two_segment_closed_form``.  Two sites keep their own form.
 ``_steering_conj``, the transmit side of ``vhh_row`` and the steering matrix
 of ``pattern_mags``, keeps its phase order ``((-1j*π)*cos)*ramp``: the
 beam-pattern golden holds an exact null of the full-array beam (60°, about
@@ -56,7 +64,8 @@ repeated per row is such a product at T = 64, K = 2, M = 128, and 5386 of
 its 16384 elements differed from the per-trial ``(K, M)`` × ``(M,)``
 products, while the ``(T, 1, M)`` × ``(T, K, M)`` broadcast cannot reuse
 an operand and matches them.  Where the shapes can coincide (one row per
-trial), ``np.multiply`` is called as a function, which never reuses one.
+trial), ``np.multiply`` is called as a function, which never reuses one, or
+the temporary is the left operand, whose reuse keeps the operand order.
 
 Callers look the kernels up on this module at call time
 (``_kernels.vhh_row(...)``), so a wrapper patched onto the module sees
@@ -96,6 +105,22 @@ def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
     (any shape) and element j, on a new last axis."""
     ramp = _centred_ramp(m)[:(m + 1) // 2]
     return _mirrored_exp(-1j * math.pi * cos_angles[..., None] * ramp, m)
+
+
+# Below this, sin(x) is treated as zero and the kernel takes its limit.
+# Angles live in (0, pi), so |x| < pi and the only reachable zero is x = 0.
+DIRICHLET_EPS = 1e-9
+
+
+def dirichlet(m, x) -> np.ndarray | float:
+    """sin(m x) / sin(x), continued with its limit value m at x = 0.  ``m``
+    (integers) and ``x`` broadcast; a float comes back when both are scalars."""
+    x = np.asarray(x, dtype=np.float64)
+    denom = np.sin(x)
+    small = np.abs(denom) < DIRICHLET_EPS
+    safe = np.where(small, 1.0, denom)
+    out = np.where(small, np.asarray(m, dtype=np.float64), np.sin(m * x) / safe)
+    return out if out.ndim else float(out)
 
 
 def steering(cos_angles, m: int) -> np.ndarray:
@@ -184,6 +209,82 @@ def two_segment_sweep(rows: np.ndarray, cos_a: float | np.ndarray,
     seg_b = (inv * np.exp(1j * math.pi * 0.5 * (m2 - 1) * cos_b)
              * np.exp(1j * math.pi * cos_b * m1) * (pre_b[..., m_bs:] - pre_b[..., m1]))
     return seg_a + seg_b
+
+
+def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
+                            cos_a: float | np.ndarray, cos_b: float | np.ndarray,
+                            m1_values: np.ndarray, m_ue: int, m_bs: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Effective channels v^H H w from the paper's Dirichlet-kernel closed
+    form, for users with paths ``gains``, ``aods``, ``aoas`` (..., K, P) and
+    combiners matched to their own LOS arrival; no v^H H row is built.
+
+    Returns the (..., K, len(m1_values)) channels of every split
+    (m1, m_bs - m1) of a two-segment chain steered at ``cos_a`` then
+    ``cos_b`` (each of shape ``(...)``), the values ``two_segment_sweep``
+    takes from the rows, and the (..., K) channels of a full-array beam
+    steered at each user's own LOS departure (path 0).
+
+    Path l weighs in with w_l = g_l D(M_UE, κ_l) / sqrt(M_UE M_BS), and its
+    two segment terms are
+
+        w_l (e^{-iπ c_l m2/2} D(m1, x_a) + e^{iπ c_l m1/2} D(m2, x_b))
+
+    with c_l = cos(aod_l), x_a = π/2 (cos_a - c_l), x_b = π/2 (cos_b - c_l).
+    Writing D(m, x) = Im(e^{imx}) / sin x, with k_l = w_l / (2i sin x) over
+    the unmatched paths, e_a = e^{iπ cos_a m1/2}, e_b = e^{iπ cos_b m1/2},
+    p_l = e^{-iπ c_l M_BS/2} and q = e^{iπ cos_b M_BS/2}, the channel is
+
+        h(m1) = e_a Σ k_a p - conj(e_a) Σ k_a p e^{iπ c m1}
+                + conj(e_b) Σ k_b p q e^{iπ c m1} - e_b Σ k_b conj(p q)
+                + m1 e_a Σ' w p + m2 e_b Σ'' w
+
+    where Σ' and Σ'' run over the paths matched to segment a and b
+    (|sin x| < ``DIRICHLET_EPS``), which take the kernel's limit m with no
+    division and their phase at the steering angle.  The two sums over
+    e^{iπ c_l m1} are read at the split columns of one mirrored ``steering``
+    grid, from one stacked (2, P) @ (P, M_BS) product per user: P ⌈M_BS/2⌉
+    exps per user, whatever the number of splits.  Near the ``DIRICHLET_EPS``
+    edge the terms k_l are large and cancel, so the result there holds fewer
+    digits than a row product.  The full-array channel is
+    Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
+    """
+    m1 = np.asarray(m1_values, dtype=np.int64)
+    c = np.cos(aods)
+    cos_aoas = np.cos(aoas)
+    w = gains * ((1.0 / math.sqrt(m_ue * m_bs))
+                 * dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[..., :1] - cos_aoas)))
+    full = (w * dirichlet(m_bs, 0.5 * math.pi * (c[..., :1] - c))).sum(axis=-1)
+
+    cos_a = np.asarray(cos_a, dtype=np.float64)[..., None, None]
+    cos_b = np.asarray(cos_b, dtype=np.float64)[..., None, None]
+    sin_a = np.sin(0.5 * math.pi * (cos_a - c))
+    sin_b = np.sin(0.5 * math.pi * (cos_b - c))
+    match_a = np.abs(sin_a) < DIRICHLET_EPS
+    match_b = np.abs(sin_b) < DIRICHLET_EPS
+    # Each product below that takes a temporary of its own shape takes it
+    # on the left, where numpy's reuse of it keeps the operand order (module
+    # notes).  k_l = w_l / (2i sin x) of each unmatched path, 0 if matched:
+    k_a = np.where(match_a, 0.0, -0.5j * w / np.where(match_a, 1.0, sin_a))
+    k_b = np.where(match_b, 0.0, -0.5j * w / np.where(match_b, 1.0, sin_b))
+    p = np.exp((-0.5j * math.pi * m_bs) * c)                  # e^{-iπ c_l M/2}
+    q = np.exp((0.5j * math.pi * m_bs) * cos_b)               # e^{iπ cos_b M/2}
+    # Σ_l k_l p_l e^{iπ c_l m1} at every split: column M - 1 - m1 of the
+    # centred grid holds e^{iπ c_l (m1 - (M - 1)/2)}, and the fold makes up
+    # the difference, p_l e^{iπ c_l (M - 1)/2} = e^{-iπ c_l / 2}
+    fold = np.exp(-0.5j * math.pi * c)
+    folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
+    sums = (folded @ steering(c, m_bs))[..., m_bs - 1 - m1]
+    lin_a = (k_a * p).sum(axis=-1)[..., None]
+    lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
+    lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]
+    lim_b = np.where(match_b, w, 0.0).sum(axis=-1)[..., None]
+
+    e_a = np.exp((0.5j * math.pi) * (cos_a * m1))            # e^{iπ cos_a m1/2}
+    e_b = np.exp((0.5j * math.pi) * (cos_b * m1))
+    split = ((lin_a + m1 * lim_a) * e_a - np.conj(e_a) * sums[..., 0, :]
+             + np.conj(e_b) * sums[..., 1, :] + ((m_bs - m1) * lim_b - lin_b) * e_b)
+    return split, full
 
 
 def pattern_mags(weights: np.ndarray, cos_angles: np.ndarray) -> np.ndarray:

@@ -15,23 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+# the one Dirichlet kernel, shared with the antenna sweep's closed form and
+# the single-beam baseline; both names are re-exported from here
+from ._kernels import DIRICHLET_EPS, dirichlet  # noqa: F401
 from .beams import AnalogPrecoder, GroupPlan, rf_chain_precoder, segment_layout, user_combiner
 from .channel import UserChannel
-
-# Below this, sin(x) is treated as zero and the kernel takes its limit.
-# Angles live in (0, pi), so |x| < pi and the only reachable zero is x = 0.
-DIRICHLET_EPS = 1e-9
-
-
-def dirichlet(m, x) -> np.ndarray | float:
-    """sin(m x) / sin(x), continued with its limit value m at x = 0.  ``m``
-    (integers) and ``x`` broadcast; a float comes back when both are scalars."""
-    x = np.asarray(x, dtype=np.float64)
-    denom = np.sin(x)
-    small = np.abs(denom) < DIRICHLET_EPS
-    safe = np.where(small, 1.0, denom)
-    out = np.where(small, np.asarray(m, dtype=np.float64), np.sin(m * x) / safe)
-    return out if out.ndim else float(out)
 
 
 def effective_direct(channel: UserChannel, combiner: np.ndarray,

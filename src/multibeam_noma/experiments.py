@@ -6,14 +6,14 @@ evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
 the block size and however many worker threads ran it.  The antenna sweep
 takes blocks of ``TRIAL_BLOCK``: a block seeds all of its keys at once,
-draws every user's paths as arrays, builds all of its v^H H rows in one
-``vhh_row`` call and evaluates all of its trials along an array axis,
-split-beam sweep, full-array gains and threshold included, with no loop
-over trials or rows.  Those draws and rows are the ones of ``drop_users``
-and per-user ``vhh_row`` calls, bit for bit.  The power sweep still draws
-each trial through ``drop_users`` and makes one ``vhh_row`` call per user;
-after the rows, a trial is a few array operations and a loop over the
-baseline's multi-user clusters.
+draws every user's paths as arrays (the paths of ``drop_users``, bit for
+bit) and evaluates all of its trials along an array axis, split-beam sweep,
+full-array gains and threshold included, with no loop over trials.  Its
+channels come from the paper's Dirichlet-kernel closed form
+(``_kernels.two_segment_closed_form``), so it builds no v^H H row.  The
+power sweep still draws each trial through ``drop_users`` and makes one
+``vhh_row`` call per user; after the rows, a trial is a few array
+operations and a loop over the baseline's multi-user clusters.
 
 CSV files start with '# key = value' comment lines carrying the scenario,
 so each file can be recomputed in isolation.
@@ -121,14 +121,13 @@ def _pin_factor(mags: np.ndarray, gain_ratio: float) -> np.ndarray:
 def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
                 gain_ratio: float | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LOS gain magnitudes (T, K), LOS departure angles (T, K) and v^H H rows
-    (T, K, M_BS) of ``drop_users(scenario, t, gain_ratio)`` for every trial t
-    in [trial_lo, trial_hi).
+    """Path gains, AoDs and AoAs (T, K, 1 + L) of
+    ``drop_users(scenario, t, gain_ratio)`` for every trial t in
+    [trial_lo, trial_hi).
 
     Same streams, order and bits as ``drop_users``: each user's distance
     and paths come from the first 4 + 4 L draws of its ``user_rng``
-    stream, and the drop rules above sort and pin the users.  One
-    ``vhh_row`` call builds every row of the block.
+    stream, and the drop rules above sort and pin the users.
     """
     k = scenario.num_users
     _check_gain_ratio(k, gain_ratio)
@@ -139,9 +138,7 @@ def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
     gains, aods, aoas = (np.take_along_axis(a, order, axis=1) for a in (gains, aods, aoas))
     if gain_ratio is not None:
         gains[:, 1] *= _pin_factor(_scalar_abs(gains[..., 0]), gain_ratio)[:, None]
-    rows = _kernels.vhh_row(gains, aods, aoas, scenario.ue_config.num_antennas,
-                            scenario.bs_config.num_antennas)
-    return _scalar_abs(gains[..., 0]), np.ascontiguousarray(aods[..., 0]), rows
+    return gains, aods, aoas
 
 
 @dataclass(frozen=True)
@@ -365,11 +362,11 @@ def _full_array_gains(rows: np.ndarray, cos_aods: np.ndarray, m_bs: int) -> np.n
 def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     """Antenna-sweep results of trials [lo, hi): (hi - lo, splits, 6).
 
-    Every step takes the whole block: ``two_segment_sweep`` and the
-    full-array gains over the (trial, user) rows, the threshold over the
-    (trial, user) LOS magnitudes, and after them arithmetic that is
-    element-wise, or a sum over the two users, which rounds the same in any
-    order.
+    Every step takes the whole block: ``two_segment_closed_form`` gives the
+    split and full-array channels of every (trial, user) from its paths, the
+    threshold takes the (trial, user) LOS magnitudes, and after them the
+    arithmetic is element-wise, or a sum over the two users, which rounds
+    the same in any order.
     """
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
@@ -379,13 +376,16 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     p_user = scenario.max_power_w / 2.0
     rho = 1.0 / scenario.noise_w
 
-    mags, aods, rows = _draw_block(scenario, lo, hi, spec.gain_ratio)
-    cos_aods = np.cos(aods)
-    swept = _kernels.two_segment_sweep(rows, cos_aods[:, 0], cos_aods[:, 1], m1_values, m_bs)
+    gains, aods, aoas = _draw_block(scenario, lo, hi, spec.gain_ratio)
+    mags = _scalar_abs(gains[..., 0])
+    cos_los = np.cos(aods[..., 0])
+    swept, full = _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0],
+                                                   cos_los[:, 1], m1_values, m_ue, m_bs)
     # the C-contiguous (user, trial, split) layout that a per-trial loop
     # fills: numpy may take another complex-abs loop for a strided view
     h = np.ascontiguousarray(swept.transpose(1, 0, 2))
-    tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
+    full_mags = _scalar_abs(full)
+    tdma_gains = full_mags * full_mags
     threshold = min_antennas_for_superiority(mags, m_bs)
     out = np.empty((hi - lo, len(m1_values), 6))
     out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),

@@ -206,16 +206,22 @@ def test_block_draw_matches_drop_users_bit_for_bit(num_users, num_nlos, gain_rat
     scenario = ScenarioConfig(num_users=num_users, num_nlos_paths=num_nlos,
                               bs_config=UlaConfig(32), ue_config=UlaConfig(4), rng_seed=9)
     lo, hi = 61, 67
-    block = experiments._draw_block(scenario, lo, hi, gain_ratio)
+    gains, aods, aoas = experiments._draw_block(scenario, lo, hi, gain_ratio)
     for t in range(lo, hi):
-        for actual, expected in zip(block, dropped_arrays(scenario, t, gain_ratio)):
-            assert_same_bits(actual[t - lo], expected)
+        users = drop_users(scenario, t, gain_ratio)
+        for actual, name in ((gains, "gains"), (aods, "aods"), (aoas, "aoas")):
+            assert_same_bits(actual[t - lo], np.array([getattr(u, name) for u in users]))
+        mags, _, rows = dropped_arrays(scenario, t, gain_ratio)
+        assert_same_bits(experiments._scalar_abs(gains[t - lo, :, 0]), mags)
+        assert_same_bits(_kernels.vhh_row(gains[t - lo], aods[t - lo], aoas[t - lo],
+                                          4, 32), rows)
 
 
 def oracle_antenna_trials(spec, lo, hi):
-    """The antenna evaluator with one kernel call per trial: per-trial
-    ``two_segment_sweep``, a one-segment ``segment_gains`` call per user and
-    a 1-D threshold per trial, then the block arithmetic of the sweep."""
+    """The antenna evaluator on the row path, with one kernel call per trial:
+    the block's v^H H rows, per-trial ``two_segment_sweep``, a one-segment
+    ``segment_gains`` call per user and a 1-D threshold per trial, then the
+    block arithmetic of the sweep."""
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
@@ -226,8 +232,10 @@ def oracle_antenna_trials(spec, lo, hi):
     offsets = np.zeros(1, dtype=np.int64)
     lengths = np.full(1, m_bs, dtype=np.int64)
 
-    mags, aods, rows = experiments._draw_block(scenario, lo, hi, spec.gain_ratio)
-    cos_aods = np.cos(aods)
+    gains, aods, aoas = experiments._draw_block(scenario, lo, hi, spec.gain_ratio)
+    mags = experiments._scalar_abs(gains[..., 0])
+    rows = _kernels.vhh_row(gains, aods, aoas, m_ue, m_bs)
+    cos_aods = np.cos(aods[..., 0])
     n = hi - lo
     h = np.empty((2, n, len(m1_values)), dtype=np.complex128)
     tdma_gains = np.empty((n, 2))
@@ -254,9 +262,13 @@ def oracle_antenna_trials(spec, lo, hi):
     return out
 
 
-@pytest.mark.parametrize("m_bs,m_ue", [(128, 10), (64, 4), (32, 1)])
-@pytest.mark.parametrize("num_nlos", [0, 1, 3])
-def test_antenna_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_nlos):
+@pytest.mark.parametrize("m_bs,m_ue", [(256, 10), (128, 10), (64, 4), (32, 1)])
+@pytest.mark.parametrize("num_nlos", [0, 1, 3, 30])
+def test_antenna_evaluator_matches_per_trial_row_oracle(m_bs, m_ue, num_nlos):
+    # The evaluator takes its channels from the closed form and the oracle
+    # from the rows.  Columns 2-5 do not read the channels and keep their
+    # bits.  Column 0 (NOMA sum rate) holds to 1e-10 relative (5.9e-12 seen)
+    # and column 1 (TDMA rate) to 1e-14 (4.0e-16 seen).
     scenario = ScenarioConfig(num_users=2, num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs),
                               ue_config=UlaConfig(m_ue), rng_seed=17)
     all_splits = tuple(range(1, m_bs))
@@ -265,8 +277,11 @@ def test_antenna_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_
             spec = SweepSpec("antennas", scenario, 100, values, gain_ratio=gain_ratio)
             # a full block, and one of 36 trials
             for lo, hi in ((0, 64), (64, 100)):
-                assert_same_bits(experiments._antenna_trials(spec, lo, hi),
-                                 oracle_antenna_trials(spec, lo, hi))
+                got = experiments._antenna_trials(spec, lo, hi)
+                want = oracle_antenna_trials(spec, lo, hi)
+                assert_same_bits(got[..., 2:], want[..., 2:])
+                np.testing.assert_allclose(got[..., 0], want[..., 0], rtol=1e-10, atol=0)
+                np.testing.assert_allclose(got[..., 1], want[..., 1], rtol=1e-14, atol=0)
 
 
 def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):

@@ -10,9 +10,11 @@ from multibeam_noma.beams import GroupPlan, rf_chain_precoder, segment_precoder,
 from multibeam_noma.channel import (
     ScenarioConfig,
     UlaConfig,
+    UserChannel,
     draw_paths,
     generate_user_channel,
 )
+from multibeam_noma.effective import effective_direct
 
 
 def random_inputs(seed, num_paths=9):
@@ -332,3 +334,111 @@ def test_full_array_gains_match_per_row_segment_gains_bit_for_bit():
             assert_same_bits(got, want)
             # one trial's (K, M_BS) rows, as the power sweep passes them
             assert_same_bits(experiments._full_array_gains(rows[0], cos_aods[0], m_bs), want[0])
+
+
+
+def planted_paths(rng, num_nlos):
+    """Two users' paths as (2, 1 + L) arrays, LOS first.  The first NLOS
+    paths of each user sit on the closed form's special cases for a chain
+    steered at the two LOS departures: exactly on the other user's LOS
+    (x = 0), then |sin x| 1% below and 1% above ``DIRICHLET_EPS`` from its
+    own and from the other user's LOS; the rest are random."""
+    shape = (2, 1 + num_nlos)
+    gains = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    gains[:, 1:] *= 0.1
+    aods = rng.uniform(0.05, math.pi - 0.05, size=shape)
+    aoas = rng.uniform(0.05, math.pi - 0.05, size=shape)
+    for u in range(2):
+        cases = [(1 - u, 0.0)] + [(v, f * _kernels.DIRICHLET_EPS)
+                                  for f in (0.99, 1.01) for v in (u, 1 - u)]
+        for l, (v, sin_x) in enumerate(cases[:num_nlos], start=1):
+            aods[u, l] = math.acos(math.cos(aods[v, 0]) - 2.0 / math.pi * math.asin(sin_x))
+            if sin_x == 0.0:
+                aods[u, l] = aods[v, 0]
+    return gains, aods, aoas
+
+
+def closed_form_scale(gains, aods, aoas, m1_values, m_ue, m_bs):
+    """Σ|terms| of the closed form: Σ_l |w_l| (|D(m1, x_a)| + |D(m2, x_b)|)
+    per (user, split), and Σ_l |w_l| |D(M_BS, x_l)| per user."""
+    c, cos_aoas = np.cos(aods), np.cos(aoas)
+    w = np.abs(gains * _kernels.dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[:, :1] - cos_aoas)))
+    w /= math.sqrt(m_ue * m_bs)
+    m1 = np.asarray(m1_values)[:, None, None]
+    seg = (np.abs(_kernels.dirichlet(m1, 0.5 * math.pi * (c[0, 0] - c)))
+           + np.abs(_kernels.dirichlet(m_bs - m1, 0.5 * math.pi * (c[1, 0] - c))))
+    full = np.abs(_kernels.dirichlet(m_bs, 0.5 * math.pi * (c[:, :1] - c)))
+    return (w * seg).sum(axis=-1).T, (w * full).sum(axis=-1)
+
+
+@pytest.mark.parametrize("m_bs", (2, 3, 128, 256))
+@pytest.mark.parametrize("num_nlos", (0, 1, 30))
+def test_two_segment_closed_form_matches_direct_product_and_row_path(m_bs, num_nlos):
+    # Tolerances relative to the closed form's Σ|terms|.  Split channels:
+    # 1e-12 (4.5e-13 seen), or 1e-6 with paths planted 1% from the
+    # DIRICHLET_EPS edge, where the w / (2i sin x) terms of an unmatched path
+    # cancel and a matched path takes its phase at the steering angle (3.1e-7
+    # seen, at 256 elements).  Full-array channels: 1e-14 (2.6e-15 seen).
+    split_tol = 1e-6 if num_nlos > 1 else 1e-12
+    m_ue = 4
+    scenario = ScenarioConfig(num_users=2, num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs),
+                              ue_config=UlaConfig(m_ue))
+    full_plan = experiments.single_chain_plan(
+        ScenarioConfig(num_users=1, bs_config=UlaConfig(m_bs)), (m_bs,))
+    m1_values = np.unique([1, m_bs // 2, m_bs - 1])
+    rng = np.random.default_rng(31 + m_bs + num_nlos)
+    for _ in range(20):
+        gains, aods, aoas = planted_paths(rng, num_nlos)
+        cos_los = np.cos(aods[:, 0])
+        if num_nlos > 1:
+            # the planted paths 2 to 5 lie on their side of the edge
+            steer = cos_los[np.array([[0, 1, 0, 1], [1, 0, 1, 0]])]
+            sin_x = np.abs(np.sin(0.5 * math.pi * (steer - np.cos(aods[:, 2:6]))))
+            assert (sin_x[:, :2] < _kernels.DIRICHLET_EPS).all()
+            assert (sin_x[:, 2:] > _kernels.DIRICHLET_EPS).all()
+        split, full = _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[0],
+                                                       cos_los[1], m1_values, m_ue, m_bs)
+        assert split.shape == (2, len(m1_values)) and full.shape == (2,)
+        channels = [UserChannel(gains[u], aods[u], aoas[u], UlaConfig(m_ue), UlaConfig(m_bs))
+                    for u in range(2)]
+        combiners = [user_combiner(m_ue, aoas[u, 0]) for u in range(2)]
+        direct = np.array([[effective_direct(ch, v, rf_chain_precoder(
+            experiments.single_chain_plan(scenario, (m1, m_bs - m1)), 0, aods[:, 0]))
+            for m1 in m1_values.tolist()] for ch, v in zip(channels, combiners)])
+        direct_full = np.array([effective_direct(ch, v, rf_chain_precoder(
+            full_plan, 0, aods[u, :1])) for u, (ch, v) in enumerate(zip(channels, combiners))])
+        rows = _kernels.vhh_row(gains, aods, aoas, m_ue, m_bs)
+        row_split = _kernels.two_segment_sweep(rows, cos_los[0], cos_los[1], m1_values, m_bs)
+        row_full = np.array([_kernels.segment_gains(rows[u:u + 1], cos_los[u:u + 1],
+                                                    np.zeros(1, dtype=np.int64),
+                                                    np.full(1, m_bs), m_bs)[0]
+                             for u in range(2)])
+        scale, scale_full = closed_form_scale(gains, aods, aoas, m1_values, m_ue, m_bs)
+        for want in (direct, row_split):
+            assert (np.abs(split - want) <= split_tol * scale).all()
+        for want in (direct_full, row_full):
+            assert (np.abs(full - want) <= 1e-14 * scale_full).all()
+
+
+@pytest.mark.parametrize("m_bs", (32, 256))
+@pytest.mark.parametrize("num_paths", (1, 31, 200))
+def test_two_segment_closed_form_over_trials_matches_per_trial_calls_bit_for_bit(m_bs, num_paths):
+    # At 64 trials, 256 elements and every split, or at 200 paths, the
+    # block's (T, K, splits) and (T, K, P) products are large enough for
+    # numpy to reuse a temporary operand as their output.
+    rng = np.random.default_rng(40 + m_bs + num_paths)
+    all_splits = np.arange(1, m_bs, dtype=np.int64)
+    for t in (1, 7, 64):
+        shape = (t, 2, num_paths)
+        gains = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        aods = rng.uniform(0.05, math.pi - 0.05, size=shape)
+        aoas = rng.uniform(0.05, math.pi - 0.05, size=shape)
+        cos_los = np.cos(aods[..., 0])
+        for m1_values in (all_splits, all_splits[2::5]):
+            got = _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0],
+                                                   cos_los[:, 1], m1_values, 4, m_bs)
+            want = [_kernels.two_segment_closed_form(g, d, a, c[0], c[1], m1_values, 4, m_bs)
+                    for g, d, a, c in zip(gains, aods, aoas, cos_los)]
+            assert got[0].shape == (t, 2, len(m1_values)) and got[1].shape == (t, 2)
+            assert_same_bits(got[0], np.stack([split for split, _ in want]))
+            assert_same_bits(got[1], np.stack([full for _, full in want]))

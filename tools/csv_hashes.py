@@ -3,21 +3,22 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1336 CSVs.  After that section come
+all of them concatenated in that order: 1444 CSVs.  After that section come
 one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
-full-precision float64 values, and one line for all 1224 sweeps.  The CSV
+full-precision float64 values, and one line for all 1332 sweeps.  The CSV
 cells carry 9 significant digits, which hide most last-bit moves: equal CSV
 lines with unequal ``bits`` lines mean the bytes held and the bits did not.
 
 The matrix covers the antenna and power sweeps over seeds, user counts, NLOS
-path counts, array sizes (up to 256 elements for the antenna sweep), pinned
-gain ratios, explicit power-sweep antenna splits and trial counts on either
-side of multiples of 64, plus the CLI ``effective``, ``rates`` and
-``beampattern`` reports and both CLI sweeps at their default config.  The
-package is imported from the ``src`` directory next to this script, so a copy
-of the script run from another checkout hashes that checkout.  Every warning
-is raised as an error.  Two checkouts that produce the same CSV bytes print the same CSV
-lines, and the same ``bits`` lines if their sweeps hold the same bits.
+path counts, array sizes (up to 256 elements for the antenna sweep, which
+also runs every split at 30 NLOS paths), pinned gain ratios, explicit
+power-sweep antenna splits and trial counts on either side of multiples of
+64, plus the CLI ``effective``, ``rates`` and ``beampattern`` reports and
+both CLI sweeps at their default config.  The package is imported from the
+``src`` directory next to this script, so a copy of the script run from
+another checkout hashes that checkout.  Every warning is raised as an error.
+Two checkouts that produce the same CSV bytes print the same CSV lines, and
+the same ``bits`` lines if their sweeps hold the same bits.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ ARRAYS = ((128, 10), (64, 4), (32, 1))          # (M_BS, M_UE)
 # may reuse a temporary operand as the output.
 ANTENNA_ARRAYS = ARRAYS + ((256, 10),)
 ANTENNA_NLOS_PATHS = (0, 1, 3)
+# Antenna sweeps over every split, m1 = 1 .. M_BS - 1, with 30 NLOS paths: the
+# closed form then reads every column of its steering grid, for many paths.
+FULL_SWEEP_ARRAYS = ((128, 10), (256, 10))
+FULL_SWEEP_NLOS_PATHS = 30
 POWER_NLOS_PATHS = (0, 2, 30)
 POWER_USERS = (1, 2, 3, 5, 9)
 POWER_BUDGETS_DBM = (30.0, 34.0, 38.0, 42.0, 46.0)
@@ -86,6 +91,15 @@ def sweep_tables():
                         yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
                                f"nlos={num_nlos} ratio={ratio}",
                                experiments.run_antenna_sweep(spec))
+            for arrays in FULL_SWEEP_ARRAYS:
+                m_bs = arrays[0]
+                for ratio in RATIOS:
+                    spec = experiments.SweepSpec(
+                        "antennas", scenario(2, FULL_SWEEP_NLOS_PATHS, arrays, seed), trials,
+                        tuple(range(1, m_bs)), gain_ratio=ratio)
+                    yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
+                           f"nlos={FULL_SWEEP_NLOS_PATHS} ratio={ratio} every split",
+                           experiments.run_antenna_sweep(spec))
             for arrays in ARRAYS[:2]:
                 for num_users in POWER_USERS:
                     for num_nlos in POWER_NLOS_PATHS:
