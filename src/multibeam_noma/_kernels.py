@@ -1,17 +1,23 @@
 """Hot numeric kernels.
 
-The Monte Carlo sweeps spend almost all of their time in three places:
-collapsing a user's multipath channel into the combined row v^H H, taking
-inner products of such rows with segment precoders, and sampling beam
-patterns over dense angle grids.  Each kernel is vectorized numpy, and its
-results are deterministic regardless of thread count.
+The Monte Carlo sweeps spend most of their time building steering tables:
+the transmit rows of the combined channels v^H H in the power sweep
+(``vhh_row``) and the closed-form grid of the antenna sweep
+(``two_segment_closed_form``).  The power sweep then takes inner products of
+its rows with segment precoders (``segment_gains``), and the beam-pattern
+report samples patterns over dense angle grids (``pattern_mags``).  Each
+kernel is vectorized numpy, and its results are deterministic regardless of
+thread count.
 
 The antenna sweep builds no rows: ``two_segment_closed_form`` takes a
 block's paths as (T, K, 1 + L) arrays and gives every split-beam and
 full-array channel from the paper's Dirichlet-kernel closed form, with
 ``dirichlet`` (shared with ``effective`` and the single-beam baseline of
-``rates``) and one ``steering`` grid per block.  ``two_segment_sweep`` is
-its row-path oracle in the tests.
+``rates``) and one steering grid per block.  ``two_segment_sweep`` is its
+row-path oracle in the tests.  The receive side has one formula:
+``receive_kernel`` gives D(M_UE, κ_l) of every path, with no receive
+exponentials, for ``vhh_row``, ``two_segment_closed_form`` and
+``effective.effective_closed_form``.
 
 Each distinct steering phase is computed once per call:
 
@@ -22,36 +28,45 @@ Each distinct steering phase is computed once per call:
   builds each trial's phases once as a ``(T, 1, M_BS)`` array broadcast
   against its K rows.  ``vhh_row`` takes a block's paths as (T, K, 1 + L)
   arrays and builds every (trial, user) row in one call.
-* The centred element ramps are cached per array size (bounded, read-only).
+* The element ramps are cached per array size (bounded, read-only).
 * Steering matrices use the mirror identity.  The centred ramp
-  ``(M - 1) / 2 - j`` satisfies ``ramp[M - 1 - j] == -ramp[j]`` exactly, and
-  IEEE products are sign-symmetric, so the phase argument of column
-  ``M - 1 - j`` is that of column ``j`` with the imaginary part negated and
-  the real part still a signed zero.  Complex ``exp`` of ``±0 + iθ`` is
-  ``(cos θ, sin θ)`` with ``sin`` odd, so the right half of each steering
-  row is the mirrored conjugate of its left half, bit for bit.  Only the
-  first ``(M + 1) // 2`` columns are exponentiated.  The one exception is
-  cos θ = ±0, where every phase is +0 and the conjugate flips the sign of
-  the zero imaginary part; no float angle has a zero cosine, and
-  ``pattern_mags`` returns magnitudes, which hide the sign of a zero.
+  ``(M - 1) / 2 - j`` satisfies ``ramp[M - 1 - j] == -ramp[j]`` exactly, so
+  column ``M - 1 - j`` of a steering row is the conjugate of column ``j``.
+  Only the first ``(M + 1) // 2`` columns are computed, and ``_mirror``, the
+  one mirroring step, fills the rest from them.  For one exp per element
+  (``_mirrored_exp``) the mirror also gives the bits of the full exp: IEEE
+  products are sign-symmetric, so the phase argument of column ``M - 1 - j``
+  is that of column ``j`` with the imaginary part negated and the real part
+  still a signed zero, and complex ``exp`` of ``±0 + iθ`` is
+  ``(cos θ, sin θ)`` with ``sin`` odd.  The one exception is cos θ = ±0,
+  where every phase is +0 and the conjugate flips the sign of the zero
+  imaginary part; no float angle has a zero cosine, and ``pattern_mags``
+  returns magnitudes, which hide the sign of a zero.
   ``tests/test_kernels.py`` checks the identity directly, so a libm that
   breaks it fails there.
+* The sweeps' tables are two-level (``_table_steering``): each left-half
+  element is a coarse phase of its block of B columns times a fine phase of
+  its offset in the block, so an angle takes about 2 sqrt(M / 2) exps, not
+  M / 2 (16 instead of 64 at M = 128), and one complex product per element.
+  Its phases are reduced exactly modulo 2π before they are rounded, so the
+  table stays within a few ulps of the exact steering row at any M, where
+  one exp per element loses an ulp of the largest phase π (M - 1) / 2
+  (3.3e-14 at M = 128).  It builds the transmit rows of ``vhh_row`` and
+  the grid of ``two_segment_closed_form``.
 
-``steering`` gives every other module its mirrored steering vectors: the
-array responses of ``channel._responses`` (so ``array_response`` and both
-sides of ``channel_matrix``), the full-array weights of
-``experiments._full_array_gains`` and the segment weights of
-``beams.segment_precoder``; it also builds the grid of
-``two_segment_closed_form``.  Two sites keep their own form.
-``_steering_conj``, the transmit side of ``vhh_row`` and the steering matrix
-of ``pattern_mags``, keeps its phase order ``((-1j*π)*cos)*ramp``: the
-beam-pattern golden holds an exact null of the full-array beam (60°, about
--293 dB), whose value is rounding noise and depends on its bits.  The small
-M_UE-wide receive matrix of ``vhh_row`` is not mirrored: at M_UE = 10 the
-mirror saves no time, and ``steering``'s phase order would move the bits of
-every sweep's rows.  The short segment weights of ``segment_gains`` come
-from one exp over every segment, and the ``exp(-iπ cos m)`` ramps of
-``two_segment_sweep`` are not centred.
+``steering`` gives every other module its mirrored steering vectors, one
+exp per element: the array responses of ``channel._responses`` (so
+``array_response`` and both sides of ``channel_matrix``), the full-array
+weights of ``experiments._full_array_gains`` and the segment weights of
+``beams.segment_precoder``.  ``_steering_conj``, the steering matrix of
+``pattern_mags``, keeps its phase order ``((-1j*π)*cos)*ramp``.  Both stay
+off the two-level table because the beam-pattern golden holds an exact null
+of the full-array beam (60°, -293.07 dB) whose value is rounding noise and
+follows their bits: in a probe, building the matrix of ``pattern_mags``
+from the two-level table moved it to -292.00 dB, and building ``steering``
+from it too moved it to -283.53 dB.  The short segment weights of
+``segment_gains`` come from one exp over every segment, and the
+``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not centred.
 
 A complex product depends on its layout, not only on its operands.
 numpy's complex multiply is not commutative in the last bit (x * y and
@@ -88,16 +103,20 @@ def _centred_ramp(m: int) -> np.ndarray:
     return ramp
 
 
+def _mirror(out: np.ndarray, m: int) -> np.ndarray:
+    """Fill the right half of each m-element row of ``out`` (last axis) with
+    the mirrored conjugate of its first ``(m + 1) // 2`` columns (module
+    notes); returns ``out``."""
+    np.conjugate(out[..., :m // 2][..., ::-1], out=out[..., (m + 1) // 2:])
+    return out
+
+
 def _mirrored_exp(left_phases: np.ndarray, m: int) -> np.ndarray:
     """exp of a centred-ramp phase over m elements, given only the phases
-    of the first ``(m + 1) // 2`` elements (last axis of ``left_phases``):
-    the right half of each row is the mirrored conjugate of its left half
-    (module notes)."""
-    half = (m + 1) // 2
+    of the first ``(m + 1) // 2`` elements (last axis of ``left_phases``)."""
     out = np.empty(left_phases.shape[:-1] + (m,), dtype=np.complex128)
-    np.exp(left_phases, out=out[..., :half])
-    np.conjugate(out[..., :m // 2][..., ::-1], out=out[..., half:])
-    return out
+    np.exp(left_phases, out=out[..., :(m + 1) // 2])
+    return _mirror(out, m)
 
 
 def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
@@ -105,6 +124,56 @@ def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
     (any shape) and element j, on a new last axis."""
     ramp = _centred_ramp(m)[:(m + 1) // 2]
     return _mirrored_exp(-1j * math.pi * cos_angles[..., None] * ramp, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _table_ramps(m: int) -> tuple[np.ndarray, int, int]:
+    """Doubled phase ramps of ``_table_steering`` over m elements: the Q
+    coarse ramps m - 1 - 2 B q, then the B fine ramps -2 r, with B the
+    integer square root of the half width (m + 1) // 2 and Q = ceil(half / B)
+    (bounded cache, read-only)."""
+    half = (m + 1) // 2
+    b = math.isqrt(half)
+    q = -(-half // b)
+    ramps = np.concatenate(((m - 1) - 2.0 * b * np.arange(q), -2.0 * np.arange(b)))
+    ramps.setflags(write=False)
+    return ramps, q, b
+
+
+def _table_steering(cos_angles, m: int, conj: bool = False) -> np.ndarray:
+    """exp(±iπ cos θ ((m - 1) / 2 - j)) for every cos θ in ``cos_angles`` (any
+    shape) and element j, on a new last axis; the sign is - with ``conj``.
+
+    Element j = B q + r of the left half is the coarse phase of block q
+    times the fine phase of offset r, e^{±iπ c ((m-1)/2 - B q)} e^{∓iπ c r}:
+    one exp of Q + B phases per angle, about 2 sqrt(m / 2), and one complex
+    product per element.  The last block is cut at the half width, and the
+    mirror fills the right half (module notes).
+
+    Each phase is (π/2) x with x = ±c k for a doubled ramp k, reduced
+    exactly modulo 4 before it meets π: with c split into a 26-bit head and
+    its tail (Veltkamp), head · k and tail · k are exact for m <= 2**27, and
+    head · k - 4 rint(head · k / 4) is too.  So every phase lies within a
+    few ulps of 2π of its exact value however long the array, where one exp
+    per element rounds π c (m - 1) / 2 to an ulp of its own size.
+    """
+    ramps, q, b = _table_ramps(m)
+    c = np.asarray(cos_angles, dtype=np.float64)
+    if conj:
+        c = -c
+    t = c * 134217729.0                                       # 2**27 + 1
+    head = t - (t - c)
+    x = head[..., None] * ramps
+    x -= 4.0 * np.rint(0.25 * x)
+    x += (c - head)[..., None] * ramps
+    tables = np.exp((0.5j * math.pi) * x)
+    out = np.empty(c.shape + (m,), dtype=np.complex128)
+    # the product fills the first Q·B <= m columns in place (splitting the
+    # last axis into blocks is always a view); the columns past the half
+    # width are overwritten by the mirror
+    blocks = out[..., :q * b].reshape(c.shape + (q, b))
+    np.multiply(tables[..., :q, None], tables[..., None, q:], out=blocks)
+    return _mirror(out, m)
 
 
 # Below this, sin(x) is treated as zero and the kernel takes its limit.
@@ -131,6 +200,14 @@ def steering(cos_angles, m: int) -> np.ndarray:
     return _mirrored_exp(1j * ((ramp * math.pi) * np.asarray(cos_angles)[..., None]), m)
 
 
+def receive_kernel(aoas: np.ndarray, m_ue: int) -> np.ndarray:
+    """D(M_UE, π/2 (cos aoa_0 - cos aoa_l)) of every path l on the last axis
+    of ``aoas``: sqrt(M_UE) times the receive gain a_UE(aoa_l)^T v^* of a
+    combiner v = a_UE(aoa_0) / sqrt(M_UE) matched to path 0.  Real."""
+    cos_aoas = np.cos(aoas)
+    return dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[..., :1] - cos_aoas))
+
+
 def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
             m_ue: int, m_bs: int) -> np.ndarray:
     """Row vector v^H H for a matched combiner v = a_UE(aoas[..., 0]) / sqrt(M_UE).
@@ -138,19 +215,16 @@ def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
     The paths lie on the last axis of ``gains``, ``aods`` and ``aoas``
     (..., 1 + L); the rows come back as (..., M_BS), so one call takes a
     single user or a whole block of (trial, user) rows.  H is never
-    materialized: each path contributes its receive inner product times its
-    transmit steering row.  Both products are stacked matmuls, which run
-    the BLAS (or no-BLAS) routine of a single row's call on every row, so
-    each row keeps the bits of its own ``(gains * rx) @ steering``.
+    materialized: each path contributes its receive gain
+    D(M_UE, κ_l) / sqrt(M_UE) times its conjugate transmit steering row from
+    the two-level table.  The weighting is a stacked matmul, which runs the
+    BLAS (or no-BLAS) routine of a single row's call on every row, so each
+    row keeps the bits of its own ``(gains * rx) @ steering``.
     """
-    # the receive matrix is not mirrored (module notes)
-    a_ue = np.exp(1j * math.pi * np.cos(aoas)[..., None] * _centred_ramp(m_ue))
-    v = a_ue[..., 0, :] / math.sqrt(m_ue)
-    rx = (a_ue @ v.conj()[..., :, None])[..., 0]
-    # np.multiply, not ``gains * rx``: rx is a temporary of the product's
-    # shape, which numpy may reuse as the output (see the module notes)
-    weights = np.multiply(gains, rx)[..., None, :]
-    return (weights @ _steering_conj(np.cos(aods), m_bs))[..., 0, :]
+    rx = receive_kernel(aoas, m_ue) / math.sqrt(m_ue)
+    # rx is real, so numpy cannot reuse it as the complex product's output
+    weights = (gains * rx)[..., None, :]
+    return (weights @ _table_steering(np.cos(aods), m_bs, conj=True))[..., 0, :]
 
 
 def segment_gains(rows: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
@@ -242,18 +316,16 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     where Σ' and Σ'' run over the paths matched to segment a and b
     (|sin x| < ``DIRICHLET_EPS``), which take the kernel's limit m with no
     division and their phase at the steering angle.  The two sums over
-    e^{iπ c_l m1} are read at the split columns of one mirrored ``steering``
-    grid, from one stacked (2, P) @ (P, M_BS) product per user: P ⌈M_BS/2⌉
-    exps per user, whatever the number of splits.  Near the ``DIRICHLET_EPS``
-    edge the terms k_l are large and cancel, so the result there holds fewer
-    digits than a row product.  The full-array channel is
-    Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
+    e^{iπ c_l m1} are read at the split columns of one two-level steering
+    grid (``_table_steering``), from one stacked (2, P) @ (P, M_BS) product
+    per user: about 2 P sqrt(M_BS / 2) exps per user, whatever the number
+    of splits.  Near the ``DIRICHLET_EPS`` edge the terms k_l are large and
+    cancel, so the result there holds fewer digits than a row product.  The
+    full-array channel is Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
     """
     m1 = np.asarray(m1_values, dtype=np.int64)
     c = np.cos(aods)
-    cos_aoas = np.cos(aoas)
-    w = gains * ((1.0 / math.sqrt(m_ue * m_bs))
-                 * dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[..., :1] - cos_aoas)))
+    w = gains * ((1.0 / math.sqrt(m_ue * m_bs)) * receive_kernel(aoas, m_ue))
     full = (w * dirichlet(m_bs, 0.5 * math.pi * (c[..., :1] - c))).sum(axis=-1)
 
     cos_a = np.asarray(cos_a, dtype=np.float64)[..., None, None]
@@ -274,7 +346,7 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     # the difference, p_l e^{iπ c_l (M - 1)/2} = e^{-iπ c_l / 2}
     fold = np.exp(-0.5j * math.pi * c)
     folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
-    sums = (folded @ steering(c, m_bs))[..., m_bs - 1 - m1]
+    sums = (folded @ _table_steering(c, m_bs))[..., m_bs - 1 - m1]
     lin_a = (k_a * p).sum(axis=-1)[..., None]
     lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
     lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]

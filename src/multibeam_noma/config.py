@@ -33,7 +33,9 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_list(text: str, element: Callable):
+def _parse_list(text: str, element: Callable[[str], object], from_int: Callable[[int], object]):
+    """Comma form, each entry parsed by ``element``, or an inclusive integer
+    range, each value converted by ``from_int``."""
     if ":" in text:
         parts = [p.strip() for p in text.split(":")]
         if len(parts) not in (2, 3):
@@ -43,18 +45,16 @@ def _parse_list(text: str, element: Callable):
         step = _parse_int(parts[2]) if len(parts) == 3 else 1
         if step < 1:
             raise ConfigError("range step must be positive")
-        return tuple(element(v) for v in range(start, stop + 1, step))
+        return tuple(from_int(v) for v in range(start, stop + 1, step))
     return tuple(element(p.strip()) for p in text.split(",") if p.strip())
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return _parse_list(text, int)
+    return _parse_list(text, _parse_int, int)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        return tuple(float(v) for v in _parse_list(text, int))
-    return tuple(_parse_float(p.strip()) for p in text.split(",") if p.strip())
+    return _parse_list(text, _parse_float, float)
 
 
 KEY_PARSERS: dict[str, Callable[[str], object]] = {

@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 # the one Dirichlet kernel, shared with the antenna sweep's closed form and
-# the single-beam baseline; both names are re-exported from here
-from ._kernels import DIRICHLET_EPS, dirichlet  # noqa: F401
+# the single-beam baseline; both names are re-exported from here.  The receive
+# term D(M_UE, kappa) is the one of the sweeps' kernels too.
+from ._kernels import DIRICHLET_EPS, dirichlet, receive_kernel  # noqa: F401
 from .beams import AnalogPrecoder, GroupPlan, rf_chain_precoder, segment_layout, user_combiner
 from .channel import UserChannel
 
@@ -59,10 +60,9 @@ def effective_closed_form(channel: UserChannel, plan: GroupPlan, rf_index: int,
     center = (m_bs - 1) / 2.0
     norm = 1.0 / math.sqrt(m_ue * m_bs)
     cos_aods = np.cos(channel.aods)[:, None]
-    cos_aoas = np.cos(channel.aoas)
     cos_steers = np.cos(np.asarray(los_aods, dtype=np.float64)[users])
 
-    rx = dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[0] - cos_aoas))
+    rx = receive_kernel(channel.aoas, m_ue)
     x = 0.5 * math.pi * (cos_steers - cos_aods)
     c_seg = offsets + (lengths - 1) / 2.0 - center
     phase = np.exp(1j * math.pi * c_seg * cos_aods)

@@ -12,7 +12,9 @@ full-array gains and threshold included, with no loop over trials.  Its
 channels come from the paper's Dirichlet-kernel closed form
 (``_kernels.two_segment_closed_form``), so it builds no v^H H row.  The
 power sweep still draws each trial through ``drop_users`` and makes one
-``vhh_row`` call per user; after the rows, a trial is a few array
+``vhh_row`` call per user, whose row takes each path's receive gain from
+the Dirichlet kernel and its transmit steering from a two-level table of
+about 2 sqrt(M_BS / 2) exps; after the rows, a trial is a few array
 operations and a loop over the baseline's multi-user clusters.
 
 CSV files start with '# key = value' comment lines carrying the scenario,
@@ -148,10 +150,10 @@ class MonteCarloResult:
     trials: int
 
 
-# Trials per evaluator call.  At the paper's power-sweep sizes (5 users,
-# 30 NLOS paths, 128 antennas) a block's draws and rows take about 1 MB; the
-# steering temporaries of a block's vhh_row call hold T·K·(1+L)·M_BS complex
-# values, about 8 MB at two users and 31 paths.
+# Trials per evaluator call.  A block's largest temporary is the steering
+# grid of the antenna sweep's two_segment_closed_form, T·K·(1+L)·M_BS complex
+# values: about 8 MB at two users, 31 paths and 128 antennas.  The power
+# sweep draws and builds its rows one trial at a time.
 TRIAL_BLOCK = 64
 
 # Most trials a run takes: a trial index is one 32-bit word of its users'

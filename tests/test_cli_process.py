@@ -43,12 +43,22 @@ def test_beampattern_process_writes_csv(tmp_path):
     # counts past numpy's index range: no array of that size can even be described
     (("beampattern", "--config", "grid.cfg"), 2, "config error: angle_points = "),
     (("effective", "--config", "paths.cfg"), 2, "config error: num_nlos_paths = "),
+    # a non-integer entry of an integer list
+    (("sweep-antennas", "--config", "m1.cfg"), 2,
+     "config error: m1.cfg:1: expected an integer, got '30.5'"),
+    (("sweep-power", "--config", "split.cfg"), 2,
+     "config error: split.cfg:1: expected an integer, got 'x'"),
+    (("beampattern", "--config", "lengths.cfg"), 2,
+     "config error: lengths.cfg:1: expected an integer, got '0x1g'"),
 ])
 def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, message):
     (tmp_path / "alloc.cfg").write_text("num_users = 2\nantenna_alloc = 128, 7\n")
     (tmp_path / "huge.cfg").write_text(f"angle_points = {10 ** 18}\n")
     (tmp_path / "grid.cfg").write_text(f"angle_points = {10 ** 19}\n")
     (tmp_path / "paths.cfg").write_text(f"num_nlos_paths = {10 ** 18}\n")
+    (tmp_path / "m1.cfg").write_text("m1_values = 30.5,40\n")
+    (tmp_path / "split.cfg").write_text("antenna_alloc = 100,7,7,7,x\n")
+    (tmp_path / "lengths.cfg").write_text("split_lengths = 0x10,0x1g\n")
     proc = run_cli(tmp_path, *args, "--out", "x.csv")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

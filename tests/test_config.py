@@ -42,6 +42,16 @@ def test_range_errors():
         parse_config_text("m1_values = a:4")
 
 
+def test_integer_lists_parse_each_entry_as_an_integer_key_does():
+    cfg = parse_config_text("split_lengths = 0x10, 20\nantenna_alloc = 0o7,0b11,5")
+    assert cfg["split_lengths"] == (16, 20)
+    assert cfg["antenna_alloc"] == (7, 3, 5)
+    for line in ("m1_values = 30.5,40", "antenna_alloc = 100,7,7,7,x",
+                 "split_lengths = 1e2", "m1_values = 2, 3.0"):
+        with pytest.raises(ConfigError, match=":1: expected an integer, got '"):
+            parse_config_text(line)
+
+
 def test_comments_and_blank_lines():
     cfg = parse_config_text(
         """

@@ -90,7 +90,41 @@ def assert_same_bits(actual, expected):
     np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
+def oracle_table_steering(cos, m, sign):
+    """The two-level steering table of 1-D ``cos`` written out: the phases
+    (π/2) x of the coarse doubled ramps m - 1 - 2 B q and the fine ones -2 r,
+    with x = sign · c · k reduced modulo 4 from a Veltkamp split of c, their
+    exps, the outer product cut to the half width, then the mirrored
+    conjugate."""
+    half = (m + 1) // 2
+    b = math.isqrt(half)
+    q = -(-half // b)
+    c = sign * cos
+    t = c * 134217729.0
+    head = t - (t - c)
+
+    def table(ramps):
+        x = head[:, None] * ramps
+        x = x - 4.0 * np.rint(0.25 * x)
+        return np.exp((0.5j * math.pi) * (x + (c - head)[:, None] * ramps))
+
+    coarse = table((m - 1) - 2.0 * b * np.arange(q))
+    fine = table(-2.0 * np.arange(b))
+    left = (coarse[:, :, None] * fine[:, None, :]).reshape(len(cos), q * b)[:, :half]
+    return np.concatenate((left, left[:, :m // 2][:, ::-1].conj()), axis=1)
+
+
 def oracle_vhh_row(gains, aods, aoas, m_ue, m_bs):
+    """v^H H path by path: the Dirichlet receive gain of each path times its
+    conjugate transmit row from the two-level table."""
+    cos_aoas = np.cos(aoas)
+    rx = _kernels.dirichlet(m_ue, 0.5 * math.pi * (cos_aoas[0] - cos_aoas)) / math.sqrt(m_ue)
+    return (gains * rx) @ oracle_table_steering(np.cos(aods), m_bs, -1)
+
+
+def legacy_vhh_row(gains, aods, aoas, m_ue, m_bs):
+    """v^H H with one exp per receive and transmit element: the receive
+    gains a_UE @ v^*, then the full conjugate transmit rows."""
     ramp_ue = (m_ue - 1) / 2.0 - np.arange(m_ue)
     a_ue = np.exp(1j * math.pi * np.cos(aoas)[:, None] * ramp_ue[None, :])
     v = a_ue[0] / math.sqrt(m_ue)
@@ -98,6 +132,17 @@ def oracle_vhh_row(gains, aods, aoas, m_ue, m_bs):
     ramp_bs = (m_bs - 1) / 2.0 - np.arange(m_bs)
     tx_conj = np.exp(-1j * math.pi * np.cos(aods)[:, None] * ramp_bs[None, :])
     return (gains * rx) @ tx_conj
+
+
+def assert_near_legacy_row(row, gains, aods, aoas, m_ue, m_bs):
+    """The one-exp formula agrees to 8 ulps of Σ_l |g_l| (M_UE + |rx_l| π M_BS / 2):
+    its transmit rows round each phase to an ulp of the phase, up to
+    π (M_BS - 1) / 2, and its receive gains sum M_UE terms (3.8 of those
+    ulps seen, at one element)."""
+    rx = _kernels.receive_kernel(aoas, m_ue) / math.sqrt(m_ue)
+    scale = (np.abs(gains) * (m_ue + np.abs(rx) * (math.pi * m_bs / 2))).sum(axis=-1)
+    gap = np.abs(row - legacy_vhh_row(gains, aods, aoas, m_ue, m_bs))
+    assert (gap <= 8 * np.finfo(np.float64).eps * scale).all()
 
 
 def oracle_segment_gains(row, cos_steers, offsets, lengths, m_bs):
@@ -141,7 +186,7 @@ def random_rows(rng, k, m_bs):
     rows = []
     for _ in range(k):
         gains, aods, aoas = random_inputs(int(rng.integers(1 << 30)), num_paths=7)
-        rows.append(oracle_vhh_row(gains, aods, aoas, 4, m_bs))
+        rows.append(legacy_vhh_row(gains, aods, aoas, 4, m_bs))
     return np.stack(rows)
 
 
@@ -174,13 +219,77 @@ def test_mirrored_exp_matches_the_unmirrored_phases_bit_for_bit(lead):
                          np.exp(1j * ((ramp * math.pi) * cos[..., None])))
 
 
+TABLE_SIZES = (1, 2, 3, 7, 33, 64, 127, 128, 256, 512)
+
+
+def table_cosines(seed, n=2000):
+    """Cosines ±1, ±0 and ±5e-324, then n random ones in (-1, 1)."""
+    edges = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]
+    return np.concatenate((edges, np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)))
+
+
+def steering_errors(tables, cos, m, sign):
+    """Largest error of a real or imaginary part of each of ``tables``
+    against e^{sign iπ c ((m-1)/2 - j)} evaluated in long double."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    ramp = (m - 1) / 2.0 - np.arange(m)
+    phase = (sign * pi) * cos.astype(np.longdouble)[:, None] * ramp.astype(np.longdouble)
+    re, im = np.cos(phase), np.sin(phase)
+    return [float(max(np.abs(t.real - re).max(), np.abs(t.imag - im).max())) for t in tables]
+
+
+def test_table_steering_matches_its_formula_and_mirror_bit_for_bit():
+    cos = table_cosines(23)
+    for m in TABLE_SIZES:
+        for conj, sign in ((False, 1.0), (True, -1.0)):
+            got = _kernels._table_steering(cos, m, conj)
+            assert got.shape == (len(cos), m)
+            assert_same_bits(got, oracle_table_steering(cos, m, sign))
+            # the right half is the mirrored conjugate of the left half
+            j = np.arange(m // 2)
+            assert_same_bits(got[:, m - 1 - j], got[:, j].conj())
+
+
+@pytest.mark.parametrize("lead", ((), (5,), (3, 4), (64, 2, 31)))
+def test_table_steering_over_leading_axes_matches_per_angle_calls_bit_for_bit(lead):
+    rng = np.random.default_rng(24 + len(lead))
+    sizes = (33, 128) if len(lead) == 3 else TABLE_SIZES
+    for m in sizes:
+        cos = rng.uniform(-1.0, 1.0, size=lead)
+        if cos.size >= 6:
+            cos.flat[:6] = table_cosines(0, n=0)
+        for conj in (False, True):
+            got = _kernels._table_steering(cos, m, conj)
+            assert got.shape == lead + (m,)
+            want = np.array([_kernels._table_steering(c, m, conj) for c in cos.ravel()])
+            assert_same_bits(got, want.reshape(lead + (m,)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+def test_table_steering_is_no_less_accurate_than_one_exp_per_element():
+    # One exp per element rounds π c ((m-1)/2 - j) to an ulp of the phase
+    # (3.3e-14 at 128 elements); the table reduces its phases modulo 2π
+    # exactly first, which leaves a few ulps of 1 (3.2 seen, 7.1e-16).
+    cos = table_cosines(25)
+    for m in TABLE_SIZES:
+        for conj, sign in ((False, 1.0), (True, -1.0)):
+            one_exp = np.exp(1j * (((sign * math.pi) * cos)[:, None]
+                                   * ((m - 1) / 2.0 - np.arange(m))))
+            table = _kernels._table_steering(cos, m, conj)
+            table_error, one_exp_error = steering_errors((table, one_exp), cos, m, sign)
+            assert table_error <= one_exp_error
+            assert table_error <= 6 * np.finfo(np.float64).eps
+
+
 def test_vhh_row_matches_per_path_formula_bit_for_bit():
     for seed, m_bs in enumerate(SIZES):
         for num_paths in (1, 4, 31):
             gains, aods, aoas = random_inputs(100 + seed, num_paths)
             for m_ue in (1, 4, 10):
-                assert_same_bits(_kernels.vhh_row(gains, aods, aoas, m_ue, m_bs),
-                                 oracle_vhh_row(gains, aods, aoas, m_ue, m_bs))
+                row = _kernels.vhh_row(gains, aods, aoas, m_ue, m_bs)
+                assert_same_bits(row, oracle_vhh_row(gains, aods, aoas, m_ue, m_bs))
+                assert_near_legacy_row(row, gains, aods, aoas, m_ue, m_bs)
 
 
 @pytest.mark.parametrize("lead", ((), (5,), (3, 2)))
@@ -190,7 +299,7 @@ def test_vhh_row_over_leading_axes_matches_per_row_calls_bit_for_bit(lead):
     # whatever the stack holds.
     rng = np.random.default_rng(18 + len(lead))
     cases = [(lead, num_paths, m_ue, m_bs) for num_paths in (1, 2, 4, 31)
-             for m_ue in (1, 4, 10) for m_bs in (1, 2, 7, 32, 128, 256, 512)]
+             for m_ue in (1, 4, 10) for m_bs in (1, 2, 7, 32, 33, 128, 256, 512)]
     # a block whose (..., P, M_BS) temporaries pass 256 KiB, where numpy may
     # reuse a temporary operand as a product's output
     cases.append(((64, 2), 4, 4, 512))
@@ -206,6 +315,8 @@ def test_vhh_row_over_leading_axes_matches_per_row_calls_bit_for_bit(lead):
         for row_of in (_kernels.vhh_row, oracle_vhh_row):
             want = np.array([row_of(g, d, a, m_ue, m_bs) for g, d, a in per_row])
             assert_same_bits(got, want.reshape(shape + (m_bs,)))
+        for (g, d, a), row in zip(per_row, got.reshape(-1, m_bs)):
+            assert_near_legacy_row(row, g, d, a, m_ue, m_bs)
 
 
 def test_pattern_mags_matches_full_exp_matrix_bit_for_bit():

@@ -3,20 +3,21 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1444 CSVs.  After that section come
+all of them concatenated in that order: 1822 CSVs.  After that section come
 one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
-full-precision float64 values, and one line for all 1332 sweeps.  The CSV
+full-precision float64 values, and one line for all 1710 sweeps.  The CSV
 cells carry 9 significant digits, which hide most last-bit moves: equal CSV
 lines with unequal ``bits`` lines mean the bytes held and the bits did not.
 
 The matrix covers the antenna and power sweeps over seeds, user counts, NLOS
-path counts, array sizes (up to 256 elements for the antenna sweep, which
-also runs every split at 30 NLOS paths), pinned gain ratios, explicit
-power-sweep antenna splits and trial counts on either side of multiples of
-64, plus the CLI ``effective``, ``rates`` and ``beampattern`` reports and
-both CLI sweeps at their default config.  The package is imported from the
-``src`` directory next to this script, so a copy of the script run from
-another checkout hashes that checkout.  Every warning is raised as an error.
+path counts, array sizes (an odd one, 33 elements, in both sweeps, and up to
+256 elements for the antenna sweep, which also runs every split at 30 NLOS
+paths), pinned gain ratios, explicit power-sweep antenna splits and trial
+counts on either side of multiples of 64, plus the CLI ``effective``,
+``rates`` and ``beampattern`` reports and both CLI sweeps at their default
+config.  The package is imported from the ``src`` directory next to this
+script, so a copy of the script run from another checkout hashes that
+checkout.  Every warning is raised as an error.
 Two checkouts that produce the same CSV bytes print the same CSV lines, and
 the same ``bits`` lines if their sweeps hold the same bits.
 """
@@ -42,7 +43,11 @@ ARRAYS = ((128, 10), (64, 4), (32, 1))          # (M_BS, M_UE)
 # The antenna sweep also runs a 256-element array, so that its block-sized
 # products, the (T, K, M_BS) rows included, pass the 256 KiB at which numpy
 # may reuse a temporary operand as the output.
-ANTENNA_ARRAYS = ARRAYS + ((256, 10),)
+# Both sweeps also run an odd array, whose steering tables have a centre
+# column that the mirror keeps and, at 33 elements, a last block of the
+# two-level table cut short (17 left-half columns in blocks of 4).
+ODD_ARRAYS = ((33, 3),)
+ANTENNA_ARRAYS = ARRAYS + ((256, 10),) + ODD_ARRAYS
 ANTENNA_NLOS_PATHS = (0, 1, 3)
 # Antenna sweeps over every split, m1 = 1 .. M_BS - 1, with 30 NLOS paths: the
 # closed form then reads every column of its steering grid, for many paths.
@@ -50,6 +55,10 @@ FULL_SWEEP_ARRAYS = ((128, 10), (256, 10))
 FULL_SWEEP_NLOS_PATHS = 30
 POWER_NLOS_PATHS = (0, 2, 30)
 POWER_USERS = (1, 2, 3, 5, 9)
+# (arrays, user counts) of the power sweeps at their default split, which
+# fits at most 5 users on 33 elements
+POWER_ARRAYS = (tuple((arrays, POWER_USERS) for arrays in ARRAYS[:2])
+                + tuple((arrays, POWER_USERS[:4]) for arrays in ODD_ARRAYS))
 POWER_BUDGETS_DBM = (30.0, 34.0, 38.0, 42.0, 46.0)
 RATIOS = (None, 5.0, 1.5)
 # (arrays, num_users, num_nlos_paths, antenna_alloc) of power sweeps with an
@@ -100,8 +109,8 @@ def sweep_tables():
                     yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
                            f"nlos={FULL_SWEEP_NLOS_PATHS} ratio={ratio} every split",
                            experiments.run_antenna_sweep(spec))
-            for arrays in ARRAYS[:2]:
-                for num_users in POWER_USERS:
+            for arrays, user_counts in POWER_ARRAYS:
+                for num_users in user_counts:
                     for num_nlos in POWER_NLOS_PATHS:
                         spec = experiments.SweepSpec(
                             "power", scenario(num_users, num_nlos, arrays, seed), trials,
