@@ -22,12 +22,13 @@ exponentials, for ``vhh_row``, ``two_segment_closed_form`` and
 Each distinct steering phase is computed once per call:
 
 * ``segment_gains`` takes a trial's rows stacked as a ``(K, M_BS)`` array
-  and weighs them all with one matvec against its segment weights, which
-  come from one exp.  ``two_segment_sweep`` takes the rows of a whole
-  block of trials, ``(T, K, M_BS)``, with one steering pair per trial, and
-  builds each trial's phases once as a ``(T, 1, M_BS)`` array broadcast
-  against its K rows.  ``vhh_row`` takes a block's paths as (T, K, 1 + L)
-  arrays and builds every (trial, user) row in one call.
+  and weighs each with one dot against its ``segment_weights``: one set for
+  every row (the power sweep's split beam) or one per row (its full-array
+  TDMA beams, one segment each).  ``two_segment_sweep`` takes the rows of a
+  whole block of trials, ``(T, K, M_BS)``, with one steering pair per
+  trial, and builds each trial's phases once as a ``(T, 1, M_BS)`` array
+  broadcast against its K rows.  ``vhh_row`` takes a block's paths as
+  (T, K, 1 + L) arrays and builds every (trial, user) row in one call.
 * The element ramps are cached per array size (bounded, read-only).
 * Steering matrices use the mirror identity.  The centred ramp
   ``(M - 1) / 2 - j`` satisfies ``ramp[M - 1 - j] == -ramp[j]`` exactly, so
@@ -54,19 +55,25 @@ Each distinct steering phase is computed once per call:
   (3.3e-14 at M = 128).  It builds the transmit rows of ``vhh_row`` and
   the grid of ``two_segment_closed_form``.
 
-``steering`` gives every other module its mirrored steering vectors, one
-exp per element: the array responses of ``channel._responses`` (so
-``array_response`` and both sides of ``channel_matrix``), the full-array
-weights of ``experiments._full_array_gains`` and the segment weights of
-``beams.segment_precoder``.  ``_steering_conj``, the steering matrix of
+Split-beam weights have one formula, ``segment_weights``: contiguous
+segments end to end, each steered at one user, all from one exp with the
+phase order ``((1j*π)*ramp)*cos``.  It gives the weights of
+``segment_gains`` and of ``beams.segment_precoder`` and
+``beams.rf_chain_precoder``, so the plan path's precoders, the beam
+patterns and the power sweep's split and TDMA beams share their bits.  No
+mirror: a segment's ramp is centred on the segment, not on the array.
+
+``steering`` gives ``channel._responses`` its mirrored array responses, one
+exp per element (so ``array_response`` and both sides of
+``channel_matrix``).  ``_steering_conj``, the steering matrix of
 ``pattern_mags``, keeps its phase order ``((-1j*π)*cos)*ramp``.  Both stay
 off the two-level table because the beam-pattern golden holds an exact null
 of the full-array beam (60°, -293.07 dB) whose value is rounding noise and
-follows their bits: in a probe, building the matrix of ``pattern_mags``
-from the two-level table moved it to -292.00 dB, and building ``steering``
-from it too moved it to -283.53 dB.  The short segment weights of
-``segment_gains`` come from one exp over every segment, and the
-``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not centred.
+follows the bits of the pattern's steering matrix and weights: in a probe,
+building the matrix of ``pattern_mags`` from the two-level table moved it
+to -292.00 dB, and building the precoder weights from it too moved it to
+-283.53 dB.  The ``exp(-iπ cos m)`` ramps of ``two_segment_sweep`` are not
+centred.
 
 A complex product depends on its layout, not only on its operands.
 numpy's complex multiply is not commutative in the last bit (x * y and
@@ -227,28 +234,41 @@ def vhh_row(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
     return (weights @ _table_steering(np.cos(aods), m_bs, conj=True))[..., 0, :]
 
 
+def segment_weights(cos_steers, lengths, m_bs: int) -> np.ndarray:
+    """Constant-modulus weights of contiguous segments, end to end: segment
+    s holds its n = ``lengths[s]`` weights
+    (1/sqrt(M_BS)) exp(iπ c_s ((n - 1) / 2 - j)), steered at
+    c_s = ``cos_steers[..., s]``.
+
+    Steering cosines of shape (..., S) give (..., sum(lengths)) weights, one
+    weight vector per row.  Every weight comes from one exp: the phases are
+    element-wise, so each keeps the bits of its own segment's
+    ((1j*π)*ramp)*cos.  No segments give an empty array.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ramps = np.concatenate([np.zeros(0), *map(_centred_ramp, lengths.tolist())])
+    cos = np.repeat(np.asarray(cos_steers, dtype=np.float64), lengths, axis=-1)
+    return (1.0 / math.sqrt(m_bs)) * np.exp(1j * math.pi * ramps * cos)
+
+
 def segment_gains(rows: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
                   lengths: np.ndarray, m_bs: int) -> np.ndarray:
-    """Effective channel of each row of ``rows`` (K, M_BS) under one
-    multi-segment precoder; returns K complex gains.
+    """Effective channel of each row of ``rows`` (..., M_BS) under a
+    multi-segment precoder steered at ``cos_steers``, one (S,) precoder for
+    every row or one (..., S) per row; returns the (...) complex gains.
 
     The segments run contiguously from antenna 0, as on one RF chain:
-    ``offsets`` must be the running sum of ``lengths``.  All segment weights
-    come from one exp, and each row takes one BLAS dot with them over the
-    used antennas, so a row's result does not depend on which other rows
-    share the call.
+    ``offsets`` must be the running sum of ``lengths``.  Each row takes one
+    BLAS dot with its ``segment_weights`` over the used antennas, so a row's
+    result does not depend on which other rows share the call.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if not np.array_equal(offsets, np.cumsum(lengths) - lengths):
         raise ValueError("segment offsets must be the running sum of their lengths from 0")
-    ramps = np.concatenate([_centred_ramp(n) for n in lengths.tolist()])
-    # every segment's weight in one exp: the phases are element-wise, so
-    # each keeps the bits of its own segment's ((1j*π)*ramp)*cos
-    w = (1.0 / math.sqrt(m_bs)) * np.exp(
-        1j * math.pi * ramps * np.repeat(np.asarray(cos_steers, dtype=np.float64), lengths))
+    w = segment_weights(cos_steers, lengths, m_bs)
     # a stacked (1, used) @ (used, 1) matmul: one BLAS dot per row, the bits
     # of that row's own ``row[:used] @ w``
-    return (rows[..., None, :len(w)] @ w[:, None])[..., 0, 0]
+    return (rows[..., None, :w.shape[-1]] @ w[..., None])[..., 0, 0]
 
 
 def two_segment_sweep(rows: np.ndarray, cos_a: float | np.ndarray,

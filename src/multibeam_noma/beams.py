@@ -3,6 +3,9 @@
 Each scheduled user gets a contiguous block of antennas steered at its LOS
 departure angle.  Phase shifters impose a constant modulus, so every weight
 has magnitude 1/sqrt(M_BS) regardless of how many antennas a block holds.
+The weights come from ``_kernels.segment_weights``, the formula the power
+sweep's ``segment_gains`` applies too, so a precoder here has the bits of
+the weights a sweep uses.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def segment_precoder(seg_len: int, steer_angle: float, bs_antennas: int) -> np.n
 
     The phase ramp is centered on the block itself, but the modulus is
     1/sqrt(M_BS): the phase-shifter network normalizes over the full array,
-    so shorter blocks really do radiate less power.
+    so shorter blocks really do radiate less power.  This is the
+    one-segment case of ``rf_chain_precoder``.
     """
     if seg_len < 1:
         raise ValueError("segment length must be positive")
@@ -129,7 +133,7 @@ def segment_precoder(seg_len: int, steer_angle: float, bs_antennas: int) -> np.n
         raise ValueError(f"segment of {seg_len} antennas exceeds the {bs_antennas}-element array")
     if not 0.0 < steer_angle < math.pi:
         raise ValueError(f"steering angle must lie in (0, pi), got {steer_angle}")
-    return _kernels.steering(np.cos(steer_angle), seg_len) / math.sqrt(bs_antennas)
+    return _kernels.segment_weights(np.cos([steer_angle]), [seg_len], bs_antennas)
 
 
 def segment_layout(plan: GroupPlan, rf_index: int) -> tuple[tuple[int, int, int], ...]:
@@ -145,16 +149,14 @@ def segment_layout(plan: GroupPlan, rf_index: int) -> tuple[tuple[int, int, int]
 
 
 def rf_chain_precoder(plan: GroupPlan, rf_index: int, los_aods: np.ndarray) -> AnalogPrecoder:
-    """Concatenate the scheduled users' segment precoders for one RF chain."""
+    """The scheduled users' segments of one RF chain, each steered at its
+    user's LOS departure in ``los_aods``."""
     if not 0 <= rf_index < plan.num_chains:
         raise ValueError(f"rf_index {rf_index} out of range")
     layout = segment_layout(plan, rf_index)
-    if layout:
-        weights = np.concatenate(
-            [segment_precoder(length, float(los_aods[k]), plan.bs_antennas) for k, _, length in layout]
-        )
-    else:
-        weights = np.zeros(0, dtype=np.complex128)
+    users = [k for k, _, _ in layout]
+    weights = _kernels.segment_weights(np.cos(np.asarray(los_aods, dtype=np.float64)[users]),
+                                       [length for _, _, length in layout], plan.bs_antennas)
     return AnalogPrecoder(weights, layout, plan.bs_antennas)
 
 

@@ -14,8 +14,13 @@ channels come from the paper's Dirichlet-kernel closed form
 power sweep still draws each trial through ``drop_users`` and makes one
 ``vhh_row`` call per user, whose row takes each path's receive gain from
 the Dirichlet kernel and its transmit steering from a two-level table of
-about 2 sqrt(M_BS / 2) exps; after the rows, a trial is a few array
-operations and a loop over the baseline's multi-user clusters.
+about 2 sqrt(M_BS / 2) exps.  After the rows, two ``segment_gains`` calls
+give the split-beam channels and the TDMA channels (the one-segment case:
+each row under a full-array beam steered at its own LOS), and the rest of a
+trial is a few array operations and a loop over the baseline's multi-user
+clusters.  ``run_beam_pattern`` builds its split and full-array precoders
+from ``single_chain_plan`` plans, so they carry the same
+``_kernels.segment_weights`` as the sweeps.
 
 CSV files start with '# key = value' comment lines carrying the scenario,
 so each file can be recomputed in isolation.
@@ -44,6 +49,7 @@ from .channel import (
     MAX_FLOAT64_ELEMENTS,
     MIN_USER_DISTANCE_M,
     ScenarioConfig,
+    UlaConfig,
     UserChannel,
     dbm_to_watt,
     draw_paths,
@@ -79,11 +85,11 @@ def drop_users(scenario: ScenarioConfig, trial_index: int = 0,
         rng = user_rng(scenario.rng_seed, trial_index, k)
         users.append(generate_user_channel(rng, float(_distances(rng.random(), scenario)),
                                            scenario))
-    mags = _scalar_abs(np.array([u.gains[0] for u in users]))
-    order = strongest_first(mags)
+    los = np.array([u.gains[0] for u in users])
+    order = strongest_first(_scalar_abs(los))
     users = [users[i] for i in order.tolist()]
     if gain_ratio is not None:
-        users[1] = users[1].scaled(float(_pin_factor(mags[order], gain_ratio)))
+        users[1] = users[1].scaled(float(_pin_factor(los[order], gain_ratio)))
     return users
 
 
@@ -114,10 +120,22 @@ def _distances(u, scenario: ScenarioConfig) -> np.ndarray:
     return np.sqrt(d_lo + (d_hi - d_lo) * u)
 
 
-def _pin_factor(mags: np.ndarray, gain_ratio: float) -> np.ndarray:
-    """Gain factor of the weaker of two users, strongest first, that makes
-    their LOS magnitude ratio exactly ``gain_ratio``."""
-    return mags[..., 0] / gain_ratio / mags[..., 1]
+def _pin_factor(los: np.ndarray, gain_ratio: float) -> np.ndarray:
+    """Gain factor of the weaker of two users with LOS gains ``los`` (..., 2),
+    strongest first, that makes their LOS magnitude ratio exactly
+    ``gain_ratio``.
+
+    A ratio so large that the weaker user's pinned LOS power |g|^2 is 0 in
+    float64 is infeasible: its channel, rates and asymptotic columns would
+    not be finite.
+    """
+    mags = _scalar_abs(los)
+    factor = mags[..., 0] / gain_ratio / mags[..., 1]
+    pinned = _scalar_abs(los[..., 1] * factor)
+    if not (pinned * pinned).all():
+        raise InfeasibleSpecError(f"gain ratio {gain_ratio:g} leaves the weaker user "
+                                  "no LOS power in float64")
+    return factor
 
 
 def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
@@ -139,7 +157,7 @@ def _draw_block(scenario: ScenarioConfig, trial_lo: int, trial_hi: int,
     order = strongest_first(_scalar_abs(gains[..., 0]))[..., None]
     gains, aods, aoas = (np.take_along_axis(a, order, axis=1) for a in (gains, aods, aoas))
     if gain_ratio is not None:
-        gains[:, 1] *= _pin_factor(_scalar_abs(gains[..., 0]), gain_ratio)[:, None]
+        gains[:, 1] *= _pin_factor(gains[..., 0], gain_ratio)[:, None]
     return gains, aods, aoas
 
 
@@ -348,19 +366,6 @@ def _scenario_meta(scenario: ScenarioConfig) -> dict:
     }
 
 
-def _full_array_gains(rows: np.ndarray, cos_aods: np.ndarray, m_bs: int) -> np.ndarray:
-    """|v^H H w|^2 of each row of ``rows`` (..., M_BS) with a full-array beam
-    matched to its own LOS, ``cos_aods`` (...).
-
-    The weights are ``segment_gains``' one-segment weights.  The stacked
-    (1, M_BS) @ (M_BS, 1) matmul takes one BLAS dot per row, the ``row @ w``
-    of a one-segment ``segment_gains`` call.
-    """
-    w = (1.0 / math.sqrt(m_bs)) * _kernels.steering(cos_aods, m_bs)
-    mags = _scalar_abs((rows[..., None, :] @ w[..., :, None])[..., 0, 0])
-    return mags * mags
-
-
 def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     """Antenna-sweep results of trials [lo, hi): (hi - lo, splits, 6).
 
@@ -462,7 +467,10 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
                          for c in channels])
         cos_aods = np.cos(aods)
         split_mags = _scalar_abs(_kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs))
-        tdma_gains = _full_array_gains(rows, cos_aods, m_bs)
+        # TDMA serves each user alone, the full array steered at its own LOS
+        full_mags = _scalar_abs(
+            _kernels.segment_gains(rows, cos_aods[:, None], [0], [m_bs], m_bs))
+        tdma_gains = full_mags * full_mags
         asym = _asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
         pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
         trial = out[t - lo]
@@ -490,6 +498,12 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     member cannot decode a weaker one's message), and the CSV does not say
     how many did.  At paper defaults about 0.3-0.4% of the audit's checks
     fail.  ``noma_sum_mean`` is likewise not audited.
+
+    ``baseline_sum_mean`` takes its beam gains from the LOS paths alone: a
+    cluster member's gain is |g|^2 M_UE D(M_BS, x)^2 / M_BS, from its LOS
+    gain g and the Dirichlet factor D of the cluster beam at its LOS
+    departure, and its NLOS paths are left out.  ``noma_sum_mean`` and
+    ``tdma_sum_mean`` take theirs from the v^H H rows, so every path counts.
     """
     scenario = spec.scenario
     alloc = spec.antenna_alloc
@@ -549,6 +563,8 @@ class BeamPatternConfig:
     def __post_init__(self) -> None:
         if len(self.split_lengths) != len(self.split_angles_deg):
             raise InfeasibleSpecError("one steering angle per segment is required")
+        if not self.split_lengths:
+            raise InfeasibleSpecError("the split beam needs at least one segment")
         if any(l < 1 for l in self.split_lengths):
             raise InfeasibleSpecError("segment lengths must be positive")
         if sum(self.split_lengths) > self.bs_antennas:
@@ -569,25 +585,15 @@ def run_beam_pattern(config: BeamPatternConfig = BeamPatternConfig(),
     """Gain over the angle grid for the split precoder and a full-array beam."""
     from .beams import beam_pattern, default_angle_grid
 
-    n_seg = len(config.split_lengths)
     angles = default_angle_grid(config.num_points)
-    split_plan = GroupPlan(
-        scheduling=np.ones((n_seg, 1), dtype=np.int64),
-        antenna_alloc=np.asarray(config.split_lengths, dtype=np.int64).reshape(n_seg, 1),
-        power_alloc=np.zeros((n_seg, 1)),
-        max_group_size=n_seg,
-        bs_antennas=config.bs_antennas,
-        max_power_w=1.0,
-    )
+    # one segment per "user" on one chain; the precoders ignore the powers
+    array = UlaConfig(config.bs_antennas)
+    split_plan = single_chain_plan(
+        ScenarioConfig(num_users=len(config.split_lengths), bs_config=array),
+        config.split_lengths)
+    full_plan = single_chain_plan(ScenarioConfig(num_users=1, bs_config=array),
+                                  (config.bs_antennas,))
     split_aods = np.radians(config.split_angles_deg)
-    full_plan = GroupPlan(
-        scheduling=np.ones((1, 1), dtype=np.int64),
-        antenna_alloc=np.full((1, 1), config.bs_antennas, dtype=np.int64),
-        power_alloc=np.zeros((1, 1)),
-        max_group_size=1,
-        bs_antennas=config.bs_antennas,
-        max_power_w=1.0,
-    )
     full_aods = np.array([math.radians(config.full_angle_deg)])
     mags = beam_pattern([rf_chain_precoder(split_plan, 0, split_aods),
                          rf_chain_precoder(full_plan, 0, full_aods)], angles)

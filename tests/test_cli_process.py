@@ -50,6 +50,12 @@ def test_beampattern_process_writes_csv(tmp_path):
      "config error: split.cfg:1: expected an integer, got 'x'"),
     (("beampattern", "--config", "lengths.cfg"), 2,
      "config error: lengths.cfg:1: expected an integer, got '0x1g'"),
+    # a gain ratio that leaves the weaker user's LOS power |g|^2 at 0 in float64
+    (("effective", "--config", "far.cfg", "--ratio", "1e300"), 3, "infeasible: gain ratio "),
+    (("rates", "--config", "far.cfg", "--ratio", "1e300"), 3, "infeasible: gain ratio "),
+    (("sweep-antennas", "--config", "far.cfg", "--ratio", "1e300", "--trials", "3"), 3,
+     "infeasible: gain ratio "),
+    (("sweep-antennas", "--ratio", "1e160", "--trials", "3"), 3, "infeasible: gain ratio "),
 ])
 def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, message):
     (tmp_path / "alloc.cfg").write_text("num_users = 2\nantenna_alloc = 128, 7\n")
@@ -59,6 +65,7 @@ def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, me
     (tmp_path / "m1.cfg").write_text("m1_values = 30.5,40\n")
     (tmp_path / "split.cfg").write_text("antenna_alloc = 100,7,7,7,x\n")
     (tmp_path / "lengths.cfg").write_text("split_lengths = 0x10,0x1g\n")
+    (tmp_path / "far.cfg").write_text("cell_radius_m = 1e100\n")
     proc = run_cli(tmp_path, *args, "--out", "x.csv")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

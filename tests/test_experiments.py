@@ -35,7 +35,7 @@ from multibeam_noma.experiments import (
     write_table,
 )
 from multibeam_noma.rates import equal_time_shares, noma_rates_from_gains
-from test_kernels import oracle_pattern_mags, oracle_segment_weights
+from test_kernels import oracle_full_array_gains, oracle_pattern_mags, oracle_segment_weights
 from test_rates import per_cluster_baseline
 
 TWO_USER_LOS = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=3)
@@ -87,6 +87,19 @@ def test_drop_users_ratio_guards():
             drop_users(TWO_USER_LOS, 0, ratio)
         with pytest.raises(ValueError, match="gain ratio must be finite"):
             experiments._draw_block(TWO_USER_LOS, 0, 2, ratio)
+    # the weaker user's pinned |g| falls below the square root of the least
+    # subnormal, so its LOS power |g|^2 is 0 in float64
+    far = ScenarioConfig(num_users=2, num_nlos_paths=3, cell_radius_m=1e100)
+    for scenario, ratio in ((TWO_USER_LOS, 1e160), (far, 1e300)):
+        with pytest.raises(InfeasibleSpecError, match="no LOS power"):
+            drop_users(scenario, 0, ratio)
+        with pytest.raises(InfeasibleSpecError, match="no LOS power"):
+            experiments._draw_block(scenario, 0, 64, ratio)
+    # a large ratio that keeps the power positive is pinned as usual
+    users = drop_users(TWO_USER_LOS, 0, 1e140)
+    gains, _, _ = experiments._draw_block(TWO_USER_LOS, 0, 1, 1e140)
+    los = abs(users[1].gains[0])
+    assert 0.0 < los * los and gains[0, 1, 0] == users[1].gains[0]
 
 
 def per_trial(fn):
@@ -306,7 +319,7 @@ def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):
         w = oracle_segment_weights(cos_aods, alloc, m_bs)
         h = np.array([row[:len(w)] @ w for row in rows])
         split_mags = experiments._scalar_abs(h)
-        tdma_gains = experiments._full_array_gains(rows, cos_aods, m_bs)
+        tdma_gains = oracle_full_array_gains(rows, cos_aods, m_bs)
         asym = experiments._asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
         pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
         trial = out[t - lo]
@@ -655,6 +668,8 @@ def test_beam_pattern_config_validation():
         BeamPatternConfig(split_lengths=(0, 50), split_angles_deg=(70.0, 90.0))
     with pytest.raises(InfeasibleSpecError, match="exceed"):
         BeamPatternConfig(split_lengths=(100, 100))
+    with pytest.raises(InfeasibleSpecError, match="at least one segment"):
+        BeamPatternConfig(split_lengths=(), split_angles_deg=())
     with pytest.raises(InfeasibleSpecError, match="grid"):
         BeamPatternConfig(num_points=1)
     # the grid holds num_points + 2 float64 values before its ends are cut,

@@ -162,6 +162,15 @@ def oracle_segment_weights(cos_steers, lengths, m_bs):
                            for c, n in zip(cos_steers, lengths)])
 
 
+def oracle_full_array_gains(rows, cos_aods, m_bs):
+    """|v^H H w|^2 of each row of ``rows`` (..., M_BS) under a full-array beam
+    steered at its own ``cos_aods`` (...): mirrored ``steering`` weights and
+    one stacked (1, M_BS) @ (M_BS, 1) matmul."""
+    w = (1.0 / math.sqrt(m_bs)) * _kernels.steering(cos_aods, m_bs)
+    mags = experiments._scalar_abs((rows[..., None, :] @ w[..., :, None])[..., 0, 0])
+    return mags * mags
+
+
 def oracle_two_segment_sweep(row, cos_a, cos_b, m1_values, m_bs):
     inv = 1.0 / math.sqrt(m_bs)
     m = np.arange(m_bs)
@@ -377,6 +386,45 @@ def test_rf_chain_precoder_weights_are_the_segment_gains_weights_bit_for_bit():
             assert (applied[lengths.sum():] == 0.0).all()
 
 
+def test_segment_weights_are_the_per_segment_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for m_bs in (1, 2, 7, 33, 128, 256):
+        for _ in range(20):
+            k = int(rng.integers(1, min(m_bs, 6) + 1))
+            lengths = rng.multinomial(int(rng.integers(k, m_bs + 1)) - k, np.full(k, 1.0 / k)) + 1
+            cos_steers = np.cos(rng.uniform(1e-12, math.pi - 1e-12, size=(3, k)))
+            got = _kernels.segment_weights(cos_steers, lengths, m_bs)
+            assert got.shape == (3, lengths.sum())
+            # one weight vector per row, each that of its own row's call
+            for row, c in zip(got, cos_steers):
+                assert_same_bits(row, oracle_segment_weights(c, lengths, m_bs))
+                assert_same_bits(_kernels.segment_weights(c, lengths, m_bs), row)
+            assert np.allclose(np.abs(got), 1.0 / math.sqrt(m_bs), rtol=1e-12, atol=0.0)
+    # no segments, no weights
+    for cos_steers, shape in (([], (0,)), (np.zeros((3, 0)), (3, 0))):
+        empty = _kernels.segment_weights(cos_steers, [], 8)
+        assert empty.shape == shape and empty.dtype == np.complex128
+
+
+def test_segment_gains_with_per_row_steering_matches_per_row_calls_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for m_bs in SIZES + (256,):
+        n_seg = min(3, m_bs)
+        cuts = np.sort(rng.choice(np.arange(1, m_bs), size=n_seg - 1, replace=False))
+        full = np.diff(np.concatenate(([0], cuts, [m_bs]))).astype(np.int64)
+        for lengths in (full, full[:1], np.array([m_bs])):
+            offsets = np.cumsum(lengths) - lengths
+            for t, k in ((1, 1), (7, 2), (3, 5)):
+                rows = np.stack([random_rows(rng, k, m_bs) for _ in range(t)])
+                cos_steers = np.cos(rng.uniform(0.05, math.pi - 0.05, size=(t, k, len(lengths))))
+                got = _kernels.segment_gains(rows, cos_steers, offsets, lengths, m_bs)
+                want = np.array([[_kernels.segment_gains(rows[i, j:j + 1], cos_steers[i, j],
+                                                         offsets, lengths, m_bs)[0]
+                                  for j in range(k)] for i in range(t)])
+                assert got.shape == (t, k)
+                assert_same_bits(got, want)
+
+
 def test_segment_gains_rejects_segments_that_do_not_run_from_antenna_0():
     rows = random_rows(np.random.default_rng(20), 2, 48)
     cos_steers = np.cos(np.array([0.7, 1.9]))
@@ -438,13 +486,17 @@ def test_full_array_gains_match_per_row_segment_gains_bit_for_bit():
         for t, k in ((1, 1), (7, 2), (64, 2), (3, 5)):
             rows = np.stack([random_rows(rng, k, m_bs) for _ in range(t)])
             cos_aods = np.cos(rng.uniform(0.05, math.pi - 0.05, size=(t, k)))
-            got = experiments._full_array_gains(rows, cos_aods, m_bs)
+            got = oracle_full_array_gains(rows, cos_aods, m_bs)
             want = np.stack([per_row_full_array_gains(r, c, m_bs)
                              for r, c in zip(rows, cos_aods)])
             assert got.shape == (t, k)
             assert_same_bits(got, want)
             # one trial's (K, M_BS) rows, as the power sweep passes them
-            assert_same_bits(experiments._full_array_gains(rows[0], cos_aods[0], m_bs), want[0])
+            assert_same_bits(oracle_full_array_gains(rows[0], cos_aods[0], m_bs), want[0])
+            # and its one-segment segment_gains call with per-row steering
+            h = _kernels.segment_gains(rows[0], cos_aods[0][:, None], [0], [m_bs], m_bs)
+            mags = experiments._scalar_abs(h)
+            assert_same_bits(mags * mags, want[0])
 
 
 
