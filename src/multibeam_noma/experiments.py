@@ -5,7 +5,11 @@ Every user of every trial draws from its own RNG substream, keyed by
 evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
 the block size and however many worker threads ran it.  The antenna sweep
-takes blocks of ``TRIAL_BLOCK``: a block seeds all of its keys at once,
+takes blocks sized by ``_antenna_block``: as many trials as keep the closed
+form's M_BS-wide temporaries within ``BLOCK_ELEMENTS`` complex values (256
+trials of two LOS-only users on 128 antennas), and never fewer than
+``TRIAL_BLOCK`` (64 at 30 NLOS paths, whose steering grid then takes about
+8 MB).  A block seeds all of its keys at once,
 draws every user's paths as arrays (the paths of ``drop_users``, bit for
 bit) and evaluates all of its trials along an array axis, split-beam sweep,
 full-array gains and threshold included, with no loop over trials.  Its
@@ -168,11 +172,31 @@ class MonteCarloResult:
     trials: int
 
 
-# Trials per evaluator call.  A block's largest temporary is the steering
-# grid of the antenna sweep's two_segment_closed_form, T·K·(1+L)·M_BS complex
-# values: about 8 MB at two users, 31 paths and 128 antennas.  The power
-# sweep draws and builds its rows one trial at a time.
+# Fewest trials per antenna-sweep block, and the block of ``monte_carlo``
+# when none is given.  Heavy antenna-sweep trials (two users, 31 paths, 128
+# antennas) take it, with a steering grid of about 8 MB: smaller blocks did
+# not run them faster.  The power sweep draws and builds its rows one trial
+# at a time.
 TRIAL_BLOCK = 64
+
+# Complex values of the M_BS-wide temporaries an antenna-sweep block may hold
+# above the TRIAL_BLOCK floor: 3 MB of complex128.
+BLOCK_ELEMENTS = 3 * 2 ** 16
+
+
+def _antenna_block(scenario: ScenarioConfig) -> int:
+    """Trials per antenna-sweep block.
+
+    Per trial, ``_kernels.two_segment_closed_form`` holds K (3 + L) M_BS-wide
+    complex temporaries: the steering grid has 1 + L rows per user and the
+    ``folded @ grid`` product 2.  A block takes as many trials as keep them
+    within ``BLOCK_ELEMENTS``, and never fewer than ``TRIAL_BLOCK``: 256 for
+    two LOS-only users on 128 antennas, whose per-block numpy calls would
+    otherwise cost about as much as their trials, and 64 at 30 NLOS paths.
+    """
+    per_trial = (scenario.num_users * (3 + scenario.num_nlos_paths)
+                 * scenario.bs_config.num_antennas)
+    return max(TRIAL_BLOCK, BLOCK_ELEMENTS // per_trial)
 
 # Most trials a run takes: a trial index is one 32-bit word of its users'
 # spawn keys (channel.spawn_state_words), so indices stop at 2**32 - 1.
@@ -421,7 +445,8 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     scenario = spec.scenario
     m1_values = np.asarray(spec.values, dtype=np.int64)
     m2_values = scenario.bs_config.num_antennas - m1_values
-    result = monte_carlo(spec.trials, functools.partial(_antenna_trials, spec), workers)
+    result = monte_carlo(spec.trials, functools.partial(_antenna_trials, spec), workers,
+                         block=_antenna_block(scenario))
     header = ("m1", "m2", "noma_sum_mean", "noma_sum_stderr", "tdma_sum_mean",
               "tdma_sum_stderr", "noma_asymptotic", "tdma_asymptotic",
               "superiority_threshold", "feasible_fraction")

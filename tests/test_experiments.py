@@ -135,6 +135,45 @@ def test_monte_carlo_evaluates_consecutive_blocks_in_trial_order(monkeypatch):
         monte_carlo(20, lambda lo, hi: np.zeros((1, 2)))
 
 
+def antenna_block(num_nlos, m_bs):
+    return experiments._antenna_block(ScenarioConfig(num_users=2, num_nlos_paths=num_nlos,
+                                                     bs_config=UlaConfig(m_bs)))
+
+
+def test_antenna_block_is_the_largest_within_the_closed_form_budget():
+    # the README sweep.cfg, the CLI default of 30 NLOS paths and a 256-element array
+    assert antenna_block(0, 128) == 256
+    assert antenna_block(30, 128) == experiments.TRIAL_BLOCK == 64
+    assert antenna_block(0, 256) == antenna_block(0, 128) // 2
+    for num_nlos in (0, 1, 3, 30, 300):
+        for m_bs in (2, 33, 128, 256):
+            block = antenna_block(num_nlos, m_bs)
+            per_trial = 2 * (3 + num_nlos) * m_bs
+            assert block >= experiments.TRIAL_BLOCK, (num_nlos, m_bs)
+            if block > experiments.TRIAL_BLOCK:
+                assert (block * per_trial <= experiments.BLOCK_ELEMENTS
+                        < (block + 1) * per_trial), (num_nlos, m_bs)
+
+
+def test_antenna_block_counts_the_closed_form_steering_grid(monkeypatch):
+    # the rule's 1 + L grid rows per user: one (T, K, 1 + L, M_BS) grid a call
+    table_steering = _kernels._table_steering
+    shapes = []
+
+    def recording(*args):
+        grid = table_steering(*args)
+        shapes.append(grid.shape)
+        return grid
+
+    monkeypatch.setattr(_kernels, "_table_steering", recording)
+    scenario = ScenarioConfig(num_users=2, num_nlos_paths=3, bs_config=UlaConfig(33))
+    gains, aods, aoas = experiments._draw_block(scenario, 0, 5)
+    cos_los = np.cos(aods[..., 0])
+    _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
+                                     np.arange(1, 33), 10, 33)
+    assert shapes == [(5, 2, 1 + 3, 33)]
+
+
 def test_monte_carlo_result_is_independent_of_workers():
     evaluator = per_trial(lambda t: user_rng(11, t, 0).normal(size=3))
     serial = monte_carlo(200, evaluator, workers=1)
@@ -561,12 +600,19 @@ def test_run_power_sweep_uses_default_alloc():
 
 MONTE_CARLO = experiments.monte_carlo
 DEFAULT_BLOCK = experiments.TRIAL_BLOCK
+ANTENNA_BLOCK = experiments._antenna_block
 
 
-def sweep_with_trial_data(monkeypatch, run, spec, workers, block):
+def sweep_with_trial_data(monkeypatch, run, spec, workers, block=None):
     """The sweep's CSV text, its per-trial results stacked in trial order and
-    the trial ranges its evaluator was called with."""
-    monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+    the trial ranges its evaluator was called with.
+
+    ``TRIAL_BLOCK`` and the antenna sweep's block rule both give ``block``
+    trials, or their own sizes if ``block`` is None.
+    """
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", DEFAULT_BLOCK if block is None else block)
+    monkeypatch.setattr(experiments, "_antenna_block",
+                        ANTENNA_BLOCK if block is None else lambda scenario: block)
     results = {}
 
     def recording_monte_carlo(trials, evaluator, workers=1, **kwargs):
@@ -599,16 +645,19 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch, kind, num_users, nu
     else:
         spec = SweepSpec(kind, scenario, trials, (30.0, 46.0))
         run = run_power_sweep
-    text, data, _ = sweep_with_trial_data(monkeypatch, run, spec, 1, DEFAULT_BLOCK)
+    text, data, _ = sweep_with_trial_data(monkeypatch, run, spec, 1)
     assert data.shape[0] == trials
-    for block in (1, 7, DEFAULT_BLOCK):
+    for block in (1, 7, None):
         for workers in (1, 3):
             other_text, other_data, ranges = sweep_with_trial_data(monkeypatch, run, spec,
                                                                    workers, block)
             assert other_text == text, (block, workers)
             assert_same_bits(other_data, data)
             # the power sweep runs one trial per block whatever TRIAL_BLOCK is
-            size = block if kind == "antennas" else 1
+            if kind == "power":
+                size = 1
+            else:
+                size = ANTENNA_BLOCK(scenario) if block is None else block
             assert ranges == [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     if kind == "power":
         # its evaluator gives the same bits over a range of several trials

@@ -588,10 +588,11 @@ def test_two_segment_closed_form_matches_direct_product_and_row_path(m_bs, num_n
 def test_two_segment_closed_form_over_trials_matches_per_trial_calls_bit_for_bit(m_bs, num_paths):
     # At 64 trials, 256 elements and every split, or at 200 paths, the
     # block's (T, K, splits) and (T, K, P) products are large enough for
-    # numpy to reuse a temporary operand as their output.
+    # numpy to reuse a temporary operand as their output.  One-path trials
+    # also run in the 256-trial blocks the antenna sweep gives LOS-only users.
     rng = np.random.default_rng(40 + m_bs + num_paths)
     all_splits = np.arange(1, m_bs, dtype=np.int64)
-    for t in (1, 7, 64):
+    for t in (1, 7, 64) + ((256,) if num_paths == 1 else ()):
         shape = (t, 2, num_paths)
         gains = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         aods = rng.uniform(0.05, math.pi - 0.05, size=shape)

@@ -3,17 +3,18 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1822 CSVs.  After that section come
+all of them concatenated in that order: 1858 CSVs.  After that section come
 one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
-full-precision float64 values, and one line for all 1710 sweeps.  The CSV
+full-precision float64 values, and one line for all 1746 sweeps.  The CSV
 cells carry 9 significant digits, which hide most last-bit moves: equal CSV
 lines with unequal ``bits`` lines mean the bytes held and the bits did not.
 
 The matrix covers the antenna and power sweeps over seeds, user counts, NLOS
 path counts, array sizes (an odd one, 33 elements, in both sweeps, and up to
 256 elements for the antenna sweep, which also runs every split at 30 NLOS
-paths), pinned gain ratios, explicit power-sweep antenna splits and trial
-counts on either side of multiples of 64, plus the CLI ``effective``,
+paths), pinned gain ratios, explicit power-sweep antenna splits, trial
+counts on either side of multiples of 64 and antenna sweeps that span
+several of the larger blocks of light trials, plus the CLI ``effective``,
 ``rates`` and ``beampattern`` reports and both CLI sweeps at their default
 config.  The package is imported from the ``src`` directory next to this
 script, so a copy of the script run from another checkout hashes that
@@ -53,6 +54,13 @@ ANTENNA_NLOS_PATHS = (0, 1, 3)
 # closed form then reads every column of its steering grid, for many paths.
 FULL_SWEEP_ARRAYS = ((128, 10), (256, 10))
 FULL_SWEEP_NLOS_PATHS = 30
+# Antenna sweeps of 600 trials, which span 3 to 10 blocks of
+# experiments._antenna_block (256 trials at 128 elements and no NLOS path,
+# down to 64 at 256 elements and 3 paths).  The 70 and 130 trials above are
+# one block of trials with at most one NLOS path on up to 128 elements.
+BLOCK_SPAN_SEEDS = (1, 12345)
+BLOCK_SPAN_TRIALS = 600
+BLOCK_SPAN_ARRAYS = ((128, 10), (256, 10))
 POWER_NLOS_PATHS = (0, 2, 30)
 POWER_USERS = (1, 2, 3, 5, 9)
 # (arrays, user counts) of the power sweeps at their default split, which
@@ -125,6 +133,17 @@ def sweep_tables():
                 yield (f"power seed={seed} trials={trials} m_bs={arrays[0]} "
                        f"users={num_users} nlos={num_nlos} alloc={alloc}",
                        experiments.run_power_sweep(spec))
+    for seed in BLOCK_SPAN_SEEDS:
+        for arrays in BLOCK_SPAN_ARRAYS:
+            m_bs = arrays[0]
+            for num_nlos in ANTENNA_NLOS_PATHS:
+                for ratio in RATIOS:
+                    spec = experiments.SweepSpec(
+                        "antennas", scenario(2, num_nlos, arrays, seed), BLOCK_SPAN_TRIALS,
+                        tuple(range(1, m_bs, 3)), gain_ratio=ratio)
+                    yield (f"antennas seed={seed} trials={BLOCK_SPAN_TRIALS} m_bs={m_bs} "
+                           f"nlos={num_nlos} ratio={ratio}",
+                           experiments.run_antenna_sweep(spec))
 
 
 def cli_csv(workdir: str, command: str, config: str, *flags: str) -> str:
