@@ -396,7 +396,3 @@ def pattern_mags(weights: np.ndarray, cos_angles: np.ndarray) -> np.ndarray:
         mags[..., j] = np.abs(steer_conj @ np.ascontiguousarray(w))
     return mags.reshape(steer_conj.shape[:-1] + weights.shape[1:])
 
-
-def get_backend() -> str:
-    """Name of the kernel implementation; numpy is the only one."""
-    return "numpy"

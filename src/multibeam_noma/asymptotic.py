@@ -26,6 +26,12 @@ class AsymptoticScenario:
 
     Powers are linear watts.  ``power_split`` is the per-user transmit
     power; its sum may not exceed ``max_power_w``.
+
+    ``los_gain_mags`` may be (..., K), one drop per row, with the (K,)
+    ``antenna_alloc`` and ``power_split`` shared by every drop; each row
+    must pass the checks a 1-D scenario does.  ``sic_condition_asymptotic``
+    and ``noma_gain`` then return one value per drop, with the bits of a
+    1-D call; the other laws take one drop.
     """
 
     los_gain_mags: np.ndarray
@@ -43,13 +49,14 @@ class AsymptoticScenario:
         object.__setattr__(self, "los_gain_mags", g)
         object.__setattr__(self, "antenna_alloc", m)
         object.__setattr__(self, "power_split", p)
-        if g.ndim != 1 or m.shape != g.shape or p.shape != g.shape:
-            raise ValueError("gains, antennas and powers must be 1-D with equal length")
+        if g.ndim < 1 or m.ndim != 1 or m.shape != p.shape or m.shape != g.shape[-1:]:
+            raise ValueError("antennas and powers must be 1-D, with equal length to the "
+                             "gains' last axis")
         if not np.isfinite(g).all():
             raise ValueError("LOS gain magnitudes must be finite")
         if (g <= 0.0).any():
             raise ValueError("LOS gain magnitudes must be positive")
-        if (np.diff(g) > 0.0).any():
+        if (np.diff(g, axis=-1) > 0.0).any():
             raise ValueError("users must be sorted by descending LOS gain")
         if (m < 1).any() or m.sum() > self.m_bs:
             raise ValueError("antenna split must be positive and fit the array")
@@ -62,20 +69,27 @@ class AsymptoticScenario:
 
     @property
     def num_users(self) -> int:
-        return len(self.los_gain_mags)
+        return self.los_gain_mags.shape[-1]
 
 
-def sic_condition_asymptotic(scenario: AsymptoticScenario) -> bool:
+def sic_condition_asymptotic(scenario: AsymptoticScenario) -> bool | np.ndarray:
     """True when |gain_k| M_k is non-increasing, so every stronger user can
-    decode every weaker user's message in the large-array limit."""
+    decode every weaker user's message in the large-array limit.  A
+    scenario of several drops gives a bool array, one entry per drop."""
     product = scenario.los_gain_mags * scenario.antenna_alloc
-    return bool((product[:-1] >= product[1:]).all())
+    holds = (product[..., :-1] >= product[..., 1:]).all(axis=-1)
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 def _require_sic(scenario: AsymptoticScenario) -> None:
-    if not sic_condition_asymptotic(scenario):
+    if not np.all(sic_condition_asymptotic(scenario)):
         raise SicConditionError(
             "asymptotic SIC ordering fails; the closed-form rates do not apply")
+
+
+def _one_drop(scenario: AsymptoticScenario) -> None:
+    if scenario.los_gain_mags.ndim != 1:
+        raise ValueError("this law takes a scenario of one drop (1-D gains)")
 
 
 def asymptotic_rates(scenario: AsymptoticScenario) -> np.ndarray:
@@ -86,6 +100,7 @@ def asymptotic_rates(scenario: AsymptoticScenario) -> np.ndarray:
     Every other user saturates at its power ratio:
         R_k = log2(1 + p_k / sum_{j<k} p_j).
     """
+    _one_drop(scenario)
     _require_sic(scenario)
     p = scenario.power_split
     if (p <= 0.0).any():
@@ -108,6 +123,7 @@ def asymptotic_sum_rate(scenario: AsymptoticScenario) -> float:
     denominator, leaving only the strongest user's channel:
         log2(p_max |gain_1|^2 M_UE M_1^2 / (M_BS sigma^2)).
     """
+    _one_drop(scenario)
     _require_sic(scenario)
     g1 = scenario.los_gain_mags[0]
     m1 = scenario.antenna_alloc[0]
@@ -117,6 +133,7 @@ def asymptotic_sum_rate(scenario: AsymptoticScenario) -> float:
 
 def tdma_sum_rate_asymptotic(scenario: AsymptoticScenario) -> float:
     """Equal-share TDMA limit: sum of (1/K) log2(p_max |gain_k|^2 M_UE M_BS / sigma^2)."""
+    _one_drop(scenario)
     g = scenario.los_gain_mags
     snr = scenario.max_power_w * g ** 2 * scenario.m_ue * scenario.m_bs / scenario.noise_w
     return float(np.mean(np.log2(snr)))
@@ -130,17 +147,22 @@ def noma_gain(scenario: AsymptoticScenario) -> float:
     with gbar the geometric mean of the LOS gains.  Depends only on the
     strongest user's antenna share and the gain spread; transmit power,
     noise and the receive array cancel out.  Computed with gain ratios so
-    equal gains give exactly zero.
+    equal gains give exactly zero.  A scenario of several drops gives an
+    array, one gain per drop; every drop must meet the SIC condition.
     """
     _require_sic(scenario)
     g = scenario.los_gain_mags
     m1 = scenario.antenna_alloc[0]
-    mean_log_ratio = float(np.mean(np.log2(g / g[0])))
-    return 2.0 * (math.log2(m1 / scenario.m_bs) - mean_log_ratio)
+    mean_log_ratio = np.mean(np.log2(g / g[..., :1]), axis=-1)
+    # math.log2 of the shared M_1 / M_BS, as one drop takes it: np.log2
+    # may differ from it in the last bit
+    gain = 2.0 * (math.log2(m1 / scenario.m_bs) - mean_log_ratio)
+    return float(gain) if g.ndim == 1 else gain
 
 
 def allocation_superiority(scenario: AsymptoticScenario) -> bool:
     """Strict test of |gain_1| M_1 > M_BS * gbar, i.e. noma_gain > 0."""
+    _one_drop(scenario)
     _require_sic(scenario)
     g = scenario.los_gain_mags
     m1 = scenario.antenna_alloc[0]

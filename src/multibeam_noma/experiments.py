@@ -14,16 +14,25 @@ draws every user's paths as arrays (the paths of ``drop_users``, bit for
 bit) and evaluates all of its trials along an array axis, split-beam sweep,
 full-array gains and threshold included, with no loop over trials.  Its
 channels come from the paper's Dirichlet-kernel closed form
-(``_kernels.two_segment_closed_form``), so it builds no v^H H row.  The
-power sweep still draws each trial through ``drop_users`` and makes one
+(``_kernels.two_segment_closed_form``), so it builds no v^H H row.
+
+The power sweep runs in two stages.  ``_power_trials`` observes one trial
+at a time: it draws the trial through ``drop_users`` and makes one
 ``vhh_row`` call per user, whose row takes each path's receive gain from
 the Dirichlet kernel and its transmit steering from a two-level table of
-about 2 sqrt(M_BS / 2) exps.  After the rows, two ``segment_gains`` calls
-give the split-beam channels and the TDMA channels (the one-segment case:
-each row under a full-array beam steered at its own LOS), and the rest of a
-trial is a few array operations and a loop over the baseline's multi-user
-clusters.  ``run_beam_pattern`` builds its split and full-array precoders
-from ``single_chain_plan`` plans, so they carry the same
+about 2 sqrt(M_BS / 2) exps; two ``segment_gains`` calls then give the
+split-beam and the TDMA channel magnitudes (the one-segment case: each row
+under a full-array beam steered at its own LOS).  The draw stays per trial
+because the traced benchmark self-test counts one trial span, one
+``generate_user_channel`` per user and the elements of one ``vhh_row`` per
+user (ROADMAP item 13 lets it count blocks).  ``monte_carlo`` hands the
+observations of each run of ``TRIAL_BLOCK`` trials to ``_power_results``,
+which computes the NOMA, TDMA and single-beam baseline rates and the
+asymptotic gain of the whole run as arrays; its only loop is over the
+baseline's rare clusters of two or more users.
+
+``run_beam_pattern`` builds its split and full-array precoders from
+``single_chain_plan`` plans, so they carry the same
 ``_kernels.segment_weights`` as the sweeps.
 
 CSV files start with '# key = value' comment lines carrying the scenario,
@@ -172,11 +181,12 @@ class MonteCarloResult:
     trials: int
 
 
-# Fewest trials per antenna-sweep block, and the block of ``monte_carlo``
-# when none is given.  Heavy antenna-sweep trials (two users, 31 paths, 128
-# antennas) take it, with a steering grid of about 8 MB: smaller blocks did
-# not run them faster.  The power sweep draws and builds its rows one trial
-# at a time.
+# Fewest trials per antenna-sweep block, the block of ``monte_carlo`` when
+# none is given, and the fewest trials a ``finish`` run takes.  Heavy
+# antenna-sweep trials (two users, 31 paths, 128 antennas) take it, with a
+# steering grid of about 8 MB: smaller blocks did not run them faster.  The
+# power sweep draws and builds its rows one trial at a time and computes its
+# rates over runs of this many trials.
 TRIAL_BLOCK = 64
 
 # Complex values of the M_BS-wide temporaries an antenna-sweep block may hold
@@ -204,7 +214,9 @@ MAX_TRIALS = 2 ** 32
 
 
 def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
-                workers: int = 1, *, block: int | None = None) -> MonteCarloResult:
+                workers: int = 1, *, block: int | None = None,
+                finish: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> MonteCarloResult:
     """Evaluate ``evaluator(lo, hi)`` over consecutive trial blocks and aggregate.
 
     ``evaluator(lo, hi)`` returns one result per trial of [lo, hi), stacked
@@ -214,6 +226,12 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     before the mean/standard-error reduction, so the outcome depends on
     neither the block size nor ``workers``.  With one trial the standard
     error is reported as zero.
+
+    ``finish``, if given, maps the stacked results of consecutive blocks to
+    the per-trial results that are reduced.  It runs in the calling thread,
+    in trial order, on each run of blocks that first holds ``TRIAL_BLOCK``
+    trials or more, and on the rest, and must return one result per trial
+    it gets.  So the outcome must not depend on where the runs are cut.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -222,10 +240,10 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     los = range(0, trials, block)
     his = [min(lo + block, trials) for lo in los]
     if workers <= 1:
-        results = [np.asarray(evaluator(lo, hi), dtype=np.float64) for lo, hi in zip(los, his)]
+        results = _collect(map(evaluator, los, his), finish)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [np.asarray(r, dtype=np.float64) for r in pool.map(evaluator, los, his)]
+            results = _collect(pool.map(evaluator, los, his), finish)
     data = np.concatenate(results, axis=0)
     if len(data) != trials:
         raise ValueError(f"the evaluator returned {len(data)} results for {trials} trials")
@@ -235,6 +253,35 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     else:
         stderr = np.zeros_like(mean)
     return MonteCarloResult(mean, stderr, trials)
+
+
+def _collect(blocks, finish: Callable[[np.ndarray], np.ndarray] | None
+             ) -> list[np.ndarray]:
+    """The blocks' results in trial order, or with ``finish`` those of
+    ``finish`` over runs of consecutive blocks (see ``monte_carlo``)."""
+    results, run, held = [], [], 0
+    for r in blocks:
+        r = np.asarray(r, dtype=np.float64)
+        if finish is None:
+            results.append(r)
+            continue
+        run.append(r)
+        held += len(r)
+        if held >= TRIAL_BLOCK:
+            results.append(_finish_run(finish, run))
+            run, held = [], 0
+    if run:
+        results.append(_finish_run(finish, run))
+    return results
+
+
+def _finish_run(finish: Callable[[np.ndarray], np.ndarray], run: list[np.ndarray]
+                ) -> np.ndarray:
+    stacked = np.concatenate(run, axis=0)
+    out = np.asarray(finish(stacked), dtype=np.float64)
+    if len(out) != len(stacked):
+        raise ValueError(f"finish returned {len(out)} results for {len(stacked)} trials")
+    return out
 
 
 def default_antenna_alloc(num_users: int, bs_antennas: int) -> tuple[int, ...]:
@@ -467,23 +514,20 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
 
 
 def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
-                  pmax_w: np.ndarray, powers: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Power-sweep results of trials [lo, hi): (hi - lo, budgets, 4).
+                  lo: int, hi: int) -> np.ndarray:
+    """Power-sweep observations of trials [lo, hi): (hi - lo, 4, K).
 
-    Users get the segments ``alloc`` starting at ``offsets``, and the
-    (K, budgets) ``powers`` of each budget in ``pmax_w``.
+    Per trial and user, strongest first: the split-beam channel magnitude
+    (users get the segments ``alloc`` starting at ``offsets``), the TDMA
+    channel magnitude, the LOS magnitude and the LOS AoD.
+    ``_power_results`` turns them into rates.
     """
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
-    k = scenario.num_users
-    group_size = k if spec.max_group_size is None else spec.max_group_size
-    shares = equal_time_shares(k)
-
-    out = np.empty((hi - lo, len(pmax_w), 4))
+    out = np.empty((hi - lo, 4, scenario.num_users))
     for t in range(lo, hi):
         channels = drop_users(scenario, t)
-        mags = _scalar_abs(np.array([c.gains[0] for c in channels]))
         aods = np.array([c.aods[0] for c in channels])
         # one call per user, not one stacked call: the traced benchmark
         # self-test counts len(gains) * M_BS vhh_row elements per call, and
@@ -491,20 +535,50 @@ def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
         rows = np.array([_kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
                          for c in channels])
         cos_aods = np.cos(aods)
-        split_mags = _scalar_abs(_kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs))
+        obs = out[t - lo]
+        obs[0] = _scalar_abs(_kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs))
         # TDMA serves each user alone, the full array steered at its own LOS
-        full_mags = _scalar_abs(
-            _kernels.segment_gains(rows, cos_aods[:, None], [0], [m_bs], m_bs))
-        tdma_gains = full_mags * full_mags
-        asym = _asym_scenario(mags, alloc, scenario, float(pmax_w[0]))
-        pred = noma_gain(asym) if sic_condition_asymptotic(asym) else math.nan
-        trial = out[t - lo]
-        trial[:, 0] = noma_rates_from_gains(split_mags * split_mags, powers,
-                                            scenario.noise_w).sum(axis=0)
-        trial[:, 1] = single_beam_noma_baseline(
-            aods, mags, m_ue, m_bs, group_size, pmax_w, scenario.noise_w).system_sum
-        trial[:, 2] = np.log2(1.0 + pmax_w[:, None] * tdma_gains / scenario.noise_w) @ shares
-        trial[:, 3] = pred
+        obs[1] = _scalar_abs(_kernels.segment_gains(rows, cos_aods[:, None], [0], [m_bs], m_bs))
+        obs[2] = _scalar_abs(np.array([c.gains[0] for c in channels]))
+        obs[3] = aods
+    return out
+
+
+def _power_results(spec: SweepSpec, alloc: np.ndarray, pmax_w: np.ndarray,
+                   powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Power-sweep results (T, budgets, 4) of the observations ``obs``
+    (T, 4, K) of ``_power_trials``.
+
+    The (K, budgets) ``powers`` split each budget in ``pmax_w``.  Every step
+    takes all T trials at once and gives each trial the bits of a call on it
+    alone: rates and their logs are element-wise, the NOMA sum adds the
+    users one by one as a (K, budgets) array does, the TDMA shares are one
+    (budgets, K) matrix-vector product per trial, and the baseline and the
+    asymptotic gain keep the per-drop rules of their functions.
+    """
+    scenario = spec.scenario
+    m_bs = scenario.bs_config.num_antennas
+    m_ue = scenario.ue_config.num_antennas
+    k = scenario.num_users
+    group_size = k if spec.max_group_size is None else spec.max_group_size
+    split_mags, full_mags, mags, aods = obs.transpose(1, 0, 2)
+    tdma_gains = full_mags * full_mags
+
+    out = np.empty((len(obs), len(pmax_w), 4))
+    # (user, trial, budget)
+    out[..., 0] = noma_rates_from_gains((split_mags * split_mags).T[..., None],
+                                        powers[:, None], scenario.noise_w).sum(axis=0)
+    out[..., 1] = single_beam_noma_baseline(aods, mags, m_ue, m_bs, group_size, pmax_w,
+                                            scenario.noise_w).system_sum
+    out[..., 2] = (np.log2(1.0 + pmax_w[:, None] * tdma_gains[:, None] / scenario.noise_w)
+                   @ equal_time_shares(k))
+    # the gain does not depend on the budget: the first one builds the scenarios
+    pred = np.full(len(obs), math.nan)
+    ok = np.flatnonzero(sic_condition_asymptotic(
+        _asym_scenario(mags, alloc, scenario, float(pmax_w[0]))))
+    if len(ok):
+        pred[ok] = noma_gain(_asym_scenario(mags[ok], alloc, scenario, float(pmax_w[0])))
+    out[..., 3] = pred[:, None]
     return out
 
 
@@ -539,12 +613,17 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     pmax_w = np.array([dbm_to_watt(v) for v in pmax_dbm])
     offsets = np.concatenate(([0], np.cumsum(alloc_arr)[:-1])).astype(np.int64)
     powers = np.tile(pmax_w / scenario.num_users, (scenario.num_users, 1))   # equal split
-    evaluator = functools.partial(_power_trials, spec, alloc_arr, offsets, pmax_w, powers)
-    # One trial per block, drawn through drop_users: the traced benchmark
-    # self-test (perfbench/test_perfbench.py) counts one experiments.trial
-    # span per power-sweep trial and the paths of its generate_user_channel
-    # calls.  It moves onto _draw_block when that test counts blocks (ROADMAP).
-    result = monte_carlo(spec.trials, evaluator, workers, block=1)
+    # Two stages.  The draw and the channel magnitudes run one trial per
+    # block through drop_users and one vhh_row per user: the traced
+    # benchmark self-test (perfbench/test_perfbench.py) counts one
+    # experiments.trial span per power-sweep trial, the paths of its
+    # generate_user_channel calls and the elements of each vhh_row call.
+    # They move onto _draw_block when that test counts blocks (ROADMAP).
+    # The rates, the baseline and the asymptotic gain then take runs of
+    # TRIAL_BLOCK trials at once.
+    observe = functools.partial(_power_trials, spec, alloc_arr, offsets)
+    finish = functools.partial(_power_results, spec, alloc_arr, pmax_w, powers)
+    result = monte_carlo(spec.trials, observe, workers, block=1, finish=finish)
     header = ("pmax_dbm", "noma_sum_mean", "baseline_sum_mean", "tdma_sum_mean",
               "predicted_gain")
     rows = []
@@ -562,7 +641,9 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
 
 def _asym_scenario(mags: np.ndarray, alloc: np.ndarray, scenario: ScenarioConfig,
                    pmax_w: float) -> AsymptoticScenario:
-    k = len(mags)
+    """The asymptotic scenario of the drops whose LOS magnitudes are the rows
+    of ``mags`` (..., K), strongest first, with an equal power split."""
+    k = mags.shape[-1]
     return AsymptoticScenario(
         los_gain_mags=mags,
         antenna_alloc=alloc,

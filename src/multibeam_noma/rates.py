@@ -216,30 +216,44 @@ def tdma_rates(gains_sq: np.ndarray, time_shares: np.ndarray, max_power_w: float
 
 
 def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
-                  beamwidth_rad: float, max_cluster_size: int) -> list[list[int]]:
+                  beamwidth_rad: float, max_cluster_size: int):
     """Greedy angular clustering for the single-beam baseline.
 
     Users are visited in descending LOS power; each unassigned user opens
     a cluster and absorbs the unassigned users whose LOS departure angles
     lie within one beamwidth of its own, strongest first, up to the cap.
+
+    1-D inputs (K,) give the clusters as lists of user indices, in the
+    order they open, each head first and the rest in the order they join.
+    Inputs (..., K), one drop per row, give an int64 array (..., K) of
+    every user's cluster index instead.  Either way the rule runs as
+    K (K - 1) / 2 exact comparisons over the drops' arrays.
     """
-    order = strongest_first(np.abs(los_gains)).tolist()
-    # Python floats: the same IEEE differences as numpy scalars, and cheaper
-    aods = np.asarray(los_aods, dtype=np.float64).tolist()
-    assigned = [False] * len(order)
-    clusters = []
-    for head in order:
-        if assigned[head]:
-            continue
-        members = [head]
-        assigned[head] = True
-        for k in order:
-            if len(members) >= max_cluster_size:
-                break
-            if not assigned[k] and abs(aods[k] - aods[head]) <= beamwidth_rad:
-                members.append(k)
-                assigned[k] = True
-        clusters.append(members)
+    aods = np.asarray(los_aods, dtype=np.float64)
+    order = strongest_first(np.abs(los_gains))
+    # in visiting order: every user of rank below i is assigned when rank i
+    # is visited, as a head or as a member of an earlier cluster
+    visited = np.take_along_axis(aods, order, axis=-1)
+    ranked = np.full(aods.shape, -1, dtype=np.int64)
+    opened = np.zeros(aods.shape[:-1], dtype=np.int64)
+    num_users = aods.shape[-1]
+    for i in range(num_users):
+        head = ranked[..., i] < 0
+        ranked[..., i] = np.where(head, opened, ranked[..., i])
+        room = head * (max_cluster_size - 1)
+        for j in range(i + 1, num_users):
+            joins = ((room > 0) & (ranked[..., j] < 0)
+                     & (np.abs(visited[..., j] - visited[..., i]) <= beamwidth_rad))
+            ranked[..., j] = np.where(joins, opened, ranked[..., j])
+            room = room - joins
+        opened = opened + head
+    if aods.ndim > 1:
+        labels = np.empty_like(ranked)
+        labels[(*np.indices(order.shape)[:-1], order)] = ranked
+        return labels
+    clusters = [[] for _ in range(int(opened))]
+    for user, label in zip(order.tolist(), ranked.tolist()):
+        clusters[label].append(user)
     return clusters
 
 
@@ -258,48 +272,65 @@ def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,
     once; with an array, ``per_user`` is (K, n), ``system_sum`` and
     ``sic_feasible`` are (n,), ``group_sums`` is (1, n), and ``sic_checks``
     holds the checks of budget 0, then those of budget 1, and so on.
+
+    ``los_aods`` and ``los_gains`` may also be (..., K), one drop per row.
+    Every field then gains those leading axes, ``system_sum`` and
+    ``sic_feasible`` become arrays, and ``sic_checks`` holds the checks of
+    each drop in turn, as one call per drop would give them; each row has
+    the bits of that call.
     """
     los_aods = np.asarray(los_aods, dtype=np.float64)
     los_gains = np.asarray(los_gains)
     budgets = np.atleast_1d(np.asarray(max_power_w, dtype=np.float64))
     beamwidth_rad = math.radians(beamwidth_3db_deg(m_bs))
-    clusters = cluster_users(los_aods, los_gains, beamwidth_rad, max_group_size)
-    share = 1.0 / len(clusters)
+    lead, num_users = los_aods.shape[:-1], los_aods.shape[-1]
+    aods = los_aods.reshape(-1, num_users)
+    gains = los_gains.reshape(aods.shape)
+    labels = cluster_users(aods, gains, beamwidth_rad, max_group_size)
+    share = 1.0 / (labels.max(axis=-1) + 1)
+    clustered = (labels[:, :, None] == labels[:, None, :]).sum(axis=-1) > 1
 
-    num_users = len(los_aods)
-    # (budget, user): each row sums along its contiguous axis exactly as a
-    # single budget's (K,) vector does.
-    per_user = np.zeros((len(budgets), num_users))
-    # A singleton's beam points at itself, so its Dirichlet factor is exactly
-    # m_bs (x is 0, or a last-bit cos difference far below dirichlet's
-    # threshold) and its power the whole budget: all singletons' rates are
-    # one element-wise _rate over (budget, singleton), with nothing stronger.
-    singles = [members[0] for members in clusters if len(members) == 1]
-    if singles:
-        gains_sq = np.abs(los_gains[singles]) ** 2 * (m_ue / m_bs) * float(m_bs * m_bs)
-        per_user[:, singles] = share * _rate(gains_sq, budgets[:, None], 0.0, 0.0, noise_w)
-    audits = []
-    for chain, members in enumerate(clusters):
-        if len(members) < 2:
-            continue
-        head = members[0]
-        x = 0.5 * math.pi * (math.cos(los_aods[head]) - np.cos(los_aods[members]))
-        gains_sq = (np.abs(los_gains[members]) ** 2 * (m_ue / m_bs)
-                    * np.asarray(dirichlet(m_bs, x)) ** 2)
-        powers = np.tile(budgets / len(members), (len(members), 1))
-        rates, decode = sic_rates(gains_sq, powers, noise_w)
-        # budget first: rates[b] is (K,), decode[b] is (K, K)
-        audits.append((chain, members, rates.T.tolist(),
-                       decode.transpose(2, 0, 1).tolist()))
-        per_user[:, members] = share * rates.T
-    checks = [[c for chain, members, rates, decode in audits
-               for c in _pair_checks(members, chain, rates[b], decode[b])]
-              for b in range(len(budgets))]
-    totals = per_user.sum(axis=1)
-    feasible = np.array([all(c.ok for c in cs) for cs in checks])
-    all_checks = tuple(c for cs in checks for c in cs)
+    # (drop, budget, user): each row sums along its contiguous axis exactly
+    # as a single budget's (K,) vector does.  A singleton's beam points at
+    # itself, so its Dirichlet factor is exactly m_bs (x is 0, or a last-bit
+    # cos difference far below dirichlet's threshold) and its power the
+    # whole budget: every user starts with that rate, with nothing stronger,
+    # and the members of larger clusters are overwritten below.
+    gains_sq = np.abs(gains) ** 2 * (m_ue / m_bs) * float(m_bs * m_bs)
+    per_user = share[:, None, None] * _rate(gains_sq[:, None, :], budgets[:, None],
+                                            0.0, 0.0, noise_w)
+    order = strongest_first(np.abs(gains))
+    ranked = np.take_along_axis(labels, order, axis=-1)
+    feasible = np.ones(per_user.shape[:2], dtype=bool)
+    all_checks = []
+    for t in np.flatnonzero(clustered.any(axis=-1)).tolist():
+        audits = []
+        for chain in sorted(set(labels[t][clustered[t]].tolist())):
+            # members in the order they joined: strongest first
+            members = order[t][ranked[t] == chain].tolist()
+            head = members[0]
+            x = 0.5 * math.pi * (math.cos(aods[t, head]) - np.cos(aods[t, members]))
+            beam_sq = (np.abs(gains[t, members]) ** 2 * (m_ue / m_bs)
+                       * np.asarray(dirichlet(m_bs, x)) ** 2)
+            powers = np.tile(budgets / len(members), (len(members), 1))
+            rates, decode = sic_rates(beam_sq, powers, noise_w)
+            # budget first: rates[b] is (K,), decode[b] is (K, K)
+            audits.append((chain, members, rates.T.tolist(),
+                           decode.transpose(2, 0, 1).tolist()))
+            per_user[t][:, members] = share[t] * rates.T
+        for b in range(len(budgets)):
+            checks = [c for chain, members, rates, decode in audits
+                      for c in _pair_checks(members, chain, rates[b], decode[b])]
+            feasible[t, b] = all(c.ok for c in checks)
+            all_checks += checks
+    totals = per_user.sum(axis=-1)
+    all_checks = tuple(all_checks)
+    # (drop, user, budget) and (drop, chain, budget)
+    fields = [per_user.transpose(0, 2, 1), totals[:, None, :], totals, feasible]
     if np.ndim(max_power_w) == 0:
-        total = float(totals[0])
-        return RateReport(per_user[0], np.array([total]), total, all_checks,
-                          bool(feasible[0]))
-    return RateReport(per_user.T, totals[None, :], totals, all_checks, feasible)
+        fields = [a[..., 0] for a in fields]
+        if not lead:
+            per_user, group_sums, totals, feasible = (a[0] for a in fields)
+            return RateReport(per_user, group_sums, float(totals), all_checks, bool(feasible))
+    per_user, group_sums, totals, feasible = (a.reshape(lead + a.shape[1:]) for a in fields)
+    return RateReport(per_user, group_sums, totals, all_checks, feasible)

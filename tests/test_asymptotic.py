@@ -22,7 +22,7 @@ from multibeam_noma.channel import dbm_to_watt
 def scen(gains, alloc, pmax=2.0, split=None, noise=1.0, m_ue=10, m_bs=128):
     gains = np.asarray(gains, dtype=np.float64)
     if split is None:
-        split = np.full(len(gains), pmax / len(gains))
+        split = np.full(gains.shape[-1], pmax / gains.shape[-1])
     return AsymptoticScenario(
         los_gain_mags=gains,
         antenna_alloc=np.asarray(alloc),
@@ -266,3 +266,78 @@ def test_min_antennas_over_trials_validation():
         min_antennas_for_superiority(np.ones((3, 0)), 128)
     with pytest.raises(ValueError):
         min_antennas_for_superiority(np.float64(1.0), 128)
+
+
+def test_noma_gain_over_drops_matches_one_scenario_per_drop_bit_for_bit():
+    # A (T, K) scenario gives each row the condition and the gain of its own
+    # 1-D scenario.  m_bs = 100 makes m1 / m_bs inexact.
+    rng = np.random.default_rng(47)
+    for k in (1, 2, 5, 9):
+        for m_bs in (100, 128):
+            gains = -np.sort(-(10.0 ** rng.uniform(-7.0, -5.0, size=(300, k))), axis=1)
+            gains[::7] = gains[::7, :1]                       # equal gains: exactly 0
+            # weaker users get more antennas, so some drops break the condition
+            rest = [4 + 2 * i for i in range(k - 1)]
+            alloc = np.array([m_bs - sum(rest)] + rest)
+            block = scen(gains, alloc, pmax=3.0, m_bs=m_bs)
+            rows = [scen(g, alloc, pmax=3.0, m_bs=m_bs) for g in gains]
+            assert block.num_users == k
+            ok = sic_condition_asymptotic(block)
+            assert ok.dtype == bool and ok.shape == (300,)
+            np.testing.assert_array_equal(ok, [sic_condition_asymptotic(r) for r in rows])
+            if k > 2:
+                assert 0 < ok.sum() < 300
+            if not ok.all():
+                # one drop that breaks the condition fails them all
+                with pytest.raises(SicConditionError):
+                    noma_gain(block)
+            got = noma_gain(scen(gains[ok], alloc, pmax=3.0, m_bs=m_bs))
+            want = np.array([noma_gain(r) for r, holds in zip(rows, ok) if holds])
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            # equal gains give exactly zero at the full array
+            assert (got == 0.0).all() if k == 1 and m_bs == 100 else True
+    # math.log2(86 / 100) and np.log2 of it differ in the last bit on some CPUs
+    gains = -np.sort(-rng.uniform(0.1, 1.0, size=(50, 2)), axis=1)
+    got = noma_gain(scen(gains, [86, 14], m_bs=100))
+    want = np.array([noma_gain(scen(g, [86, 14], m_bs=100)) for g in gains])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    formula = [2.0 * (math.log2(86 / 100) - float(np.mean(np.log2(g / g[0])))) for g in gains]
+    np.testing.assert_array_equal(want.view(np.int64), np.array(formula).view(np.int64))
+    # leading axes of any shape
+    block = scen(np.array([[[1.0, 0.1], [1.0, 0.2]]]), [100, 28])
+    assert noma_gain(block).shape == (1, 2)
+    assert noma_gain(block)[0, 0] == noma_gain(scen([1.0, 0.1], [100, 28]))
+
+
+def test_scenario_over_drops_rejects_a_single_bad_row():
+    good = np.array([[1.0, 0.5], [0.8, 0.3], [0.6, 0.6]])
+    assert scen(good, [64, 64]).num_users == 2
+    for bad_row, match in (([0.5, 1.0], "descending"), ([1.0, 0.0], "positive"),
+                           ([1.0, -0.2], "positive"), ([math.nan, 0.5], "finite"),
+                           ([1.0, math.inf], "finite")):
+        gains = good.copy()
+        gains[1] = bad_row
+        with pytest.raises(ValueError, match=match):
+            scen(gains, [64, 64])
+        with pytest.raises(ValueError, match=match):
+            scen(gains[None], [64, 64])
+    with pytest.raises(ValueError, match="equal length"):
+        scen(good, [64, 32, 32])
+    with pytest.raises(ValueError, match="equal length"):
+        scen(good, np.full((3, 2), 64))
+    with pytest.raises(ValueError, match="equal length"):
+        scen(np.float64(1.0), [128], split=[1.0])
+    # the checks on what the drops share still apply
+    with pytest.raises(ValueError, match="fit the array"):
+        scen(good, [100, 29])
+    with pytest.raises(ValueError, match="budget"):
+        scen(good, [64, 64], pmax=1.0, split=[0.6, 0.6])
+
+
+def test_laws_of_one_drop_refuse_several():
+    block = scen(np.array([[1.0, 0.2], [1.0, 0.3]]), [100, 28])
+    for law in (asymptotic_rates, asymptotic_sum_rate, tdma_sum_rate_asymptotic,
+                allocation_superiority):
+        with pytest.raises(ValueError, match="one drop"):
+            law(block)

@@ -135,6 +135,33 @@ def test_monte_carlo_evaluates_consecutive_blocks_in_trial_order(monkeypatch):
         monte_carlo(20, lambda lo, hi: np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_finishes_runs_of_at_least_trial_block_in_trial_order(monkeypatch,
+                                                                         workers):
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 7)
+    runs = []
+
+    def evaluator(lo, hi):
+        return np.arange(lo, hi, dtype=np.float64)[:, None]
+
+    def finish(stacked):
+        runs.append(stacked[:, 0].tolist())
+        return np.concatenate([stacked, stacked ** 2], axis=1)
+
+    result = monte_carlo(20, evaluator, workers, block=3, finish=finish)
+    # blocks of 3 gather until a run holds 7 trials or more; the rest is the last run
+    assert runs == [list(range(0, 9)), list(range(9, 18)), [18.0, 19.0]]
+    np.testing.assert_array_equal(result.mean, [9.5, np.mean(np.arange(20.0) ** 2)])
+    plain = monte_carlo(20, per_trial(lambda t: np.array([float(t), float(t) ** 2])))
+    assert_same_bits(result.mean, plain.mean)
+    assert_same_bits(result.stderr, plain.stderr)
+    runs.clear()
+    monte_carlo(20, evaluator, workers, block=1, finish=finish)
+    assert runs == [list(range(0, 7)), list(range(7, 14)), list(range(14, 20))]
+    with pytest.raises(ValueError, match="finish returned 6 results for 7 trials"):
+        monte_carlo(20, evaluator, workers, block=1, finish=lambda stacked: stacked[1:])
+
+
 def antenna_block(num_nlos, m_bs):
     return experiments._antenna_block(ScenarioConfig(num_users=2, num_nlos_paths=num_nlos,
                                                      bs_config=UlaConfig(m_bs)))
@@ -398,8 +425,8 @@ def test_power_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_us
     pmax_w = np.array([dbm_to_watt(v) for v in values])
     powers = np.tile(pmax_w / num_users, (num_users, 1))
     want, sizes = oracle_power_trials(spec, alloc, offsets, pmax_w, powers, 0, 60)
-    assert_same_bits(experiments._power_trials(spec, alloc, offsets, pmax_w, powers, 0, 60),
-                     want)
+    obs = experiments._power_trials(spec, alloc, offsets, 0, 60)
+    assert_same_bits(experiments._power_results(spec, alloc, pmax_w, powers, obs), want)
     if m_bs == 16 and num_users > 1:
         # a 6.4 deg beam: some drops put two or more users in one cluster
         assert max(sizes) > 1
@@ -660,13 +687,20 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch, kind, num_users, nu
                 size = ANTENNA_BLOCK(scenario) if block is None else block
             assert ranges == [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     if kind == "power":
-        # its evaluator gives the same bits over a range of several trials
+        # its evaluator gives the same observations over a range of several
+        # trials, and its second stage the same results over all of them as
+        # trial by trial
         alloc = np.array(default_antenna_alloc(num_users, 128))
         offsets = np.concatenate(([0], np.cumsum(alloc)[:-1]))
         pmax_w = np.array([dbm_to_watt(v) for v in spec.values])
         powers = np.tile(pmax_w / num_users, (num_users, 1))
-        block = experiments._power_trials(spec, alloc, offsets, pmax_w, powers, 0, trials)
+        block = experiments._power_trials(spec, alloc, offsets, 0, trials)
         assert_same_bits(block, data)
+        results = experiments._power_results(spec, alloc, pmax_w, powers, block)
+        assert results.shape == (trials, len(spec.values), 4)
+        assert_same_bits(results, np.concatenate([
+            experiments._power_results(spec, alloc, pmax_w, powers, data[t:t + 1])
+            for t in range(trials)]))
 
 
 def oracle_beam_pattern_rows(angles, split, full):

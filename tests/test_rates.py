@@ -342,6 +342,17 @@ def test_cluster_users_respects_the_cap():
     assert cluster_users(aods, gains, 0.1, 2) == [[0, 1], [2]]
 
 
+def test_cluster_users_takes_a_user_exactly_one_beamwidth_away():
+    # 1.25 - 1.0 and 1.5 - 1.25 are exactly 0.25
+    aods = np.array([1.0, 1.25, 1.5])
+    gains = np.array([3.0, 2.0, 1.0])
+    assert cluster_users(aods, gains, 0.25, 3) == [[0, 1], [2]]
+    assert cluster_users(aods, gains, np.nextafter(0.25, 0.0), 3) == [[0], [1], [2]]
+    np.testing.assert_array_equal(cluster_users(np.stack([aods, aods[::-1]]),
+                                                np.stack([gains, gains]), 0.25, 3),
+                                  [[0, 0, 1], [0, 0, 1]])
+
+
 def test_single_beam_baseline_collapses_to_tdma_when_isolated():
     aods = np.array([0.6, 1.6, 2.6])
     gains = np.array([3e-6, 2e-6, 1e-6])
@@ -531,3 +542,55 @@ def test_single_beam_baseline_matches_per_cluster_oracle_bit_for_bit(num_users, 
         aods = rng.uniform(1.0, 1.0 + 3 * width, size=num_users)
         check(aods, 10.0 ** rng.uniform(-7.0, -5.0, size=num_users), num_users, budgets)
     assert seen == set(range(1, num_users + 1))
+
+
+def drops_with_every_cluster_size(rng, num_drops, num_users, width):
+    """LOS AoDs and gains (num_drops, num_users) on which the single-beam
+    clustering forms clusters of every size: each drop puts a random number
+    of users inside one beamwidth, and some drops tie gains exactly."""
+    aods = 0.2 + 0.3 * np.array([rng.permutation(num_users) for _ in range(num_drops)],
+                                dtype=np.float64)
+    gains = 10.0 ** rng.uniform(-7.0, -5.0, size=(num_drops, num_users))
+    for t in range(num_drops):
+        near = rng.choice(num_users, size=rng.integers(1, num_users + 1), replace=False)
+        aods[t, near] = aods[t, near[0]] + rng.uniform(-0.9, 0.9, size=len(near)) * width
+    gains[::5, -1] = gains[::5, 0]
+    return aods, gains
+
+
+@pytest.mark.parametrize("num_users", (1, 2, 5, 8))
+def test_single_beam_baseline_over_drops_matches_one_call_per_drop_bit_for_bit(num_users):
+    # 16 elements: a 6.4 deg beam, so clusters of every size up to the cap occur
+    m_bs, m_ue, noise = 16, 4, 3.98e-12
+    width = math.radians(beamwidth_3db_deg(m_bs))
+    rng = np.random.default_rng(60 + num_users)
+    aods, gains = drops_with_every_cluster_size(rng, 120, num_users, width)
+    budgets = 10.0 ** (np.arange(30.0, 47.0, 2.0) / 10.0 - 3.0)
+    for cap in range(1, num_users + 1):
+        labels = cluster_users(aods, gains, width, cap)
+        assert labels.shape == aods.shape and labels.dtype == np.int64
+        sizes = set()
+        for t in range(len(aods)):
+            clusters = cluster_users(aods[t], gains[t], width, cap)
+            sizes.update(map(len, clusters))
+            for chain, members in enumerate(clusters):
+                assert sorted(members) == np.flatnonzero(labels[t] == chain).tolist()
+        assert sizes == set(range(1, cap + 1))
+        for budget in (float(budgets[4]), budgets):
+            batched = single_beam_noma_baseline(aods, gains, m_ue, m_bs, cap, budget, noise)
+            per_drop = [single_beam_noma_baseline(aods[t], gains[t], m_ue, m_bs, cap, budget,
+                                                  noise) for t in range(len(aods))]
+            for name in ("per_user", "group_sums", "system_sum", "sic_feasible"):
+                want = np.array([getattr(r, name) for r in per_drop])
+                got = getattr(batched, name)
+                assert got.shape == want.shape and got.dtype == want.dtype, name
+                np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                              want.view(np.uint8))
+            assert batched.sic_checks == tuple(c for r in per_drop for c in r.sic_checks)
+            # three leading axes are the same drops
+            stacked = single_beam_noma_baseline(aods.reshape(4, 3, 10, num_users),
+                                                gains.reshape(4, 3, 10, num_users),
+                                                m_ue, m_bs, cap, budget, noise)
+            np.testing.assert_array_equal(stacked.system_sum.reshape(batched.system_sum.shape),
+                                          batched.system_sum)
+            assert stacked.sic_checks == batched.sic_checks
