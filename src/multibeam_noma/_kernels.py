@@ -13,8 +13,9 @@ The antenna sweep builds no rows: ``two_segment_closed_form`` takes a
 block's paths as (T, K, 1 + L) arrays and gives every split-beam and
 full-array channel from the paper's Dirichlet-kernel closed form, with
 ``dirichlet`` (shared with ``effective`` and the single-beam baseline of
-``rates``) and one steering grid per block.  ``two_segment_sweep`` is its
-row-path oracle in the tests.  The receive side has one formula:
+``rates``) and one set of steering tables per block, read at the split
+columns alone or as a full grid.  ``two_segment_sweep`` is its row-path
+oracle in the tests.  The receive side has one formula:
 ``receive_kernel`` gives D(M_UE, κ_l) of every path, with no receive
 exponentials, for ``vhh_row``, ``two_segment_closed_form`` and
 ``effective.effective_closed_form``.
@@ -45,15 +46,18 @@ Each distinct steering phase is computed once per call:
   returns magnitudes, which hide the sign of a zero.
   ``tests/test_kernels.py`` checks the identity directly, so a libm that
   breaks it fails there.
-* The sweeps' tables are two-level (``_table_steering``): each left-half
+* The sweeps' tables are two-level (``_steering_tables``): each left-half
   element is a coarse phase of its block of B columns times a fine phase of
   its offset in the block, so an angle takes about 2 sqrt(M / 2) exps, not
   M / 2 (16 instead of 64 at M = 128), and one complex product per element.
   Its phases are reduced exactly modulo 2π before they are rounded, so the
   table stays within a few ulps of the exact steering row at any M, where
   one exp per element loses an ulp of the largest phase π (M - 1) / 2
-  (3.3e-14 at M = 128).  It builds the transmit rows of ``vhh_row`` and
-  the grid of ``two_segment_closed_form``.
+  (3.3e-14 at M = 128).  Two assemblies read the tables:
+  ``_table_steering`` makes the full grid (the transmit rows of
+  ``vhh_row``, and the grid of ``two_segment_closed_form`` when more than
+  half the columns are splits), and ``_table_columns`` makes only the
+  columns a sparse split set reads, each with the bits of its grid element.
 
 Split-beam weights have one formula, ``segment_weights``: contiguous
 segments end to end, each steered at one user, all from one exp with the
@@ -135,7 +139,7 @@ def _steering_conj(cos_angles: np.ndarray, m: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _table_ramps(m: int) -> tuple[np.ndarray, int, int]:
-    """Doubled phase ramps of ``_table_steering`` over m elements: the Q
+    """Doubled phase ramps of ``_steering_tables`` over m elements: the Q
     coarse ramps m - 1 - 2 B q, then the B fine ramps -2 r, with B the
     integer square root of the half width (m + 1) // 2 and Q = ceil(half / B)
     (bounded cache, read-only)."""
@@ -147,15 +151,11 @@ def _table_ramps(m: int) -> tuple[np.ndarray, int, int]:
     return ramps, q, b
 
 
-def _table_steering(cos_angles, m: int, conj: bool = False) -> np.ndarray:
-    """exp(±iπ cos θ ((m - 1) / 2 - j)) for every cos θ in ``cos_angles`` (any
-    shape) and element j, on a new last axis; the sign is - with ``conj``.
-
-    Element j = B q + r of the left half is the coarse phase of block q
-    times the fine phase of offset r, e^{±iπ c ((m-1)/2 - B q)} e^{∓iπ c r}:
-    one exp of Q + B phases per angle, about 2 sqrt(m / 2), and one complex
-    product per element.  The last block is cut at the half width, and the
-    mirror fills the right half (module notes).
+def _steering_tables(cos_angles, m: int, conj: bool = False) -> tuple[np.ndarray, int, int]:
+    """The two-level tables of ``_table_steering``: for every cos θ in
+    ``cos_angles`` (any shape), the Q coarse phases e^{±iπ c ((m-1)/2 - B q)}
+    then the B fine phases e^{∓iπ c r} on a new last axis, with Q and B
+    (the sign is - with ``conj``).
 
     Each phase is (π/2) x with x = ±c k for a doubled ramp k, reduced
     exactly modulo 4 before it meets π: with c split into a 26-bit head and
@@ -173,14 +173,48 @@ def _table_steering(cos_angles, m: int, conj: bool = False) -> np.ndarray:
     x = head[..., None] * ramps
     x -= 4.0 * np.rint(0.25 * x)
     x += (c - head)[..., None] * ramps
-    tables = np.exp((0.5j * math.pi) * x)
-    out = np.empty(c.shape + (m,), dtype=np.complex128)
+    return np.exp((0.5j * math.pi) * x), q, b
+
+
+def _table_steering(cos_angles, m: int, conj: bool = False) -> np.ndarray:
+    """exp(±iπ cos θ ((m - 1) / 2 - j)) for every cos θ in ``cos_angles`` (any
+    shape) and element j, on a new last axis; the sign is - with ``conj``.
+
+    Element j = B q + r of the left half is the coarse phase of block q
+    times the fine phase of offset r (``_steering_tables``): one exp of
+    Q + B phases per angle, about 2 sqrt(m / 2), and one complex product
+    per element.  The last block is cut at the half width, and the mirror
+    fills the right half (module notes).
+    """
+    tables, q, b = _steering_tables(cos_angles, m, conj)
+    out = np.empty(tables.shape[:-1] + (m,), dtype=np.complex128)
     # the product fills the first Q·B <= m columns in place (splitting the
     # last axis into blocks is always a view); the columns past the half
     # width are overwritten by the mirror
-    blocks = out[..., :q * b].reshape(c.shape + (q, b))
+    blocks = out[..., :q * b].reshape(tables.shape[:-1] + (q, b))
     np.multiply(tables[..., :q, None], tables[..., None, q:], out=blocks)
     return _mirror(out, m)
+
+
+def _table_columns(cos_angles, m: int, columns: np.ndarray) -> np.ndarray:
+    """``_table_steering(cos_angles, m)[..., columns]`` bit for bit, with no
+    full grid: for an integer array ``columns`` of S indices in [0, m), the
+    (..., S) columns from the tables alone.
+
+    A left-half column j = B q + r is the same product coarse[q] * fine[r],
+    in the same operand order, and a right-half column is the conjugate of
+    column m - 1 - j, as the mirror makes it.  So it costs two table reads,
+    one complex product and at most one conjugation per column, against
+    (m + 1) // 2 products and the mirror for the grid.
+    """
+    tables, q, b = _steering_tables(cos_angles, m)
+    columns = np.asarray(columns, dtype=np.int64)
+    left = np.minimum(columns, m - 1 - columns)
+    # np.take, not a fancy index: it gathers along the last axis 1.1-1.6x
+    # as fast (numpy 2.4)
+    out = np.take(tables, left // b, axis=-1)
+    np.multiply(out, np.take(tables, q + left % b, axis=-1), out=out)
+    return np.conjugate(out, out=out, where=columns != left)
 
 
 # Below this, sin(x) is treated as zero and the kernel takes its limit.
@@ -305,6 +339,23 @@ def two_segment_sweep(rows: np.ndarray, cos_a: float | np.ndarray,
     return seg_a + seg_b
 
 
+def _reads_split_columns(num_splits: int, m: int) -> bool:
+    """Whether ``two_segment_closed_form`` reads the steering tables at its
+    ``num_splits`` split columns of an m-element array (``_table_columns``)
+    rather than building the full grid (``_table_steering``): at most half
+    the columns.
+
+    A split column costs two table reads, a complex product and at most
+    one conjugation, against half a product and half a mirrored copy per
+    grid column, and the (2, P) @ (P, S) product shrinks with it.  Timed
+    in-process at 33, 128 and 256 elements, 0 to 30 NLOS paths and the
+    antenna sweep's block sizes, the split columns ran 1.1-1.9x as fast as
+    the grid wherever 2 S <= m, 0.8-1.4x at 5m/8 and 3m/4 of the splits, and
+    0.54-1.05x at every split, slowest with the most paths.
+    """
+    return 2 * num_splits <= m
+
+
 def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
                             cos_a: float | np.ndarray, cos_b: float | np.ndarray,
                             m1_values: np.ndarray, m_ue: int, m_bs: int
@@ -336,12 +387,18 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     where Σ' and Σ'' run over the paths matched to segment a and b
     (|sin x| < ``DIRICHLET_EPS``), which take the kernel's limit m with no
     division and their phase at the steering angle.  The two sums over
-    e^{iπ c_l m1} are read at the split columns of one two-level steering
-    grid (``_table_steering``), from one stacked (2, P) @ (P, M_BS) product
-    per user: about 2 P sqrt(M_BS / 2) exps per user, whatever the number
-    of splits.  Near the ``DIRICHLET_EPS`` edge the terms k_l are large and
-    cancel, so the result there holds fewer digits than a row product.  The
-    full-array channel is Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
+    e^{iπ c_l m1} come from the paths' two-level steering tables, about
+    2 P sqrt(M_BS / 2) exps per user whatever the number of splits, and one
+    stacked (2, P) @ (P, N) product per user.  With splits in at most half
+    the columns (``_reads_split_columns``) the tables are read at the S
+    split columns alone (``_table_columns``, N = S); otherwise the full grid
+    is built (``_table_steering``, N = M_BS) and the split columns are read
+    from the product.  Each column has the bits of its grid element either
+    way, and with one path the sums keep their bits too; a sum of P > 1
+    paths may round differently at another N.  Near the ``DIRICHLET_EPS``
+    edge the terms k_l are large and cancel, so the result there holds
+    fewer digits than a row product.  The full-array channel is
+    Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
     """
     m1 = np.asarray(m1_values, dtype=np.int64)
     c = np.cos(aods)
@@ -366,7 +423,11 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     # the difference, p_l e^{iπ c_l (M - 1)/2} = e^{-iπ c_l / 2}
     fold = np.exp(-0.5j * math.pi * c)
     folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
-    sums = (folded @ _table_steering(c, m_bs))[..., m_bs - 1 - m1]
+    columns = m_bs - 1 - m1
+    if _reads_split_columns(len(m1), m_bs):
+        sums = folded @ _table_columns(c, m_bs, columns)
+    else:
+        sums = np.take(folded @ _table_steering(c, m_bs), columns, axis=-1)
     lin_a = (k_a * p).sum(axis=-1)[..., None]
     lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
     lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]

@@ -8,8 +8,8 @@ the block size and however many worker threads ran it.  The antenna sweep
 takes blocks sized by ``_antenna_block``: as many trials as keep the closed
 form's M_BS-wide temporaries within ``BLOCK_ELEMENTS`` complex values (256
 trials of two LOS-only users on 128 antennas), and never fewer than
-``TRIAL_BLOCK`` (64 at 30 NLOS paths, whose steering grid then takes about
-8 MB).  A block seeds all of its keys at once,
+``TRIAL_BLOCK`` (64 at 30 NLOS paths, whose full steering grid then takes
+about 8 MB).  A block seeds all of its keys at once,
 draws every user's paths as arrays (the paths of ``drop_users``, bit for
 bit) and evaluates all of its trials along an array axis, split-beam sweep,
 full-array gains and threshold included, with no loop over trials.  Its
@@ -197,12 +197,16 @@ BLOCK_ELEMENTS = 3 * 2 ** 16
 def _antenna_block(scenario: ScenarioConfig) -> int:
     """Trials per antenna-sweep block.
 
-    Per trial, ``_kernels.two_segment_closed_form`` holds K (3 + L) M_BS-wide
-    complex temporaries: the steering grid has 1 + L rows per user and the
-    ``folded @ grid`` product 2.  A block takes as many trials as keep them
-    within ``BLOCK_ELEMENTS``, and never fewer than ``TRIAL_BLOCK``: 256 for
-    two LOS-only users on 128 antennas, whose per-block numpy calls would
-    otherwise cost about as much as their trials, and 64 at 30 NLOS paths.
+    Per trial, ``_kernels.two_segment_closed_form`` holds at most
+    K (3 + L) M_BS complex temporaries, when it builds the full steering
+    grid: 1 + L rows of M_BS per user, and 2 for the ``folded @ grid``
+    product.  With splits in at most half the columns it reads only the
+    split columns instead, (1 + L) S per user for S <= M_BS / 2 splits and
+    as many again while they are assembled, so it holds less.  A block takes
+    as many trials as keep the grid's temporaries within ``BLOCK_ELEMENTS``,
+    and never fewer than ``TRIAL_BLOCK``: 256 for two LOS-only users on 128
+    antennas, whose per-block numpy calls would otherwise cost about as much
+    as their trials, and 64 at 30 NLOS paths.
     """
     per_trial = (scenario.num_users * (3 + scenario.num_nlos_paths)
                  * scenario.bs_config.num_antennas)

@@ -184,6 +184,7 @@ def test_antenna_block_is_the_largest_within_the_closed_form_budget():
 
 def test_antenna_block_counts_the_closed_form_steering_grid(monkeypatch):
     # the rule's 1 + L grid rows per user: one (T, K, 1 + L, M_BS) grid a call
+    # at every split, which the closed form takes from the full grid
     table_steering = _kernels._table_steering
     shapes = []
 
@@ -199,6 +200,27 @@ def test_antenna_block_counts_the_closed_form_steering_grid(monkeypatch):
     _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
                                      np.arange(1, 33), 10, 33)
     assert shapes == [(5, 2, 1 + 3, 33)]
+
+
+def test_antenna_block_covers_the_split_column_read(monkeypatch):
+    # With at most half the array's splits the closed form reads (1 + L) S
+    # columns per user, not the 1 + L grid rows the rule counts: one
+    # (T, K, 1 + L, S) array a call, S <= M_BS / 2.
+    table_columns = _kernels._table_columns
+    shapes = []
+
+    def recording(*args):
+        columns = table_columns(*args)
+        shapes.append(columns.shape)
+        return columns
+
+    monkeypatch.setattr(_kernels, "_table_columns", recording)
+    scenario = ScenarioConfig(num_users=2, num_nlos_paths=3, bs_config=UlaConfig(33))
+    gains, aods, aoas = experiments._draw_block(scenario, 0, 5)
+    cos_los = np.cos(aods[..., 0])
+    _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
+                                     np.arange(1, 33, 2), 10, 33)
+    assert shapes == [(5, 2, 1 + 3, 16)]
 
 
 def test_monte_carlo_result_is_independent_of_workers():

@@ -274,6 +274,23 @@ def test_table_steering_over_leading_axes_matches_per_angle_calls_bit_for_bit(le
             assert_same_bits(got, want.reshape(lead + (m,)))
 
 
+@pytest.mark.parametrize("lead", ((), (23,), (64, 2, 1), (5, 2, 31)))
+def test_table_columns_are_the_grid_columns_bit_for_bit(lead):
+    # one angle, many, and (trial, user, path) arrays of one and of 31 paths
+    rng = np.random.default_rng(27 + len(lead))
+    for m in (2, 3, 4, 33, 128, 256):
+        cos = rng.uniform(-1.0, 1.0, size=lead)
+        if cos.size >= 6:
+            cos.flat[:6] = table_cosines(0, n=0)
+        # both ends, the centre column of an odd m (both middle columns of an
+        # even one), duplicates and random columns, unsorted
+        columns = np.concatenate(([m - 1, 0, (m - 1) // 2, m // 2, 0, m - 1],
+                                  rng.integers(0, m, size=11)))
+        got = _kernels._table_columns(cos, m, columns)
+        assert got.shape == lead + (len(columns),)
+        assert_same_bits(got, _kernels._table_steering(cos, m)[..., columns])
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="long double is no wider than float64 here")
 def test_table_steering_is_no_less_accurate_than_one_exp_per_element():
@@ -606,3 +623,87 @@ def test_two_segment_closed_form_over_trials_matches_per_trial_calls_bit_for_bit
             assert got[0].shape == (t, 2, len(m1_values)) and got[1].shape == (t, 2)
             assert_same_bits(got[0], np.stack([split for split, _ in want]))
             assert_same_bits(got[1], np.stack([full for _, full in want]))
+
+
+def closed_form_rounding_scale(gains, aods, aoas, cos_a, cos_b, m_ue, m_bs):
+    """Σ_l (|k_a| + |k_b| + M_BS |w_l|) per (trial, user): a bound on the
+    magnitude of every term the closed form sums or adds up for a split,
+    the w_l / (2 sin x) terms of the unmatched paths and up to M_BS times
+    the matched ones."""
+    c = np.cos(aods)
+    w = np.abs(gains * _kernels.receive_kernel(aoas, m_ue)) / math.sqrt(m_ue * m_bs)
+    scale = m_bs * w
+    for cos in (cos_a, cos_b):
+        sin_x = np.abs(np.sin(0.5 * math.pi * (cos[..., None, None] - c)))
+        matched = sin_x < _kernels.DIRICHLET_EPS
+        scale += np.where(matched, 0.0, 0.5 * w / np.where(matched, 1.0, sin_x))
+    return scale.sum(axis=-1)
+
+
+@pytest.mark.parametrize("m_bs", (2, 3, 33, 128, 256))
+@pytest.mark.parametrize("num_nlos", (0, 3, 30))
+def test_two_segment_closed_form_assemblies_agree(monkeypatch, m_bs, num_nlos):
+    # Both assemblies give every grid element its bits; only the N of the
+    # (2, P) @ (P, N) product differs, M_BS for the grid and S for the split
+    # columns.  With one path the product is one complex multiply per
+    # element, bit for bit.  A P-term dot may round otherwise at another N:
+    # bound 1e-14 relative to the closed form's terms (7.2e-16 seen).
+    rng = np.random.default_rng(50 + m_bs + num_nlos)
+    planted = planted_paths(rng, num_nlos)
+    shape = (7, 2, 1 + num_nlos)
+    random = (rng.normal(size=shape) + 1j * rng.normal(size=shape),
+              rng.uniform(0.05, math.pi - 0.05, size=shape),
+              rng.uniform(0.05, math.pi - 0.05, size=shape))
+    splits = np.arange(1, m_bs, dtype=np.int64)
+    for gains, aods, aoas in (tuple(x[None] for x in planted), random):
+        cos_los = np.cos(aods[..., 0])
+        scale = closed_form_rounding_scale(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
+                                           4, m_bs)
+        for m1_values in (splits, np.concatenate((splits[::-3], splits[:1]))):
+            got = {}
+            for split_columns in (True, False):
+                monkeypatch.setattr(_kernels, "_reads_split_columns",
+                                    lambda *args, answer=split_columns: answer)
+                got[split_columns] = _kernels.two_segment_closed_form(
+                    gains, aods, aoas, cos_los[:, 0], cos_los[:, 1], m1_values, 4, m_bs)
+            assert_same_bits(got[True][1], got[False][1])
+            if num_nlos == 0:
+                assert_same_bits(got[True][0], got[False][0])
+            else:
+                assert (np.abs(got[True][0] - got[False][0])
+                        <= 1e-14 * scale[..., None]).all()
+
+
+@pytest.mark.parametrize("num_nlos", (0, 1, 3, 7, 15, 30))
+def test_two_segment_closed_form_reads_split_columns_for_at_most_half_the_array(
+        monkeypatch, num_nlos):
+    # The choice of assembly follows the split count and the array size
+    # alone, whatever the number of paths.
+    built = []
+
+    def recording(name):
+        kernel = getattr(_kernels, name)
+
+        def record(*args):
+            built.append(name)
+            return kernel(*args)
+        return record
+
+    for name in ("_table_columns", "_table_steering"):
+        monkeypatch.setattr(_kernels, name, recording(name))
+    rng = np.random.default_rng(60 + num_nlos)
+    cases = ((128, range(30, 91, 2), True),          # README sweep.cfg: 31 splits
+             (128, range(2, 127, 2), True),          # CLI default: 63 splits
+             (128, range(1, 65), True), (128, range(1, 66), False),   # 2 S = M_BS
+             (128, range(1, 128), False),            # every split
+             (33, range(1, 17), True), (33, range(1, 18), False),
+             (256, range(1, 129), True), (256, range(1, 130), False),
+             (2, [1], True), (3, [1, 2], False))
+    for m_bs, m1_values, split_columns in cases:
+        gains, aods, aoas = random_inputs(rng.integers(2 ** 32), 2 * (1 + num_nlos))
+        gains, aods, aoas = (x.reshape(2, 1 + num_nlos) for x in (gains, aods, aoas))
+        cos_los = np.cos(aods[:, 0])
+        built.clear()
+        _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[0], cos_los[1],
+                                         np.array(m1_values), 4, m_bs)
+        assert built == ["_table_columns" if split_columns else "_table_steering"]

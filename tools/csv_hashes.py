@@ -3,9 +3,9 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1858 CSVs.  After that section come
+all of them concatenated in that order: 1912 CSVs.  After that section come
 one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
-full-precision float64 values, and one line for all 1746 sweeps.  The CSV
+full-precision float64 values, and one line for all 1800 sweeps.  The CSV
 cells carry 9 significant digits, which hide most last-bit moves: equal CSV
 lines with unequal ``bits`` lines mean the bytes held and the bits did not.
 
@@ -13,10 +13,12 @@ The matrix covers the antenna and power sweeps over seeds, user counts, NLOS
 path counts, array sizes (an odd one, 33 elements, in both sweeps, and up to
 256 elements for the antenna sweep, which also runs every split at 30 NLOS
 paths), pinned gain ratios, explicit power-sweep antenna splits, trial
-counts on either side of multiples of 64 and antenna sweeps that span
-several of the larger blocks of light trials, plus the CLI ``effective``,
-``rates`` and ``beampattern`` reports and both CLI sweeps at their default
-config.  The package is imported from the ``src`` directory next to this
+counts on either side of multiples of 64, antenna sweeps that span
+several of the larger blocks of light trials and antenna sweeps over several
+blocks on either side of the closed form's choice between reading its
+steering tables at the split columns and building the full grid, plus the
+CLI ``effective``, ``rates`` and ``beampattern`` reports and both CLI sweeps
+at their default config.  The package is imported from the ``src`` directory next to this
 script, so a copy of the script run from another checkout hashes that
 checkout.  Every warning is raised as an error.
 Two checkouts that produce the same CSV bytes print the same CSV lines, and
@@ -61,6 +63,14 @@ FULL_SWEEP_NLOS_PATHS = 30
 BLOCK_SPAN_SEEDS = (1, 12345)
 BLOCK_SPAN_TRIALS = 600
 BLOCK_SPAN_ARRAYS = ((128, 10), (256, 10))
+# Antenna sweeps of 600 trials on 128 elements, over 3 to 10 blocks, on
+# either side of _kernels._reads_split_columns: the closed form reads its
+# steering tables at the split columns for the README sweep.cfg splits
+# (m1 = 30, 32, .., 90) and for the 64 splits m1 = 1 .. 64, and builds the
+# full grid for the 65 splits m1 = 1 .. 65.
+SPLIT_SETS = (("README splits", tuple(range(30, 91, 2))),
+              ("64 splits", tuple(range(1, 65))), ("65 splits", tuple(range(1, 66))))
+SPLIT_SET_NLOS_PATHS = (0, 7, 15)
 POWER_NLOS_PATHS = (0, 2, 30)
 POWER_USERS = (1, 2, 3, 5, 9)
 # (arrays, user counts) of the power sweeps at their default split, which
@@ -143,6 +153,15 @@ def sweep_tables():
                         tuple(range(1, m_bs, 3)), gain_ratio=ratio)
                     yield (f"antennas seed={seed} trials={BLOCK_SPAN_TRIALS} m_bs={m_bs} "
                            f"nlos={num_nlos} ratio={ratio}",
+                           experiments.run_antenna_sweep(spec))
+        for label, splits in SPLIT_SETS:
+            for num_nlos in SPLIT_SET_NLOS_PATHS:
+                for ratio in RATIOS:
+                    spec = experiments.SweepSpec(
+                        "antennas", scenario(2, num_nlos, (128, 10), seed), BLOCK_SPAN_TRIALS,
+                        splits, gain_ratio=ratio)
+                    yield (f"antennas seed={seed} trials={BLOCK_SPAN_TRIALS} m_bs=128 "
+                           f"nlos={num_nlos} ratio={ratio} {label}",
                            experiments.run_antenna_sweep(spec))
 
 
