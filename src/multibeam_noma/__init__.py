@@ -17,6 +17,7 @@ from .asymptotic import (
     min_antennas_for_superiority,
     noma_gain,
     sic_condition_asymptotic,
+    strongest_user_rate_asymptotic,
     tdma_sum_rate_asymptotic,
 )
 from .beams import (

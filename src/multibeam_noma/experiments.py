@@ -31,6 +31,13 @@ which computes the NOMA, TDMA and single-beam baseline rates and the
 asymptotic gain of the whole run as arrays; its only loop is over the
 baseline's rare clusters of two or more users.
 
+This module holds no rate formula.  Both sweeps take their NOMA rates from
+``rates.noma_rates_from_gains``, their TDMA rates from ``rates.tdma_rates``
+and their large-array columns from the ``asymptotic`` laws, each called
+once per block (or run) on arrays with the trials, and the antenna sweep's
+splits, on leading axes: one ``AsymptoticScenario`` per block, from
+``_asym_scenario``, holds the drops (T, 1, K) against the splits (S, K).
+
 ``run_beam_pattern`` builds its split and full-array precoders from
 ``single_chain_plan`` plans, so they carry the same
 ``_kernels.segment_weights`` as the sweeps.
@@ -56,6 +63,8 @@ from .asymptotic import (
     min_antennas_for_superiority,
     noma_gain,
     sic_condition_asymptotic,
+    strongest_user_rate_asymptotic,
+    tdma_sum_rate_asymptotic,
 )
 from .beams import GroupPlan, rf_chain_precoder
 from .channel import (
@@ -75,6 +84,7 @@ from .rates import (
     noma_rates_from_gains,
     single_beam_noma_baseline,
     strongest_first,
+    tdma_rates,
 )
 
 
@@ -380,41 +390,32 @@ class SweepTable:
     def csv_text(self) -> str:
         """The ``#`` metadata lines, the header and one line per row.
 
-        Cells follow ``_format_cell``: integers (bool, ``np.bool_``, int,
-        ``np.integer``) print as integers, other values as floats with 9
-        significant digits.  A column of only integers or only floats takes
-        one ``%`` format, and each row is one ``%`` of the table's row format;
-        any other column is formatted cell by cell.  The rows are formatted
-        as they are unless some column is.
+        Every column holds only integers (bool, ``np.bool_``, int,
+        ``np.integer``), printed as integers, or only floats, printed with 9
+        significant digits, so each row is one ``%`` of the table's row
+        format.  Any other column raises ``ValueError``.
         """
         lines = [f"# {key} = {value}" for key, value in self.meta.items()]
         lines.append(",".join(self.header))
         if set(map(len, self.rows)) - {len(self.header)}:
             raise ValueError("every row needs one cell per header column")
-        columns = list(zip(*self.rows))
-        specs = [_column_format(column) for column in columns]
-        if None in specs:
-            rows = zip(*(column if spec else map(_format_cell, column)
-                         for column, spec in zip(columns, specs)))
-            specs = [spec or "%s" for spec in specs]
-        else:
-            rows = map(tuple, self.rows)
-        lines.extend(map(",".join(specs).__mod__, rows))
+        row_format = ",".join(map(_column_format, zip(*self.rows)))
+        lines.extend(map(row_format.__mod__, map(tuple, self.rows)))
         return "\n".join(lines) + "\n"
 
 
 _INTEGER_CELLS = (bool, np.bool_, int, np.integer)
 
 
-def _column_format(column: tuple) -> str | None:
-    """The one ``%`` format that prints every cell of ``column`` as
-    ``_format_cell`` does, if there is one."""
+def _column_format(column: tuple) -> str:
+    """The ``%`` format of a column of only integers or only floats."""
     types = set(map(type, column))
     if all(issubclass(t, _INTEGER_CELLS) for t in types):
         return "%d"
     if all(issubclass(t, (float, np.floating)) for t in types):
         return "%.9g"
-    return None
+    raise ValueError("a column must hold only integers or only floats, not "
+                     + ", ".join(sorted(t.__name__ for t in types)))
 
 
 def _format_cell(value) -> str:
@@ -446,17 +447,17 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
 
     Every step takes the whole block: ``two_segment_closed_form`` gives the
     split and full-array channels of every (trial, user) from its paths, the
-    threshold takes the (trial, user) LOS magnitudes, and after them the
-    arithmetic is element-wise, or a sum over the two users, which rounds
-    the same in any order.
+    threshold takes the (trial, user) LOS magnitudes, and the rates and
+    the large-array laws take the (trial, split) pairs of one scenario, the
+    drops (T, 1, 2) against the splits (S, 2).  After the channels every
+    step is element-wise, or a sum over the two users, which rounds the
+    same in any order.
     """
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
     m1_values = np.asarray(spec.values, dtype=np.int64)
-    m2_values = m_bs - m1_values
     p_user = scenario.max_power_w / 2.0
-    rho = 1.0 / scenario.noise_w
 
     gains, aods, aoas = _draw_block(scenario, lo, hi, spec.gain_ratio)
     mags = _scalar_abs(gains[..., 0])
@@ -467,18 +468,17 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     # fills: numpy may take another complex-abs loop for a strided view
     h = np.ascontiguousarray(swept.transpose(1, 0, 2))
     full_mags = _scalar_abs(full)
-    tdma_gains = full_mags * full_mags
-    threshold = min_antennas_for_superiority(mags, m_bs)
+    splits = np.array((m1_values, m_bs - m1_values)).T
+    asym = _asym_scenario(mags[:, None], splits, scenario, scenario.max_power_w)
     out = np.empty((hi - lo, len(m1_values), 6))
     out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
                                         scenario.noise_w).sum(axis=0)
-    out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]
-    out[..., 2] = np.log2((scenario.max_power_w * (mags[:, 0] * mags[:, 0]) * m_ue)[:, None]
-                          * m1_values.astype(np.float64) ** 2 * rho / m_bs)
-    out[..., 3] = np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho
-                          ).mean(axis=1)[:, None]
-    out[..., 4] = threshold[:, None]
-    out[..., 5] = mags[:, :1] * m1_values >= mags[:, 1:] * m2_values
+    out[..., 1] = tdma_rates(full_mags * full_mags, equal_time_shares(2), scenario.max_power_w,
+                             scenario.noise_w).system_sum[:, None]
+    out[..., 2] = strongest_user_rate_asymptotic(asym, scenario.max_power_w)
+    out[..., 3] = tdma_sum_rate_asymptotic(asym)
+    out[..., 4] = min_antennas_for_superiority(mags, m_bs)[:, None]
+    out[..., 5] = sic_condition_asymptotic(asym)
     return out
 
 
@@ -487,11 +487,20 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     """Two-user sweep over the strongest user's antenna share M_1.
 
     Per trial the same drop is reused across every split, so the NOMA and
-    TDMA curves share their randomness.  The asymptotic columns average
-    the per-drop closed forms; ``superiority_threshold`` averages the
-    per-drop minimum M_1 (drops where even the full array cannot beat
-    TDMA count as M_BS + 1); ``feasible_fraction`` is the share of drops
-    satisfying the asymptotic SIC ordering at each split.
+    TDMA curves share their randomness.  ``tdma_sum_mean`` averages
+    ``rates.tdma_rates`` on the full-array channels.  The large-array
+    columns average the ``asymptotic`` laws over the drops:
+
+    - ``noma_asymptotic`` averages ``strongest_user_rate_asymptotic`` at
+      p_max, the formula of ``asymptotic_sum_rate``, over every drop,
+      including the drops that fail the asymptotic SIC condition at that
+      split, where the guarded law would refuse;
+    - ``tdma_asymptotic`` averages ``tdma_sum_rate_asymptotic``;
+    - ``superiority_threshold`` averages the per-drop minimum M_1 of
+      ``min_antennas_for_superiority`` (drops where even the full array
+      cannot beat TDMA count as M_BS + 1);
+    - ``feasible_fraction`` is the feasible share: the fraction of drops
+      for which ``sic_condition_asymptotic`` holds at each split.
     """
     scenario = spec.scenario
     m1_values = np.asarray(spec.values, dtype=np.int64)
@@ -566,7 +575,6 @@ def _power_results(spec: SweepSpec, alloc: np.ndarray, pmax_w: np.ndarray,
     k = scenario.num_users
     group_size = k if spec.max_group_size is None else spec.max_group_size
     split_mags, full_mags, mags, aods = obs.transpose(1, 0, 2)
-    tdma_gains = full_mags * full_mags
 
     out = np.empty((len(obs), len(pmax_w), 4))
     # (user, trial, budget)
@@ -574,8 +582,8 @@ def _power_results(spec: SweepSpec, alloc: np.ndarray, pmax_w: np.ndarray,
                                         powers[:, None], scenario.noise_w).sum(axis=0)
     out[..., 1] = single_beam_noma_baseline(aods, mags, m_ue, m_bs, group_size, pmax_w,
                                             scenario.noise_w).system_sum
-    out[..., 2] = (np.log2(1.0 + pmax_w[:, None] * tdma_gains[:, None] / scenario.noise_w)
-                   @ equal_time_shares(k))
+    out[..., 2] = tdma_rates((full_mags * full_mags)[:, None], equal_time_shares(k),
+                             pmax_w[:, None], scenario.noise_w).system_sum
     # the gain does not depend on the budget: the first one builds the scenarios
     pred = np.full(len(obs), math.nan)
     ok = np.flatnonzero(sic_condition_asymptotic(
@@ -646,7 +654,9 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
 def _asym_scenario(mags: np.ndarray, alloc: np.ndarray, scenario: ScenarioConfig,
                    pmax_w: float) -> AsymptoticScenario:
     """The asymptotic scenario of the drops whose LOS magnitudes are the rows
-    of ``mags`` (..., K), strongest first, with an equal power split."""
+    of ``mags`` (..., K), strongest first, with an equal power split.
+    ``alloc`` is one (K,) split or splits (..., K) that broadcast against
+    ``mags``."""
     k = mags.shape[-1]
     return AsymptoticScenario(
         los_gain_mags=mags,
@@ -671,6 +681,8 @@ class BeamPatternConfig:
     num_points: int = 2048
 
     def __post_init__(self) -> None:
+        # a config error, checked first: the array check of every command
+        UlaConfig(self.bs_antennas)
         if len(self.split_lengths) != len(self.split_angles_deg):
             raise InfeasibleSpecError("one steering angle per segment is required")
         if not self.split_lengths:

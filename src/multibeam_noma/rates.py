@@ -12,9 +12,13 @@ for a receiver of gain g decoding a message of power p, with S the summed
 power of the messages stronger than it and I the inter-group interference
 at the receiver.  ``sic_rates`` evaluates it for a group in SIC order, on
 the diagonal for the rates and on the receiver x message grid for the
-decode rates of the audit.  The sweeps (``noma_rates_from_gains``), the plan
-reports (``system_sum_rate``, one ``sic_rates`` call per RF chain), the
-single-beam baseline and TDMA all use it.
+decode rates of the audit.  The sweeps' NOMA rates
+(``noma_rates_from_gains``), the plan reports (``system_sum_rate``, one
+``sic_rates`` call per RF chain), the single-beam baseline and TDMA all use
+it.  TDMA is ``tdma_rates``: each user alone, S = I = 0, its rates reduced
+with ``@ time_shares``; both sweeps take their TDMA column from it, over
+drops (and budgets) on leading axes, as they take the baseline from
+``single_beam_noma_baseline``.
 """
 
 from __future__ import annotations
@@ -197,37 +201,45 @@ def equal_time_shares(num_users: int) -> np.ndarray:
     return np.full(num_users, 1.0 / num_users)
 
 
-def tdma_rates(gains_sq: np.ndarray, time_shares: np.ndarray, max_power_w: float,
+def tdma_rates(gains_sq: np.ndarray, time_shares: np.ndarray, max_power_w,
                noise_w: float) -> RateReport:
     """Orthogonal baseline: each user gets the whole array and full power
-    for its time share."""
+    for its time share.
+
+    ``gains_sq`` is (K,), or (..., K) with one drop per row, and
+    ``max_power_w`` one budget or an array that broadcasts against the
+    gains: (n, 1) against (T, 1, K) gives every (drop, budget) pair.  The
+    fields then gain those leading axes, with the users last in
+    ``per_user``.  ``system_sum`` is the users' rates reduced with
+    ``@ time_shares``: the TDMA sum rate of both sweeps.
+    """
     gains_sq = np.asarray(gains_sq, dtype=np.float64)
     time_shares = np.asarray(time_shares, dtype=np.float64)
-    if gains_sq.shape != time_shares.shape:
+    if gains_sq.shape[-1:] != time_shares.shape:
         raise ValueError("one time share per user is required")
     if (time_shares < 0.0).any():
         raise ValueError("time shares must be nonnegative")
     if time_shares.sum() > 1.0 + 1e-9:
         raise ValueError(f"time shares sum to {time_shares.sum()}, over the frame")
     # each user alone on the channel: nothing stronger, no other beam
-    per_user = time_shares * _rate(gains_sq, max_power_w, 0.0, 0.0, noise_w)
-    total = float(per_user.sum())
-    return RateReport(per_user, np.array([total]), total, (), True)
+    rates = _rate(gains_sq, max_power_w, 0.0, 0.0, noise_w)
+    total = rates @ time_shares
+    system_sum = float(total) if np.ndim(total) == 0 else total
+    return RateReport(time_shares * rates, total[..., None], system_sum, (), True)
 
 
 def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
-                  beamwidth_rad: float, max_cluster_size: int):
+                  beamwidth_rad: float, max_cluster_size: int) -> np.ndarray:
     """Greedy angular clustering for the single-beam baseline.
 
     Users are visited in descending LOS power; each unassigned user opens
     a cluster and absorbs the unassigned users whose LOS departure angles
     lie within one beamwidth of its own, strongest first, up to the cap.
 
-    1-D inputs (K,) give the clusters as lists of user indices, in the
-    order they open, each head first and the rest in the order they join.
-    Inputs (..., K), one drop per row, give an int64 array (..., K) of
-    every user's cluster index instead.  Either way the rule runs as
-    K (K - 1) / 2 exact comparisons over the drops' arrays.
+    Inputs are (..., K), one drop per row (a single drop is (K,)).  The
+    result is an int64 array of the same shape holding every user's
+    cluster index; clusters are numbered in the order they open.  The rule
+    runs as K (K - 1) / 2 exact comparisons over the drops' arrays.
     """
     aods = np.asarray(los_aods, dtype=np.float64)
     order = strongest_first(np.abs(los_gains))
@@ -247,14 +259,9 @@ def cluster_users(los_aods: np.ndarray, los_gains: np.ndarray,
             ranked[..., j] = np.where(joins, opened, ranked[..., j])
             room = room - joins
         opened = opened + head
-    if aods.ndim > 1:
-        labels = np.empty_like(ranked)
-        labels[(*np.indices(order.shape)[:-1], order)] = ranked
-        return labels
-    clusters = [[] for _ in range(int(opened))]
-    for user, label in zip(order.tolist(), ranked.tolist()):
-        clusters[label].append(user)
-    return clusters
+    labels = np.empty_like(ranked)
+    labels[(*np.indices(order.shape)[:-1], order)] = ranked
+    return labels
 
 
 def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,

@@ -14,6 +14,7 @@ from multibeam_noma.asymptotic import (
     min_antennas_for_superiority,
     noma_gain,
     sic_condition_asymptotic,
+    strongest_user_rate_asymptotic,
     tdma_sum_rate_asymptotic,
 )
 from multibeam_noma.channel import dbm_to_watt
@@ -173,6 +174,27 @@ def test_allocation_superiority_agrees_with_noma_gain_sign():
         if not sic_condition_asymptotic(s):
             continue
         assert allocation_superiority(s) == (noma_gain(s) > 0.0)
+    # over drops and splits, with ties: equal gains, and g2 = (m1 / m_bs)^2
+    # at m1 = 64 of 128
+    for k in (1, 2, 5):
+        gains = -np.sort(-rng.uniform(0.1, 1.0, size=(200, k)), axis=1)
+        gains[::9] = gains[::9, :1]
+        if k == 2:
+            gains[1::9] = gains[1::9, :1] * np.array([1.0, 0.25])
+        splits = np.array([[m1] + [1] * (k - 1) for m1 in (1, 32, 64, 65, 128 - (k - 1))])
+        rows = np.flatnonzero(sic_condition_asymptotic(scen(gains[:, None], splits)).all(axis=1))
+        s = scen(gains[rows, None], splits)
+        got = allocation_superiority(s)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, noma_gain(s) > 0.0)
+        for g, row in zip(gains[rows], got):
+            for m, sup in zip(splits, row):
+                one = scen(g, m)
+                assert allocation_superiority(one) is bool(sup) is (noma_gain(one) > 0.0)
+    # the strict boundary: a tie is not superior, one antenna more is
+    tie = scen([1.0, 0.25], np.array([[64, 64], [65, 63]]))
+    assert noma_gain(tie)[0] == 0.0
+    np.testing.assert_array_equal(allocation_superiority(tie), [False, True])
 
 
 def test_min_antennas_reference_values():
@@ -324,10 +346,16 @@ def test_scenario_over_drops_rejects_a_single_bad_row():
             scen(gains[None], [64, 64])
     with pytest.raises(ValueError, match="equal length"):
         scen(good, [64, 32, 32])
-    with pytest.raises(ValueError, match="equal length"):
-        scen(good, np.full((3, 2), 64))
+    # one split per drop broadcasts; splits that do not broadcast are refused
+    assert scen(good, np.full((3, 2), 64)).num_users == 2
+    with pytest.raises(ValueError, match="broadcast"):
+        scen(good, np.full((2, 2), 64))
     with pytest.raises(ValueError, match="equal length"):
         scen(np.float64(1.0), [128], split=[1.0])
+    # so is a single bad split among them
+    for bad_split in ([100, 29], [0, 64], [64, -1]):
+        with pytest.raises(ValueError, match="fit the array"):
+            scen(good[:, None], [[64, 64], bad_split, [1, 1]])
     # the checks on what the drops share still apply
     with pytest.raises(ValueError, match="fit the array"):
         scen(good, [100, 29])
@@ -335,9 +363,80 @@ def test_scenario_over_drops_rejects_a_single_bad_row():
         scen(good, [64, 64], pmax=1.0, split=[0.6, 0.6])
 
 
-def test_laws_of_one_drop_refuse_several():
-    block = scen(np.array([[1.0, 0.2], [1.0, 0.3]]), [100, 28])
-    for law in (asymptotic_rates, asymptotic_sum_rate, tdma_sum_rate_asymptotic,
-                allocation_superiority):
-        with pytest.raises(ValueError, match="one drop"):
-            law(block)
+def drops_and_splits(rng, num_drops, k, m_bs):
+    """Gains (T, 1, K) of drops strongest first, some with equal gains, and
+    splits (S, K) that fit m_bs.  The weaker users of some splits get more
+    antennas, so that the SIC condition fails for some pairs when K > 1."""
+    gains = -np.sort(-(10.0 ** rng.uniform(-7.0, -5.0, size=(num_drops, k))), axis=1)
+    gains[::7] = gains[::7, :1]
+    rest = np.array([[3 + i for i in range(k - 1)], [2] * (k - 1),
+                     [20 - 2 * i for i in range(k - 1)]], dtype=np.int64)
+    splits = [np.concatenate(([m1], r)) for r in rest
+              for m1 in (1, 7, m_bs // 2, m_bs - r.sum()) if m1 + r.sum() <= m_bs]
+    return gains[:, None], np.array(splits)
+
+
+@pytest.mark.parametrize("k", (1, 2, 5))
+def test_laws_over_drops_and_splits_match_one_drop_calls_bit_for_bit(k):
+    # (T, 1, K) drops against (S, K) splits give every (drop, split) pair the
+    # bits of its own 1-D scenario.  m_bs = 100 makes m1 / m_bs inexact.
+    rng = np.random.default_rng(48 + k)
+    for m_bs in (100, 128):
+        gains, splits = drops_and_splits(rng, 60, k, m_bs)
+        block = scen(gains, splits, pmax=3.0, m_bs=m_bs, noise=1e-12)
+        pairs = [[scen(g[0], m, pmax=3.0, m_bs=m_bs, noise=1e-12) for m in splits]
+                 for g in gains]
+        shape = (len(gains), len(splits))
+
+        def same(got, law):
+            want = np.array([[law(p) for p in row] for row in pairs])
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+        ok = sic_condition_asymptotic(block)
+        assert ok.shape == shape
+        same(ok, sic_condition_asymptotic)
+        if k > 1:
+            assert 0 < ok.sum() < ok.size
+        same(strongest_user_rate_asymptotic(block, 3.0),
+             lambda p: strongest_user_rate_asymptotic(p, 3.0))
+        tdma = tdma_sum_rate_asymptotic(block)
+        assert tdma.shape == (len(gains), 1)
+        same(np.broadcast_to(tdma, shape).copy(), tdma_sum_rate_asymptotic)
+        # the guarded laws, on the splits that meet the condition for every drop
+        held = ok.all(axis=0)
+        assert held.any()
+        guarded = scen(gains, splits[held], pmax=3.0, m_bs=m_bs, noise=1e-12)
+        pairs = [[row[s] for s in np.flatnonzero(held)] for row in pairs]
+        for law in (asymptotic_sum_rate, noma_gain, allocation_superiority):
+            same(law(guarded), law)
+        same(asymptotic_rates(guarded), asymptotic_rates)
+        # the unguarded formula is the guarded sum rate where the condition holds
+        np.testing.assert_array_equal(strongest_user_rate_asymptotic(guarded, 3.0),
+                                      asymptotic_sum_rate(guarded))
+        np.testing.assert_array_equal(asymptotic_rates(guarded)[..., 0],
+                                      strongest_user_rate_asymptotic(guarded, 3.0 / k))
+
+
+def test_guarded_laws_raise_when_any_drop_fails():
+    gains = np.array([[1.0, 0.2], [1.0, 0.5], [1.0, 0.9]])
+    splits = np.array([[100, 28], [64, 64]])
+    fine = scen(gains[:, None], splits)
+    assert sic_condition_asymptotic(fine).all()
+    for law in (asymptotic_rates, asymptotic_sum_rate, noma_gain, allocation_superiority):
+        law(fine)
+    # 0.9 * 70 > 1.0 * 58: one (drop, split) pair of six fails
+    bad = scen(gains[:, None], np.array([[100, 28], [58, 70]]))
+    assert sic_condition_asymptotic(bad).sum() == 5
+    for law in (asymptotic_rates, asymptotic_sum_rate, noma_gain, allocation_superiority):
+        with pytest.raises(SicConditionError):
+            law(bad)
+    # the unguarded laws still evaluate every pair
+    assert np.isfinite(strongest_user_rate_asymptotic(bad, 2.0)).all()
+    assert np.isfinite(tdma_sum_rate_asymptotic(bad)).all()
+    # no drops at all: nothing fails, and every law gives an empty array
+    empty = scen(np.empty((0, 1, 2)), splits)
+    for law in (asymptotic_sum_rate, noma_gain, allocation_superiority,
+                sic_condition_asymptotic):
+        assert law(empty).shape == (0, 2)
+    assert asymptotic_rates(empty).shape == (0, 2, 2)

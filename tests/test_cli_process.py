@@ -56,6 +56,9 @@ def test_beampattern_process_writes_csv(tmp_path):
     (("sweep-antennas", "--config", "far.cfg", "--ratio", "1e300", "--trials", "3"), 3,
      "infeasible: gain ratio "),
     (("sweep-antennas", "--ratio", "1e160", "--trials", "3"), 3, "infeasible: gain ratio "),
+    # an empty array is a config error for every command, checked before the split
+    (("beampattern", "--config", "empty.cfg"), 2,
+     "config error: array needs at least one element, got 0"),
 ])
 def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, message):
     (tmp_path / "alloc.cfg").write_text("num_users = 2\nantenna_alloc = 128, 7\n")
@@ -66,6 +69,7 @@ def test_bad_input_ends_with_one_stderr_line_and_no_csv(tmp_path, args, code, me
     (tmp_path / "split.cfg").write_text("antenna_alloc = 100,7,7,7,x\n")
     (tmp_path / "lengths.cfg").write_text("split_lengths = 0x10,0x1g\n")
     (tmp_path / "far.cfg").write_text("cell_radius_m = 1e100\n")
+    (tmp_path / "empty.cfg").write_text("bs_antennas = 0\n")
     proc = run_cli(tmp_path, *args, "--out", "x.csv")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -7,9 +7,12 @@ import pytest
 
 from multibeam_noma import _kernels, experiments
 from multibeam_noma.asymptotic import (
+    AsymptoticScenario,
     min_antennas_for_superiority,
     noma_gain,
     sic_condition_asymptotic,
+    strongest_user_rate_asymptotic,
+    tdma_sum_rate_asymptotic,
 )
 from multibeam_noma.beams import PlanError, default_angle_grid
 from multibeam_noma.channel import (
@@ -34,7 +37,7 @@ from multibeam_noma.experiments import (
     single_chain_plan,
     write_table,
 )
-from multibeam_noma.rates import equal_time_shares, noma_rates_from_gains
+from multibeam_noma.rates import equal_time_shares, noma_rates_from_gains, tdma_rates
 from test_kernels import oracle_full_array_gains, oracle_pattern_mags, oracle_segment_weights
 from test_rates import per_cluster_baseline
 
@@ -321,15 +324,18 @@ def test_block_draw_matches_drop_users_bit_for_bit(num_users, num_nlos, gain_rat
 def oracle_antenna_trials(spec, lo, hi):
     """The antenna evaluator on the row path, with one kernel call per trial:
     the block's v^H H rows, per-trial ``two_segment_sweep``, a one-segment
-    ``segment_gains`` call per user and a 1-D threshold per trial, then the
-    block arithmetic of the sweep."""
+    ``segment_gains`` call per user and a 1-D threshold per trial.  The TDMA
+    rate comes from one ``tdma_rates`` call per trial and the large-array
+    columns from one scenario per trial and split, each law called on it
+    alone."""
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
+    pmax, noise = scenario.max_power_w, scenario.noise_w
     m1_values = np.asarray(spec.values, dtype=np.int64)
     m2_values = m_bs - m1_values
-    p_user = scenario.max_power_w / 2.0
-    rho = 1.0 / scenario.noise_w
+    p_user = pmax / 2.0
+    powers = np.array([p_user, p_user])
     offsets = np.zeros(1, dtype=np.int64)
     lengths = np.full(1, m_bs, dtype=np.int64)
 
@@ -339,27 +345,26 @@ def oracle_antenna_trials(spec, lo, hi):
     cos_aods = np.cos(aods[..., 0])
     n = hi - lo
     h = np.empty((2, n, len(m1_values)), dtype=np.complex128)
-    tdma_gains = np.empty((n, 2))
-    threshold = np.empty(n)
+    out = np.empty((n, len(m1_values), 6))
     for t in range(n):
         h[:, t] = _kernels.two_segment_sweep(rows[t], cos_aods[t, 0], cos_aods[t, 1],
                                              m1_values, m_bs)
+        tdma_gains = np.empty(2)
         for k in range(2):
             (g,) = _kernels.segment_gains(rows[t][k:k + 1], cos_aods[t][k:k + 1],
                                           offsets, lengths, m_bs)
-            tdma_gains[t, k] = abs(g) * abs(g)
+            tdma_gains[k] = abs(g) * abs(g)
+        out[t, :, 1] = tdma_rates(tdma_gains, equal_time_shares(2), pmax, noise).system_sum
         m1_min = min_antennas_for_superiority(mags[t], m_bs)
-        threshold[t] = m_bs + 1 if m1_min is None else m1_min
-    out = np.empty((n, len(m1_values), 6))
-    out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
-                                        scenario.noise_w).sum(axis=0)
-    out[..., 1] = np.log2(1.0 + scenario.max_power_w * tdma_gains * rho).mean(axis=1)[:, None]
-    out[..., 2] = np.log2((scenario.max_power_w * (mags[:, 0] * mags[:, 0]) * m_ue)[:, None]
-                          * m1_values.astype(np.float64) ** 2 * rho / m_bs)
-    out[..., 3] = np.log2(scenario.max_power_w * mags ** 2 * m_ue * m_bs * rho
-                          ).mean(axis=1)[:, None]
-    out[..., 4] = threshold[:, None]
-    out[..., 5] = mags[:, :1] * m1_values >= mags[:, 1:] * m2_values
+        out[t, :, 4] = m_bs + 1 if m1_min is None else m1_min
+        for s, split in enumerate(zip(m1_values.tolist(), m2_values.tolist())):
+            asym = AsymptoticScenario(mags[t], np.array(split), m_ue, m_bs, pmax, powers,
+                                      noise)
+            out[t, s, 2] = strongest_user_rate_asymptotic(asym, pmax)
+            out[t, s, 5] = sic_condition_asymptotic(asym)
+        # the TDMA limit does not read the split
+        out[t, :, 3] = tdma_sum_rate_asymptotic(asym)
+    out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, powers, noise).sum(axis=0)
     return out
 
 
@@ -452,6 +457,35 @@ def test_power_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_us
     if m_bs == 16 and num_users > 1:
         # a 6.4 deg beam: some drops put two or more users in one cluster
         assert max(sizes) > 1
+
+
+@pytest.mark.parametrize("num_users", (1, 2, 5, 9))
+def test_power_sweep_tdma_is_the_written_out_rate(num_users):
+    # The TDMA column comes from rates.tdma_rates over (trial, budget, user)
+    # arrays and keeps the bits of log2(1 + P g / sigma^2) @ shares, written
+    # out here, at gains over eight decades and budgets of 20 to 60 dBm.
+    rng = np.random.default_rng(70 + num_users)
+    scenario = ScenarioConfig(num_users=num_users, num_nlos_paths=0, rng_seed=1)
+    values = (20.0, 33.3, 46.0, 60.0)
+    spec = SweepSpec("power", scenario, 100, values)
+    alloc = np.array(default_antenna_alloc(num_users, 128), dtype=np.int64)
+    pmax_w = np.array([dbm_to_watt(v) for v in values])
+    powers = np.tile(pmax_w / num_users, (num_users, 1))
+    obs = np.empty((100, 4, num_users))
+    obs[:, :2] = 10.0 ** rng.uniform(-10.0, -2.0, size=(100, 2, num_users))
+    obs[:, 2] = -np.sort(-(10.0 ** rng.uniform(-8.0, -5.0, size=(100, num_users))), axis=1)
+    obs[:, 3] = rng.uniform(0.1, 3.0, size=(100, num_users))
+    full = obs[:, 1]
+    shares = np.full(num_users, 1.0 / num_users)
+    want = np.log2(1.0 + pmax_w[:, None] * (full * full)[:, None] / scenario.noise_w) @ shares
+    got = experiments._power_results(spec, alloc, pmax_w, powers, obs)[..., 2]
+    assert_same_bits(got, want)
+    # and each trial has the bits of a call on its drop alone, one (budgets, K)
+    # matrix-vector product (a 1-D dot per budget may round differently)
+    for t in range(100):
+        one = tdma_rates(full[t] * full[t], equal_time_shares(num_users), pmax_w[:, None],
+                         scenario.noise_w).system_sum
+        assert_same_bits(got[t], one)
 
 
 def test_default_antenna_alloc():
@@ -554,8 +588,6 @@ def test_csv_text_matches_per_cell_rules():
         "np_float64": [np.float64(-0.0), np.float64(math.inf), np.float64(-math.nan),
                        np.float64(2.0 / 3.0), np.float64(-1e100)],
         "np_floating": [np.float32(0.1), np.float16(-2.5), np.longdouble(1) / 3],
-        "mixed": [3, 2.5, True, np.int64(9), np.float64(-0.0), np.bool_(False), 10 ** 12],
-        "str": ["2.5", "1e400", "-0"],
     }
     n = max(map(len, columns.values()))
     rows = [tuple(values[i % len(values)] for values in columns.values()) for i in range(n)]
@@ -566,6 +598,14 @@ def test_csv_text_matches_per_cell_rules():
     assert SweepTable({}, ("a", "b"), []).csv_text() == "a,b\n"
     with pytest.raises(ValueError, match="one cell per header column"):
         SweepTable({}, ("a", "b"), [(1, 2.0), (3,)]).csv_text()
+    # a column that mixes integers and floats, or holds anything else, has no
+    # one format
+    for other in ([3, 2.5, True, np.int64(9), np.float64(-0.0), np.bool_(False), 10 ** 12],
+                  [np.int64(1), np.float64(1.0)], ["2.5", "1e400", "-0"], [1.5, "2"],
+                  [None]):
+        mixed = [(i, value) for i, value in enumerate(other)]
+        with pytest.raises(ValueError, match="only integers or only floats"):
+            SweepTable({}, ("i", "x"), mixed).csv_text()
 
 
 def test_csv_text_takes_rows_as_lists():
@@ -574,9 +614,10 @@ def test_csv_text_takes_rows_as_lists():
     text = SweepTable({"a": 1}, header, rows).csv_text()
     assert text == "# a = 1\nm1,value,flag\n4,0.5,1\n8,1e-12,0\n"
     assert text == SweepTable({"a": 1}, header, list(map(tuple, rows))).csv_text()
-    # a column that takes no one format is formatted cell by cell
+    # a column that takes no one format is refused
     mixed = [[1, 2.5], [2.5, np.int64(3)]]
-    assert SweepTable({}, ("x", "y"), mixed).csv_text() == "x,y\n1,2.5\n2.5,3\n"
+    with pytest.raises(ValueError, match="only integers or only floats"):
+        SweepTable({}, ("x", "y"), mixed).csv_text()
 
 
 def test_write_table_uses_unix_newlines(tmp_path):
@@ -788,6 +829,10 @@ def test_beam_pattern_config_validation():
                    {"full_angle_deg": math.nan}, {"split_angles_deg": (70.0, 180.0)}):
         with pytest.raises(InfeasibleSpecError, match=r"\(0, 180\)"):
             BeamPatternConfig(**angles)
+    # an empty array is a config error before any segment is checked
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="at least one element"):
+            BeamPatternConfig(bs_antennas=size)
 
 
 def test_run_beam_pattern_table():

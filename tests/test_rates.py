@@ -302,6 +302,25 @@ def test_tdma_rates_degenerate_shares():
     assert report.system_sum == pytest.approx(math.log2(7.0), rel=1e-12)
 
 
+def test_tdma_rates_over_drops_and_budgets():
+    rng = np.random.default_rng(71)
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, size=(6, 1, 3))
+    shares = np.array([0.5, 0.3, 0.2])
+    budgets = np.array([[0.5], [3.0]])
+    report = tdma_rates(gains, shares, budgets, 1e-2)
+    assert report.per_user.shape == (6, 2, 3)
+    assert report.group_sums.shape == (6, 2, 1) and report.system_sum.shape == (6, 2)
+    np.testing.assert_array_equal(report.group_sums[..., 0], report.system_sum)
+    assert report.sic_feasible and report.sic_checks == ()
+    for t in range(6):
+        for b in range(2):
+            one = tdma_rates(gains[t, 0], shares, float(budgets[b, 0]), 1e-2)
+            np.testing.assert_array_equal(report.per_user[t, b], one.per_user)
+            assert report.system_sum[t, b] == pytest.approx(one.system_sum, rel=1e-15)
+    with pytest.raises(ValueError, match="per user"):
+        tdma_rates(gains, shares[:2], 1.0, 1.0)
+
+
 def test_equal_time_shares_sum_to_one():
     shares = equal_time_shares(5)
     np.testing.assert_allclose(shares, 0.2, rtol=1e-12)
@@ -327,27 +346,29 @@ def test_beamwidth_reference():
 def test_cluster_users_merges_within_one_beamwidth():
     aods = np.array([1.0, 1.05, 0.97])
     gains = np.array([1.0, 3.0, 2.0])
-    assert cluster_users(aods, gains, 0.1, 4) == [[1, 2, 0]]
+    np.testing.assert_array_equal(cluster_users(aods, gains, 0.1, 4), [0, 0, 0])
 
 
 def test_cluster_users_isolated_users_stay_alone():
     aods = np.array([0.5, 1.5, 2.5])
     gains = np.array([1.0, 3.0, 2.0])
-    assert cluster_users(aods, gains, 0.1, 4) == [[1], [2], [0]]
+    # clusters open strongest first: user 1, then 2, then 0
+    np.testing.assert_array_equal(cluster_users(aods, gains, 0.1, 4), [2, 0, 1])
 
 
 def test_cluster_users_respects_the_cap():
     aods = np.array([1.0, 1.0, 1.0])
     gains = np.array([5.0, 4.0, 3.0])
-    assert cluster_users(aods, gains, 0.1, 2) == [[0, 1], [2]]
+    np.testing.assert_array_equal(cluster_users(aods, gains, 0.1, 2), [0, 0, 1])
 
 
 def test_cluster_users_takes_a_user_exactly_one_beamwidth_away():
     # 1.25 - 1.0 and 1.5 - 1.25 are exactly 0.25
     aods = np.array([1.0, 1.25, 1.5])
     gains = np.array([3.0, 2.0, 1.0])
-    assert cluster_users(aods, gains, 0.25, 3) == [[0, 1], [2]]
-    assert cluster_users(aods, gains, np.nextafter(0.25, 0.0), 3) == [[0], [1], [2]]
+    np.testing.assert_array_equal(cluster_users(aods, gains, 0.25, 3), [0, 0, 1])
+    np.testing.assert_array_equal(cluster_users(aods, gains, np.nextafter(0.25, 0.0), 3),
+                                  [0, 1, 2])
     np.testing.assert_array_equal(cluster_users(np.stack([aods, aods[::-1]]),
                                                 np.stack([gains, gains]), 0.25, 3),
                                   [[0, 0, 1], [0, 0, 1]])
@@ -571,10 +592,10 @@ def test_single_beam_baseline_over_drops_matches_one_call_per_drop_bit_for_bit(n
         assert labels.shape == aods.shape and labels.dtype == np.int64
         sizes = set()
         for t in range(len(aods)):
-            clusters = cluster_users(aods[t], gains[t], width, cap)
-            sizes.update(map(len, clusters))
-            for chain, members in enumerate(clusters):
-                assert sorted(members) == np.flatnonzero(labels[t] == chain).tolist()
+            one = cluster_users(aods[t], gains[t], width, cap)
+            assert one.shape == (num_users,) and one.dtype == np.int64
+            np.testing.assert_array_equal(one, labels[t])
+            sizes.update(np.bincount(one).tolist())
         assert sizes == set(range(1, cap + 1))
         for budget in (float(budgets[4]), budgets):
             batched = single_beam_noma_baseline(aods, gains, m_ue, m_bs, cap, budget, noise)
