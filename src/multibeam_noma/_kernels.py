@@ -13,7 +13,10 @@ The antenna sweep builds no rows: ``two_segment_closed_form`` takes a
 block's paths as (T, K, 1 + L) arrays and gives every split-beam and
 full-array channel from the paper's Dirichlet-kernel closed form, with
 ``dirichlet`` (shared with ``effective`` and the single-beam baseline of
-``rates``) and one set of steering tables per block, read at the split
+``rates``) and steering tables, with no exp per split.  Its segments are
+steered at the two users' LOS departures, so one half-angle table call
+(``_half_angle_phases``) gives both the segment phases e^{iπ c m1/2} and the
+LOS paths' own split columns; the NLOS paths' tables are read at the split
 columns alone or as a full grid.  ``two_segment_sweep`` is its row-path
 oracle in the tests.  The receive side has one formula:
 ``receive_kernel`` gives D(M_UE, κ_l) of every path, with no receive
@@ -55,9 +58,15 @@ Each distinct steering phase is computed once per call:
   one exp per element loses an ulp of the largest phase π (M - 1) / 2
   (3.3e-14 at M = 128).  Two assemblies read the tables:
   ``_table_steering`` makes the full grid (the transmit rows of
-  ``vhh_row``, and the grid of ``two_segment_closed_form`` when more than
-  half the columns are splits), and ``_table_columns`` makes only the
-  columns a sparse split set reads, each with the bits of its grid element.
+  ``vhh_row``, and the NLOS paths' grid in ``two_segment_closed_form`` when
+  more than half the columns are splits), and ``_table_columns`` makes only
+  the columns a split set reads, each with the bits of its grid element: the
+  half-angle columns of the LOS departures at every split, and the NLOS
+  paths' columns of a sparse split set.  At the half cosine c/2, column
+  M - 1 - m1 times column 0 is e^{iπ c m1/2} and its square is column
+  M - 1 - m1 at c, each within a few ulps of 1 (the product's rounding on
+  top of the tables'), where one exp of π c m1/2 rounds the phase to an ulp
+  of its own size.
 
 Split-beam weights have one formula, ``segment_weights``: contiguous
 segments end to end, each steered at one user, all from one exp with the
@@ -91,7 +100,12 @@ its 16384 elements differed from the per-trial ``(K, M)`` × ``(M,)``
 products, while the ``(T, 1, M)`` × ``(T, K, M)`` broadcast cannot reuse
 an operand and matches them.  Where the shapes can coincide (one row per
 trial), ``np.multiply`` is called as a function, which never reuses one, or
-the temporary is the left operand, whose reuse keeps the operand order.
+the temporary is the left operand, whose reuse keeps the operand order.  An
+explicit ``out=`` is safe when it is one of the inputs exactly, but not when
+it overlaps an input in part: numpy then goes through buffered copies, and
+writing e_a, e_b over the half-angle columns they are made from (a
+``(T, 2, S)`` view of the ``(T, 2, S + 1)`` columns) moved the last bit of
+some products at S = 1.
 
 Callers look the kernels up on this module at call time
 (``_kernels.vhh_row(...)``), so a wrapper patched onto the module sees
@@ -340,45 +354,65 @@ def two_segment_sweep(rows: np.ndarray, cos_a: float | np.ndarray,
 
 
 def _reads_split_columns(num_splits: int, m: int) -> bool:
-    """Whether ``two_segment_closed_form`` reads the steering tables at its
-    ``num_splits`` split columns of an m-element array (``_table_columns``)
-    rather than building the full grid (``_table_steering``): at most half
-    the columns.
+    """Whether ``two_segment_closed_form`` reads the NLOS paths' steering
+    tables at its ``num_splits`` split columns of an m-element array
+    (``_table_columns``) rather than building their full grid
+    (``_table_steering``): at most half the columns.
 
     A split column costs two table reads, a complex product and at most
     one conjugation, against half a product and half a mirrored copy per
-    grid column, and the (2, P) @ (P, S) product shrinks with it.  Timed
-    in-process at 33, 128 and 256 elements, 0 to 30 NLOS paths and the
-    antenna sweep's block sizes, the split columns ran 1.1-1.9x as fast as
-    the grid wherever 2 S <= m, 0.8-1.4x at 5m/8 and 3m/4 of the splits, and
-    0.54-1.05x at every split, slowest with the most paths.
+    grid column, and the (2, L) @ (L, S) product shrinks with it.  Timed
+    in-process at 33, 128 and 256 elements, 0 to 30 NLOS paths and blocks
+    of 64 to 256 trials, with the LOS path among the tables' 1 + L paths,
+    the split columns ran 1.1-1.9x as fast as the grid wherever 2 S <= m,
+    0.8-1.4x at 5m/8 and 3m/4 of the splits, and 0.54-1.05x at every split,
+    slowest with the most paths.
     """
     return 2 * num_splits <= m
 
 
+def _half_angle_phases(cos_los, m: int, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^{iπ c m1/2} and e^{iπ c (m1 - (m - 1)/2)} for every LOS cosine c in
+    ``cos_los`` (any shape) and split m1 of an m-element array, each on a
+    new last axis: the segment phases e_a, e_b of ``two_segment_closed_form``
+    and each LOS path's own split column.
+
+    One ``_table_columns`` call at the half cosine c/2 gives
+    u(m1) = e^{iπ (c/2)(m1 - (m - 1)/2)} at the split columns m - 1 - m1 and
+    e^{iπ (c/2)(m - 1)/2} at column 0; their product is the first and u^2
+    the second.  So no phase is an exp per split, and both keep the tables'
+    exact modulo-4 reduction (module notes).
+    """
+    half = _table_columns(0.5 * cos_los, m, np.append(m - 1 - m1, 0))
+    u = half[..., :-1]
+    # new arrays, not written over u, which overlaps half[..., -1:] (module
+    # notes)
+    return u * half[..., -1:], u * u
+
+
 def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
-                            cos_a: float | np.ndarray, cos_b: float | np.ndarray,
                             m1_values: np.ndarray, m_ue: int, m_bs: int
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Effective channels v^H H w from the paper's Dirichlet-kernel closed
-    form, for users with paths ``gains``, ``aods``, ``aoas`` (..., K, P) and
-    combiners matched to their own LOS arrival; no v^H H row is built.
+    form, for two users with paths ``gains``, ``aods``, ``aoas`` (..., 2, P)
+    and combiners matched to their own LOS arrival; no v^H H row is built.
 
-    Returns the (..., K, len(m1_values)) channels of every split
-    (m1, m_bs - m1) of a two-segment chain steered at ``cos_a`` then
-    ``cos_b`` (each of shape ``(...)``), the values ``two_segment_sweep``
-    takes from the rows, and the (..., K) channels of a full-array beam
-    steered at each user's own LOS departure (path 0).
+    Returns the (..., 2, len(m1_values)) channels of every split
+    (m1, m_bs - m1) of a two-segment chain whose segment a is steered at
+    user 0's LOS departure (path 0) and segment b at user 1's, the values
+    ``two_segment_sweep`` takes from the rows, and the (..., 2) channels of
+    a full-array beam steered at each user's own LOS departure.
 
     Path l weighs in with w_l = g_l D(M_UE, κ_l) / sqrt(M_UE M_BS), and its
     two segment terms are
 
         w_l (e^{-iπ c_l m2/2} D(m1, x_a) + e^{iπ c_l m1/2} D(m2, x_b))
 
-    with c_l = cos(aod_l), x_a = π/2 (cos_a - c_l), x_b = π/2 (cos_b - c_l).
-    Writing D(m, x) = Im(e^{imx}) / sin x, with k_l = w_l / (2i sin x) over
-    the unmatched paths, e_a = e^{iπ cos_a m1/2}, e_b = e^{iπ cos_b m1/2},
-    p_l = e^{-iπ c_l M_BS/2} and q = e^{iπ cos_b M_BS/2}, the channel is
+    with c_l = cos(aod_l), x_a = π/2 (c_a - c_l), x_b = π/2 (c_b - c_l) and
+    c_a, c_b the two LOS cosines.  Writing D(m, x) = Im(e^{imx}) / sin x,
+    with k_l = w_l / (2i sin x) over the unmatched paths,
+    e_a = e^{iπ c_a m1/2}, e_b = e^{iπ c_b m1/2}, p_l = e^{-iπ c_l M_BS/2}
+    and q = e^{iπ c_b M_BS/2}, the channel is
 
         h(m1) = e_a Σ k_a p - conj(e_a) Σ k_a p e^{iπ c m1}
                 + conj(e_b) Σ k_b p q e^{iπ c m1} - e_b Σ k_b conj(p q)
@@ -386,27 +420,33 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
 
     where Σ' and Σ'' run over the paths matched to segment a and b
     (|sin x| < ``DIRICHLET_EPS``), which take the kernel's limit m with no
-    division and their phase at the steering angle.  The two sums over
-    e^{iπ c_l m1} come from the paths' two-level steering tables, about
-    2 P sqrt(M_BS / 2) exps per user whatever the number of splits, and one
-    stacked (2, P) @ (P, N) product per user.  With splits in at most half
-    the columns (``_reads_split_columns``) the tables are read at the S
+    division and their phase at the steering angle.
+
+    No phase is an exp per split.  The segment phases e_a, e_b and each
+    LOS path's own column e^{iπ c_0 (m1 - (M_BS - 1)/2)} come from one
+    half-angle table call (``_half_angle_phases``).  The sums over the L
+    NLOS paths' e^{iπ c_l m1} come from their own tables, about
+    2 L sqrt(M_BS / 2) exps per user whatever the number of splits, and one
+    stacked (2, L) @ (L, N) product per user.  With splits in at most half
+    the columns (``_reads_split_columns``) those tables are read at the S
     split columns alone (``_table_columns``, N = S); otherwise the full grid
     is built (``_table_steering``, N = M_BS) and the split columns are read
     from the product.  Each column has the bits of its grid element either
-    way, and with one path the sums keep their bits too; a sum of P > 1
-    paths may round differently at another N.  Near the ``DIRICHLET_EPS``
-    edge the terms k_l are large and cancel, so the result there holds
-    fewer digits than a row product.  The full-array channel is
+    way, and with one NLOS path the product keeps its bits too; a sum of
+    L > 1 paths may round differently at another N.  Near the
+    ``DIRICHLET_EPS`` edge the terms k_l are large and cancel, so the result
+    there holds fewer digits than a row product.  The full-array channel is
     Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
     """
+    if gains.shape[-2] != 2:
+        raise ValueError(f"the two-segment closed form takes 2 users, got {gains.shape[-2]}")
     m1 = np.asarray(m1_values, dtype=np.int64)
     c = np.cos(aods)
     w = gains * ((1.0 / math.sqrt(m_ue * m_bs)) * receive_kernel(aoas, m_ue))
     full = (w * dirichlet(m_bs, 0.5 * math.pi * (c[..., :1] - c))).sum(axis=-1)
 
-    cos_a = np.asarray(cos_a, dtype=np.float64)[..., None, None]
-    cos_b = np.asarray(cos_b, dtype=np.float64)[..., None, None]
+    cos_a = c[..., :1, :1]
+    cos_b = c[..., 1:, :1]
     sin_a = np.sin(0.5 * math.pi * (cos_a - c))
     sin_b = np.sin(0.5 * math.pi * (cos_b - c))
     match_a = np.abs(sin_a) < DIRICHLET_EPS
@@ -417,26 +457,39 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     k_a = np.where(match_a, 0.0, -0.5j * w / np.where(match_a, 1.0, sin_a))
     k_b = np.where(match_b, 0.0, -0.5j * w / np.where(match_b, 1.0, sin_b))
     p = np.exp((-0.5j * math.pi * m_bs) * c)                  # e^{-iπ c_l M/2}
-    q = np.exp((0.5j * math.pi * m_bs) * cos_b)               # e^{iπ cos_b M/2}
+    q = np.exp((0.5j * math.pi * m_bs) * cos_b)               # e^{iπ c_b M/2}
     # Σ_l k_l p_l e^{iπ c_l m1} at every split: column M - 1 - m1 of the
     # centred grid holds e^{iπ c_l (m1 - (M - 1)/2)}, and the fold makes up
     # the difference, p_l e^{iπ c_l (M - 1)/2} = e^{-iπ c_l / 2}
     fold = np.exp(-0.5j * math.pi * c)
     folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
-    columns = m_bs - 1 - m1
-    if _reads_split_columns(len(m1), m_bs):
-        sums = folded @ _table_columns(c, m_bs, columns)
-    else:
-        sums = np.take(folded @ _table_steering(c, m_bs), columns, axis=-1)
+    e, los = _half_angle_phases(c[..., 0], m_bs, m1)
+    sums = folded[..., :1] * los[..., None, :]
+    if c.shape[-1] > 1:
+        columns = m_bs - 1 - m1
+        if _reads_split_columns(len(m1), m_bs):
+            sums += folded[..., 1:] @ _table_columns(c[..., 1:], m_bs, columns)
+        else:
+            sums += np.take(folded[..., 1:] @ _table_steering(c[..., 1:], m_bs), columns,
+                            axis=-1)
     lin_a = (k_a * p).sum(axis=-1)[..., None]
     lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
     lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]
     lim_b = np.where(match_b, w, 0.0).sum(axis=-1)[..., None]
 
-    e_a = np.exp((0.5j * math.pi) * (cos_a * m1))            # e^{iπ cos_a m1/2}
-    e_b = np.exp((0.5j * math.pi) * (cos_b * m1))
-    split = ((lin_a + m1 * lim_a) * e_a - np.conj(e_a) * sums[..., 0, :]
-             + np.conj(e_b) * sums[..., 1, :] + ((m_bs - m1) * lim_b - lin_b) * e_b)
+    # h(m1) in place: each term keeps the formula's operands in their order,
+    # and the terms are added in the formula's order
+    split = np.multiply(m1, lim_a)
+    np.add(lin_a, split, out=split)
+    split *= e[..., :1, :]
+    last = np.multiply(m_bs - m1, lim_b)
+    last -= lin_b
+    last *= e[..., 1:, :]
+    # conj(e_a) Σ k_a ... and conj(e_b) Σ k_b ... of every user in one product
+    np.multiply(np.conj(e, out=e)[..., None, :, :], sums, out=sums)
+    split -= sums[..., 0, :]
+    split += sums[..., 1, :]
+    split += last
     return split, full
 
 

@@ -5,16 +5,19 @@ Every user of every trial draws from its own RNG substream, keyed by
 evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
 the block size and however many worker threads ran it.  The antenna sweep
-takes blocks sized by ``_antenna_block``: as many trials as keep the closed
-form's M_BS-wide temporaries within ``BLOCK_ELEMENTS`` complex values (256
-trials of two LOS-only users on 128 antennas), and never fewer than
-``TRIAL_BLOCK`` (64 at 30 NLOS paths, whose full steering grid then takes
-about 8 MB).  A block seeds all of its keys at once,
-draws every user's paths as arrays (the paths of ``drop_users``, bit for
-bit) and evaluates all of its trials along an array axis, split-beam sweep,
-full-array gains and threshold included, with no loop over trials.  Its
-channels come from the paper's Dirichlet-kernel closed form
-(``_kernels.two_segment_closed_form``), so it builds no v^H H row.
+takes blocks sized by ``_antenna_block`` from the shapes of its closed
+form: as many trials as keep the closed form's (trial, user) temporaries
+within ``BLOCK_ELEMENTS`` complex values (528 trials for the README
+``sweep.cfg``, two LOS-only users and 31 splits on 128 antennas), and never
+fewer than ``TRIAL_BLOCK`` (64 at 30 NLOS paths).  A block seeds all of its
+keys at once, draws every user's paths as arrays (the paths of
+``drop_users``, bit for bit) and evaluates all of its trials along an array
+axis, split-beam sweep, full-array gains and threshold included, with no
+loop over trials.  Its channels come from the paper's Dirichlet-kernel
+closed form (``_kernels.two_segment_closed_form``), so it builds no v^H H
+row, and it takes every split phase from steering tables, with no exp per
+split: the segments are steered at the two users' LOS departures, whose
+half-angle tables give both the segment phases and the LOS paths' columns.
 
 The power sweep runs in two stages.  ``_power_trials`` observes one trial
 at a time: it draws the trial through ``drop_users`` and makes one
@@ -199,28 +202,41 @@ class MonteCarloResult:
 # rates over runs of this many trials.
 TRIAL_BLOCK = 64
 
-# Complex values of the M_BS-wide temporaries an antenna-sweep block may hold
-# above the TRIAL_BLOCK floor: 3 MB of complex128.
+# Complex values of the (trial, user) temporaries an antenna-sweep block may
+# hold above the TRIAL_BLOCK floor: 3 MB of complex128.
 BLOCK_ELEMENTS = 3 * 2 ** 16
 
 
-def _antenna_block(scenario: ScenarioConfig) -> int:
-    """Trials per antenna-sweep block.
+def _antenna_block(scenario: ScenarioConfig, num_splits: int) -> int:
+    """Trials per antenna-sweep block of ``num_splits`` splits.
 
-    Per trial, ``_kernels.two_segment_closed_form`` holds at most
-    K (3 + L) M_BS complex temporaries, when it builds the full steering
-    grid: 1 + L rows of M_BS per user, and 2 for the ``folded @ grid``
-    product.  With splits in at most half the columns it reads only the
-    split columns instead, (1 + L) S per user for S <= M_BS / 2 splits and
-    as many again while they are assembled, so it holds less.  A block takes
-    as many trials as keep the grid's temporaries within ``BLOCK_ELEMENTS``,
-    and never fewer than ``TRIAL_BLOCK``: 256 for two LOS-only users on 128
-    antennas, whose per-block numpy calls would otherwise cost about as much
-    as their trials, and 64 at 30 NLOS paths.
+    A block takes as many trials as keep the temporaries of
+    ``_kernels.two_segment_closed_form`` within ``BLOCK_ELEMENTS``, and never
+    fewer than ``TRIAL_BLOCK``.  Per trial and user, with L NLOS paths, the
+    closed form holds
+
+    - (6 + 2 L) S complex values for S splits in at most half the columns
+      (``_kernels._reads_split_columns``), and no M_BS-wide array: six
+      S-wide arrays (e_a and e_b, the LOS columns, the two split sums, the
+      channels and the last term of the sum) and, per NLOS path, its split
+      columns and their gather;
+    - (3 + L) M_BS otherwise: the L rows of the NLOS paths' full steering
+      grid, 2 for its product and one for the split-wide arrays.  These are
+      six arrays of S > M_BS / 2, so a dense LOS-only sweep holds up to twice
+      the count, but smaller blocks did not run it faster.
+
+    That is 528 trials for the README ``sweep.cfg`` (two LOS-only users, 31
+    splits), 256 for every split of a 128-element array and 64 at 30 NLOS
+    paths.  Larger blocks share each block's fixed numpy calls among more
+    trials.
     """
-    per_trial = (scenario.num_users * (3 + scenario.num_nlos_paths)
-                 * scenario.bs_config.num_antennas)
-    return max(TRIAL_BLOCK, BLOCK_ELEMENTS // per_trial)
+    m_bs = scenario.bs_config.num_antennas
+    num_nlos = scenario.num_nlos_paths
+    if _kernels._reads_split_columns(num_splits, m_bs):
+        per_user = (6 + 2 * num_nlos) * num_splits
+    else:
+        per_user = (3 + num_nlos) * m_bs
+    return max(TRIAL_BLOCK, BLOCK_ELEMENTS // (scenario.num_users * per_user))
 
 # Most trials a run takes: a trial index is one 32-bit word of its users'
 # spawn keys (channel.spawn_state_words), so indices stop at 2**32 - 1.
@@ -461,9 +477,7 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
 
     gains, aods, aoas = _draw_block(scenario, lo, hi, spec.gain_ratio)
     mags = _scalar_abs(gains[..., 0])
-    cos_los = np.cos(aods[..., 0])
-    swept, full = _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0],
-                                                   cos_los[:, 1], m1_values, m_ue, m_bs)
+    swept, full = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, m_ue, m_bs)
     # the C-contiguous (user, trial, split) layout that a per-trial loop
     # fills: numpy may take another complex-abs loop for a strided view
     h = np.ascontiguousarray(swept.transpose(1, 0, 2))
@@ -506,7 +520,7 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     m1_values = np.asarray(spec.values, dtype=np.int64)
     m2_values = scenario.bs_config.num_antennas - m1_values
     result = monte_carlo(spec.trials, functools.partial(_antenna_trials, spec), workers,
-                         block=_antenna_block(scenario))
+                         block=_antenna_block(scenario, len(m1_values)))
     header = ("m1", "m2", "noma_sum_mean", "noma_sum_stderr", "tdma_sum_mean",
               "tdma_sum_stderr", "noma_asymptotic", "tdma_asymptotic",
               "superiority_threshold", "feasible_fraction")

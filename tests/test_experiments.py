@@ -165,65 +165,68 @@ def test_monte_carlo_finishes_runs_of_at_least_trial_block_in_trial_order(monkey
         monte_carlo(20, evaluator, workers, block=1, finish=lambda stacked: stacked[1:])
 
 
-def antenna_block(num_nlos, m_bs):
+def antenna_block(num_nlos, m_bs, num_splits):
     return experiments._antenna_block(ScenarioConfig(num_users=2, num_nlos_paths=num_nlos,
-                                                     bs_config=UlaConfig(m_bs)))
+                                                     bs_config=UlaConfig(m_bs)), num_splits)
 
 
 def test_antenna_block_is_the_largest_within_the_closed_form_budget():
-    # the README sweep.cfg, the CLI default of 30 NLOS paths and a 256-element array
-    assert antenna_block(0, 128) == 256
-    assert antenna_block(30, 128) == experiments.TRIAL_BLOCK == 64
-    assert antenna_block(0, 256) == antenna_block(0, 128) // 2
+    # the README sweep.cfg, the CLI default of 30 NLOS paths and every split
+    assert antenna_block(0, 128, 31) == 528
+    assert antenna_block(30, 128, 63) == experiments.TRIAL_BLOCK == 64
+    assert antenna_block(0, 128, 127) == 256
+    assert antenna_block(0, 256, 255) == antenna_block(0, 128, 127) // 2
     for num_nlos in (0, 1, 3, 30, 300):
         for m_bs in (2, 33, 128, 256):
-            block = antenna_block(num_nlos, m_bs)
-            per_trial = 2 * (3 + num_nlos) * m_bs
-            assert block >= experiments.TRIAL_BLOCK, (num_nlos, m_bs)
-            if block > experiments.TRIAL_BLOCK:
-                assert (block * per_trial <= experiments.BLOCK_ELEMENTS
-                        < (block + 1) * per_trial), (num_nlos, m_bs)
+            for num_splits in {1, m_bs // 2, m_bs // 2 + 1, m_bs - 1}:
+                block = antenna_block(num_nlos, m_bs, num_splits)
+                if 2 * num_splits <= m_bs:
+                    per_trial = 2 * (6 + 2 * num_nlos) * num_splits
+                else:
+                    per_trial = 2 * (3 + num_nlos) * m_bs
+                case = (num_nlos, m_bs, num_splits)
+                assert block >= experiments.TRIAL_BLOCK, case
+                if block > experiments.TRIAL_BLOCK:
+                    assert (block * per_trial <= experiments.BLOCK_ELEMENTS
+                            < (block + 1) * per_trial), case
+
+
+def recorded_tables(monkeypatch, num_nlos, m_bs, m1_values, trials=5):
+    """(name, shape) of every steering table the closed form builds for a
+    block of ``trials`` two-user trials."""
+    shapes = []
+
+    def recording(name):
+        kernel = getattr(_kernels, name)
+
+        def record(*args):
+            out = kernel(*args)
+            shapes.append((name, out.shape))
+            return out
+        return record
+
+    for name in ("_table_columns", "_table_steering"):
+        monkeypatch.setattr(_kernels, name, recording(name))
+    scenario = ScenarioConfig(num_users=2, num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs))
+    gains, aods, aoas = experiments._draw_block(scenario, 0, trials)
+    _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, 10, m_bs)
+    return shapes
 
 
 def test_antenna_block_counts_the_closed_form_steering_grid(monkeypatch):
-    # the rule's 1 + L grid rows per user: one (T, K, 1 + L, M_BS) grid a call
-    # at every split, which the closed form takes from the full grid
-    table_steering = _kernels._table_steering
-    shapes = []
-
-    def recording(*args):
-        grid = table_steering(*args)
-        shapes.append(grid.shape)
-        return grid
-
-    monkeypatch.setattr(_kernels, "_table_steering", recording)
-    scenario = ScenarioConfig(num_users=2, num_nlos_paths=3, bs_config=UlaConfig(33))
-    gains, aods, aoas = experiments._draw_block(scenario, 0, 5)
-    cos_los = np.cos(aods[..., 0])
-    _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
-                                     np.arange(1, 33), 10, 33)
-    assert shapes == [(5, 2, 1 + 3, 33)]
+    # the rule's L grid rows per user: one (T, K, L, M_BS) grid a call at
+    # every split, beside the (T, K, S + 1) half-angle columns of the LOS
+    # paths
+    assert recorded_tables(monkeypatch, 3, 33, np.arange(1, 33)) == [
+        ("_table_columns", (5, 2, 33)), ("_table_steering", (5, 2, 3, 33))]
 
 
 def test_antenna_block_covers_the_split_column_read(monkeypatch):
-    # With at most half the array's splits the closed form reads (1 + L) S
-    # columns per user, not the 1 + L grid rows the rule counts: one
-    # (T, K, 1 + L, S) array a call, S <= M_BS / 2.
-    table_columns = _kernels._table_columns
-    shapes = []
-
-    def recording(*args):
-        columns = table_columns(*args)
-        shapes.append(columns.shape)
-        return columns
-
-    monkeypatch.setattr(_kernels, "_table_columns", recording)
-    scenario = ScenarioConfig(num_users=2, num_nlos_paths=3, bs_config=UlaConfig(33))
-    gains, aods, aoas = experiments._draw_block(scenario, 0, 5)
-    cos_los = np.cos(aods[..., 0])
-    _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
-                                     np.arange(1, 33, 2), 10, 33)
-    assert shapes == [(5, 2, 1 + 3, 16)]
+    # With at most half the array's splits the closed form reads L S
+    # columns per user beside the S + 1 half-angle columns: one
+    # (T, K, L, S) array a call, S <= M_BS / 2
+    assert recorded_tables(monkeypatch, 3, 33, np.arange(1, 33, 2)) == [
+        ("_table_columns", (5, 2, 17)), ("_table_columns", (5, 2, 3, 16))]
 
 
 def test_monte_carlo_result_is_independent_of_workers():
@@ -702,7 +705,7 @@ def sweep_with_trial_data(monkeypatch, run, spec, workers, block=None):
     """
     monkeypatch.setattr(experiments, "TRIAL_BLOCK", DEFAULT_BLOCK if block is None else block)
     monkeypatch.setattr(experiments, "_antenna_block",
-                        ANTENNA_BLOCK if block is None else lambda scenario: block)
+                        ANTENNA_BLOCK if block is None else lambda scenario, num_splits: block)
     results = {}
 
     def recording_monte_carlo(trials, evaluator, workers=1, **kwargs):
@@ -747,7 +750,7 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch, kind, num_users, nu
             if kind == "power":
                 size = 1
             else:
-                size = ANTENNA_BLOCK(scenario) if block is None else block
+                size = ANTENNA_BLOCK(scenario, 3) if block is None else block
             assert ranges == [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     if kind == "power":
         # its evaluator gives the same observations over a range of several

@@ -291,6 +291,37 @@ def test_table_columns_are_the_grid_columns_bit_for_bit(lead):
         assert_same_bits(got, _kernels._table_steering(cos, m)[..., columns])
 
 
+def test_half_angle_phases_match_one_exp_and_the_table_columns():
+    # e = e^{iπ c m1/2} from the half-angle table against one exp of the
+    # phase, which rounds π c m1/2 to an ulp of its own size: within 4 ulps
+    # of the phase plus 4 of 1 (2.2 seen, at 256 elements).  The LOS column
+    # u^2 against the table's own column at c: within 16 ulps of 1 (9.2
+    # seen); both reduce their phases exactly modulo 2π.
+    eps = np.finfo(np.float64).eps
+    cos = table_cosines(28, n=500)
+    for m in (2, 3, 4, 33, 128, 256):
+        m1 = np.arange(1, m)
+        for lead in ((len(cos),), (len(cos) // 2, 2)):
+            c = cos.reshape(lead)
+            e, los = _kernels._half_angle_phases(c, m, m1)
+            assert e.shape == los.shape == lead + (m - 1,)
+            phase = (0.5 * math.pi) * (c[..., None] * m1)
+            assert (np.abs(e - np.exp(1j * phase)) <= 4 * eps * (1.0 + np.abs(phase))).all(), m
+            assert (np.abs(los - _kernels._table_columns(c, m, m - 1 - m1)) <= 16 * eps).all(), m
+
+
+def test_two_segment_closed_form_takes_two_users():
+    rng = np.random.default_rng(29)
+    for num_users in (1, 3):
+        gains, aods, aoas = (x.reshape(num_users, 3) for x in random_inputs(rng.integers(99),
+                                                                             3 * num_users))
+        with pytest.raises(ValueError, match=f"takes 2 users, got {num_users}"):
+            _kernels.two_segment_closed_form(gains, aods, aoas, np.array([1, 5]), 4, 8)
+        with pytest.raises(ValueError, match="takes 2 users"):
+            _kernels.two_segment_closed_form(gains[None], aods[None], aoas[None],
+                                             np.array([1, 5]), 4, 8)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="long double is no wider than float64 here")
 def test_table_steering_is_no_less_accurate_than_one_exp_per_element():
@@ -576,8 +607,7 @@ def test_two_segment_closed_form_matches_direct_product_and_row_path(m_bs, num_n
             sin_x = np.abs(np.sin(0.5 * math.pi * (steer - np.cos(aods[:, 2:6]))))
             assert (sin_x[:, :2] < _kernels.DIRICHLET_EPS).all()
             assert (sin_x[:, 2:] > _kernels.DIRICHLET_EPS).all()
-        split, full = _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[0],
-                                                       cos_los[1], m1_values, m_ue, m_bs)
+        split, full = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, m_ue, m_bs)
         assert split.shape == (2, len(m1_values)) and full.shape == (2,)
         channels = [UserChannel(gains[u], aods[u], aoas[u], UlaConfig(m_ue), UlaConfig(m_bs))
                     for u in range(2)]
@@ -614,40 +644,41 @@ def test_two_segment_closed_form_over_trials_matches_per_trial_calls_bit_for_bit
         gains = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         aods = rng.uniform(0.05, math.pi - 0.05, size=shape)
         aoas = rng.uniform(0.05, math.pi - 0.05, size=shape)
-        cos_los = np.cos(aods[..., 0])
         for m1_values in (all_splits, all_splits[2::5]):
-            got = _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[:, 0],
-                                                   cos_los[:, 1], m1_values, 4, m_bs)
-            want = [_kernels.two_segment_closed_form(g, d, a, c[0], c[1], m1_values, 4, m_bs)
-                    for g, d, a, c in zip(gains, aods, aoas, cos_los)]
+            got = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, 4, m_bs)
+            want = [_kernels.two_segment_closed_form(g, d, a, m1_values, 4, m_bs)
+                    for g, d, a in zip(gains, aods, aoas)]
             assert got[0].shape == (t, 2, len(m1_values)) and got[1].shape == (t, 2)
             assert_same_bits(got[0], np.stack([split for split, _ in want]))
             assert_same_bits(got[1], np.stack([full for _, full in want]))
 
 
-def closed_form_rounding_scale(gains, aods, aoas, cos_a, cos_b, m_ue, m_bs):
+def closed_form_rounding_scale(gains, aods, aoas, m_ue, m_bs):
     """Σ_l (|k_a| + |k_b| + M_BS |w_l|) per (trial, user): a bound on the
     magnitude of every term the closed form sums or adds up for a split,
     the w_l / (2 sin x) terms of the unmatched paths and up to M_BS times
-    the matched ones."""
+    the matched ones, with segment a steered at user 0's LOS and b at user
+    1's."""
     c = np.cos(aods)
     w = np.abs(gains * _kernels.receive_kernel(aoas, m_ue)) / math.sqrt(m_ue * m_bs)
     scale = m_bs * w
-    for cos in (cos_a, cos_b):
-        sin_x = np.abs(np.sin(0.5 * math.pi * (cos[..., None, None] - c)))
+    for cos in (c[..., :1, :1], c[..., 1:, :1]):
+        sin_x = np.abs(np.sin(0.5 * math.pi * (cos - c)))
         matched = sin_x < _kernels.DIRICHLET_EPS
         scale += np.where(matched, 0.0, 0.5 * w / np.where(matched, 1.0, sin_x))
     return scale.sum(axis=-1)
 
 
 @pytest.mark.parametrize("m_bs", (2, 3, 33, 128, 256))
-@pytest.mark.parametrize("num_nlos", (0, 3, 30))
+@pytest.mark.parametrize("num_nlos", (0, 1, 3, 30))
 def test_two_segment_closed_form_assemblies_agree(monkeypatch, m_bs, num_nlos):
-    # Both assemblies give every grid element its bits; only the N of the
-    # (2, P) @ (P, N) product differs, M_BS for the grid and S for the split
-    # columns.  With one path the product is one complex multiply per
-    # element, bit for bit.  A P-term dot may round otherwise at another N:
-    # bound 1e-14 relative to the closed form's terms (7.2e-16 seen).
+    # Both assemblies give every grid element of the NLOS paths its bits;
+    # only the N of the (2, L) @ (L, N) product differs, M_BS for the grid
+    # and S for the split columns.  LOS paths take neither (they are the
+    # squares of the half-angle columns), and with one NLOS path the product
+    # is one complex multiply per element: bit for bit.  An L-term dot may
+    # round otherwise at another N: bound 1e-14 relative to the closed
+    # form's terms (7.8e-16 seen).
     rng = np.random.default_rng(50 + m_bs + num_nlos)
     planted = planted_paths(rng, num_nlos)
     shape = (7, 2, 1 + num_nlos)
@@ -656,18 +687,16 @@ def test_two_segment_closed_form_assemblies_agree(monkeypatch, m_bs, num_nlos):
               rng.uniform(0.05, math.pi - 0.05, size=shape))
     splits = np.arange(1, m_bs, dtype=np.int64)
     for gains, aods, aoas in (tuple(x[None] for x in planted), random):
-        cos_los = np.cos(aods[..., 0])
-        scale = closed_form_rounding_scale(gains, aods, aoas, cos_los[:, 0], cos_los[:, 1],
-                                           4, m_bs)
+        scale = closed_form_rounding_scale(gains, aods, aoas, 4, m_bs)
         for m1_values in (splits, np.concatenate((splits[::-3], splits[:1]))):
             got = {}
             for split_columns in (True, False):
                 monkeypatch.setattr(_kernels, "_reads_split_columns",
                                     lambda *args, answer=split_columns: answer)
                 got[split_columns] = _kernels.two_segment_closed_form(
-                    gains, aods, aoas, cos_los[:, 0], cos_los[:, 1], m1_values, 4, m_bs)
+                    gains, aods, aoas, m1_values, 4, m_bs)
             assert_same_bits(got[True][1], got[False][1])
-            if num_nlos == 0:
+            if num_nlos <= 1:
                 assert_same_bits(got[True][0], got[False][0])
             else:
                 assert (np.abs(got[True][0] - got[False][0])
@@ -677,16 +706,20 @@ def test_two_segment_closed_form_assemblies_agree(monkeypatch, m_bs, num_nlos):
 @pytest.mark.parametrize("num_nlos", (0, 1, 3, 7, 15, 30))
 def test_two_segment_closed_form_reads_split_columns_for_at_most_half_the_array(
         monkeypatch, num_nlos):
-    # The choice of assembly follows the split count and the array size
-    # alone, whatever the number of paths.
+    # One half-angle call reads the two LOS cosines' tables at the S split
+    # columns and column 0, (2, S + 1).  The NLOS paths' assembly follows
+    # the split count and the array size alone, whatever their number: the
+    # (2, L, S) split columns or the (2, L, M_BS) grid; none without NLOS
+    # paths.
     built = []
 
     def recording(name):
         kernel = getattr(_kernels, name)
 
         def record(*args):
-            built.append(name)
-            return kernel(*args)
+            out = kernel(*args)
+            built.append((name, out.shape))
+            return out
         return record
 
     for name in ("_table_columns", "_table_steering"):
@@ -702,8 +735,11 @@ def test_two_segment_closed_form_reads_split_columns_for_at_most_half_the_array(
     for m_bs, m1_values, split_columns in cases:
         gains, aods, aoas = random_inputs(rng.integers(2 ** 32), 2 * (1 + num_nlos))
         gains, aods, aoas = (x.reshape(2, 1 + num_nlos) for x in (gains, aods, aoas))
-        cos_los = np.cos(aods[:, 0])
         built.clear()
-        _kernels.two_segment_closed_form(gains, aods, aoas, cos_los[0], cos_los[1],
-                                         np.array(m1_values), 4, m_bs)
-        assert built == ["_table_columns" if split_columns else "_table_steering"]
+        _kernels.two_segment_closed_form(gains, aods, aoas, np.array(m1_values), 4, m_bs)
+        num_splits = len(m1_values)
+        want = [("_table_columns", (2, num_splits + 1))]
+        if num_nlos:
+            want.append(("_table_columns", (2, num_nlos, num_splits)) if split_columns
+                        else ("_table_steering", (2, num_nlos, m_bs)))
+        assert built == want

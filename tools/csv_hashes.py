@@ -3,16 +3,16 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 1912 CSVs.  After that section come
+all of them concatenated in that order: 2236 CSVs.  After that section come
 one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
-full-precision float64 values, and one line for all 1800 sweeps.  The CSV
+full-precision float64 values, and one line for all 2124 sweeps.  The CSV
 cells carry 9 significant digits, which hide most last-bit moves: equal CSV
 lines with unequal ``bits`` lines mean the bytes held and the bits did not.
 
 The matrix covers the antenna and power sweeps over seeds, user counts, NLOS
 path counts, array sizes (an odd one, 33 elements, in both sweeps, and up to
 256 elements for the antenna sweep, which also runs every split at 30 NLOS
-paths), pinned gain ratios, explicit power-sweep antenna splits, trial
+paths and every split of 2- and 3-element arrays), pinned gain ratios, explicit power-sweep antenna splits, trial
 counts on either side of multiples of 64, antenna sweeps that span
 several of the larger blocks of light trials and antenna sweeps over several
 blocks on either side of the closed form's choice between reading its
@@ -52,18 +52,24 @@ ARRAYS = ((128, 10), (64, 4), (32, 1))          # (M_BS, M_UE)
 ODD_ARRAYS = ((33, 3),)
 ANTENNA_ARRAYS = ARRAYS + ((256, 10),) + ODD_ARRAYS
 ANTENNA_NLOS_PATHS = (0, 1, 3)
+# Antenna sweeps over every split of the smallest arrays, whose half-width
+# steering tables shrink to one coarse and one fine phase (2 elements) and to
+# an odd centre column (3 elements), as the closed form reads them at the
+# LOS departures' half cosines and at the NLOS paths' cosines.
+TINY_ARRAYS = ((2, 1), (3, 1))
 # Antenna sweeps over every split, m1 = 1 .. M_BS - 1, with 30 NLOS paths: the
 # closed form then reads every column of its steering grid, for many paths.
 FULL_SWEEP_ARRAYS = ((128, 10), (256, 10))
 FULL_SWEEP_NLOS_PATHS = 30
-# Antenna sweeps of 600 trials, which span 3 to 10 blocks of
-# experiments._antenna_block (256 trials at 128 elements and no NLOS path,
-# down to 64 at 256 elements and 3 paths).  The 70 and 130 trials above are
-# one block of trials with at most one NLOS path on up to 128 elements.
+# Antenna sweeps of 600 trials, which span 2 to 7 blocks of
+# experiments._antenna_block (381 trials at 128 elements, 43 splits and no
+# NLOS path, down to 96 at 256 elements and 3 paths).  The 70 and 130 trials
+# above are one block on up to 128 elements; at 256 elements and 3 NLOS
+# paths 130 trials take two.
 BLOCK_SPAN_SEEDS = (1, 12345)
 BLOCK_SPAN_TRIALS = 600
 BLOCK_SPAN_ARRAYS = ((128, 10), (256, 10))
-# Antenna sweeps of 600 trials on 128 elements, over 3 to 10 blocks, on
+# Antenna sweeps of 600 trials on 128 elements, over 2 to 10 blocks, on
 # either side of _kernels._reads_split_columns: the closed form reads its
 # steering tables at the split columns for the README sweep.cfg splits
 # (m1 = 30, 32, .., 90) and for the 64 splits m1 = 1 .. 64, and builds the
@@ -117,6 +123,16 @@ def sweep_tables():
                             tuple(range(1, m_bs, 3)), gain_ratio=ratio)
                         yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
                                f"nlos={num_nlos} ratio={ratio}",
+                               experiments.run_antenna_sweep(spec))
+            for arrays in TINY_ARRAYS:
+                m_bs = arrays[0]
+                for num_nlos in ANTENNA_NLOS_PATHS:
+                    for ratio in RATIOS:
+                        spec = experiments.SweepSpec(
+                            "antennas", scenario(2, num_nlos, arrays, seed), trials,
+                            tuple(range(1, m_bs)), gain_ratio=ratio)
+                        yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
+                               f"nlos={num_nlos} ratio={ratio} every split",
                                experiments.run_antenna_sweep(spec))
             for arrays in FULL_SWEEP_ARRAYS:
                 m_bs = arrays[0]
