@@ -241,13 +241,14 @@ def user_rng(master_seed: int, trial_index: int, user_index: int) -> np.random.G
 # for a block of keys at once.
 #
 # The hash: a key's entropy is the master seed's 32-bit words, padded with
-# zeros to the pool size, then the trial word and the user word.  Every
-# ``hashmix`` xors a word with the running hash constant, advances the
-# constant and multiplies by it; ``mix`` folds a hashed word into a pool
-# word; all of it is mod 2**32.  The constants meet the words in a fixed
-# order, so everything before the trial word depends on the master seed
-# alone, and each of the four pool words (lanes) meets the trial and user
-# words with a xor and a multiply constant of its own.
+# zeros to the pool size, then the trial word and the user word.  The zero
+# padding hashes as ``SeedSequence(master)`` hashes its missing words, so the
+# pool before the trial word is that sequence's pool, and the master's words
+# have advanced the hash constant 16 times, plus 4 for each word past the
+# pool size.  Each key word then meets each of the four pool words (lanes)
+# with a ``hashmix`` (xor with the running hash constant, advance the
+# constant, multiply by it, xorshift by 16) and a ``mix`` into the lane, all
+# mod 2**32.
 #
 # PCG64 is the 128-bit LCG s -> MULT s + inc (mod 2**128).  Seeded with the
 # words (seed, w) it sets inc = 2 w + 1, steps from 0, adds seed and steps
@@ -266,15 +267,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian 32-bit words, at least one, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -300,32 +292,10 @@ def _master_lanes(master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     alone: ``_MIX_MULT_L`` times the pool, then the xor and the multiply
     constants of the trial and user words' ``hashmix``, as (4,), (2, 4) and
     (2, 4) uint32 lanes, trial word first."""
-    run = _uint32_words(master_seed)
-    # a spawned sequence pads its run entropy with zeros to the pool size
-    entropy = run + [0] * (_POOL_SIZE - len(run))
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        result = ((_MIX_MULT_L * x) - (_MIX_MULT_R * y)) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    chain = _hash_chain(hash_const, _MULT_A, 2 * _POOL_SIZE + 1)
-    lanes = (np.array([(_MIX_MULT_L * word) & _MASK32 for word in pool], dtype=np.uint32),
+    words = max(1, -(-master_seed.bit_length() // 32))
+    steps = 16 + 4 * max(0, words - _POOL_SIZE)
+    chain = _hash_chain(_INIT_A, _MULT_A, steps + 2 * _POOL_SIZE + 1)[steps:]
+    lanes = (np.random.SeedSequence(master_seed).pool * np.uint32(_MIX_MULT_L),
              chain[:-1].reshape(2, _POOL_SIZE), chain[1:].reshape(2, _POOL_SIZE))
     for lane in lanes:
         lane.flags.writeable = False
@@ -338,11 +308,11 @@ def spawn_state_words(master_seed: int, trial_lo: int, trial_hi: int,
     for every trial t in [trial_lo, trial_hi) and user k < num_users, as a
     (T, K, 4) uint64 array.
 
-    The master seed is hashed once as Python ints (``_master_lanes``).  The
-    four pool lanes sit on the last axis: the trial word is hashed into a
-    (T, 4) array, the user word into (K, 4), they mix into (T, K, 4), and
-    one step over (T, K, 8) hashes out the eight 32-bit output words.
-    uint32 arrays wrap as the C code does.
+    The master seed's part of the hash is read from numpy once per master
+    (``_master_lanes``).  The four pool lanes sit on the last axis: the
+    trial word is hashed into a (T, 4) array, the user word into (K, 4),
+    they mix into (T, K, 4), and one step over (T, K, 8) hashes out the
+    eight 32-bit output words.  uint32 arrays wrap as the C code does.
     """
     master_seed = operator.index(master_seed)
     if master_seed < 0:

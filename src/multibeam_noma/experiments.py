@@ -212,30 +212,14 @@ def _antenna_block(scenario: ScenarioConfig, num_splits: int) -> int:
 
     A block takes as many trials as keep the temporaries of
     ``_kernels.two_segment_closed_form`` within ``BLOCK_ELEMENTS``, and never
-    fewer than ``TRIAL_BLOCK``.  Per trial and user, with L NLOS paths, the
-    closed form holds
-
-    - (6 + 2 L) S complex values for S splits in at most half the columns
-      (``_kernels._reads_split_columns``), and no M_BS-wide array: six
-      S-wide arrays (e_a and e_b, the LOS columns, the two split sums, the
-      channels and the last term of the sum) and, per NLOS path, its split
-      columns and their gather;
-    - (3 + L) M_BS otherwise: the L rows of the NLOS paths' full steering
-      grid, 2 for its product and one for the split-wide arrays.  These are
-      six arrays of S > M_BS / 2, so a dense LOS-only sweep holds up to twice
-      the count, but smaller blocks did not run it faster.
-
-    That is 528 trials for the README ``sweep.cfg`` (two LOS-only users, 31
-    splits), 256 for every split of a 128-element array and 64 at 30 NLOS
-    paths.  Larger blocks share each block's fixed numpy calls among more
-    trials.
+    fewer than ``TRIAL_BLOCK``.  With L NLOS paths the closed form holds
+    (3 + L) min(2 S, M_BS) complex values per trial and user for S splits:
+    528 trials for the README ``sweep.cfg`` (two LOS-only users, 31 splits),
+    256 for every split of a 128-element array and 64 at 30 NLOS paths.
+    Larger blocks share each block's fixed numpy calls among more trials.
     """
     m_bs = scenario.bs_config.num_antennas
-    num_nlos = scenario.num_nlos_paths
-    if _kernels._reads_split_columns(num_splits, m_bs):
-        per_user = (6 + 2 * num_nlos) * num_splits
-    else:
-        per_user = (3 + num_nlos) * m_bs
+    per_user = (3 + scenario.num_nlos_paths) * min(2 * num_splits, m_bs)
     return max(TRIAL_BLOCK, BLOCK_ELEMENTS // (scenario.num_users * per_user))
 
 # Most trials a run takes: a trial index is one 32-bit word of its users'
@@ -516,6 +500,8 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     - ``feasible_fraction`` is the feasible share: the fraction of drops
       for which ``sic_condition_asymptotic`` holds at each split.
     """
+    if spec.kind != "antennas":
+        raise ValueError(f"the antenna sweep takes an 'antennas' spec, got {spec.kind!r}")
     scenario = spec.scenario
     m1_values = np.asarray(spec.values, dtype=np.int64)
     m2_values = scenario.bs_config.num_antennas - m1_values
@@ -630,6 +616,8 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     departure, and its NLOS paths are left out.  ``noma_sum_mean`` and
     ``tdma_sum_mean`` take theirs from the v^H H rows, so every path counts.
     """
+    if spec.kind != "power":
+        raise ValueError(f"the power sweep takes a 'power' spec, got {spec.kind!r}")
     scenario = spec.scenario
     alloc = spec.antenna_alloc
     if alloc is None:

@@ -412,7 +412,9 @@ def test_generate_user_channel_wraps_the_array_draw():
     assert_same_bits(ch.aoas, aoas)
 
 
-SEED_MASTERS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
+# 1 to 6 words: a master of more than four words (the pool size) hashes each
+# word past the fourth into the pool before the key words
+SEED_MASTERS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 128 + 5, 2 ** 191 + 2 ** 100 + 9)
 DRAW_COUNTS = (1, 4, 5, 124)
 # numpy's PCG64 multiplier (pcg64.h): state j + 1 is MULT * state j + inc
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645

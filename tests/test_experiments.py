@@ -329,14 +329,15 @@ def oracle_antenna_trials(spec, lo, hi):
     the block's v^H H rows, per-trial ``two_segment_sweep``, a one-segment
     ``segment_gains`` call per user and a 1-D threshold per trial.  The TDMA
     rate comes from one ``tdma_rates`` call per trial and the large-array
-    columns from one scenario per trial and split, each law called on it
-    alone."""
+    columns from one scenario per trial over its (S, 2) splits, whose rows
+    have the bits of one-split scenarios
+    (``test_laws_over_drops_and_splits_match_one_drop_calls_bit_for_bit``)."""
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
     pmax, noise = scenario.max_power_w, scenario.noise_w
     m1_values = np.asarray(spec.values, dtype=np.int64)
-    m2_values = m_bs - m1_values
+    splits = np.stack((m1_values, m_bs - m1_values), axis=-1)
     p_user = pmax / 2.0
     powers = np.array([p_user, p_user])
     offsets = np.zeros(1, dtype=np.int64)
@@ -360,11 +361,9 @@ def oracle_antenna_trials(spec, lo, hi):
         out[t, :, 1] = tdma_rates(tdma_gains, equal_time_shares(2), pmax, noise).system_sum
         m1_min = min_antennas_for_superiority(mags[t], m_bs)
         out[t, :, 4] = m_bs + 1 if m1_min is None else m1_min
-        for s, split in enumerate(zip(m1_values.tolist(), m2_values.tolist())):
-            asym = AsymptoticScenario(mags[t], np.array(split), m_ue, m_bs, pmax, powers,
-                                      noise)
-            out[t, s, 2] = strongest_user_rate_asymptotic(asym, pmax)
-            out[t, s, 5] = sic_condition_asymptotic(asym)
+        asym = AsymptoticScenario(mags[t], splits, m_ue, m_bs, pmax, powers, noise)
+        out[t, :, 2] = strongest_user_rate_asymptotic(asym, pmax)
+        out[t, :, 5] = sic_condition_asymptotic(asym)
         # the TDMA limit does not read the split
         out[t, :, 3] = tdma_sum_rate_asymptotic(asym)
     out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, powers, noise).sum(axis=0)
@@ -689,6 +688,24 @@ def test_run_power_sweep_uses_default_alloc():
     spec = SweepSpec("power", scenario, trials=1, values=(40.0,))
     table = run_power_sweep(spec)
     assert table.meta["antenna_alloc"] == "121:7"
+
+
+def test_run_antenna_sweep_rejects_a_power_spec(tmp_path):
+    # the budgets would be read as antenna counts
+    spec = SweepSpec("power", TWO_USER_LOS, trials=1, values=(30.0, 40.0))
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="takes an 'antennas' spec, got 'power'"):
+        run_antenna_sweep(spec, out_path=str(out))
+    assert not out.exists()
+
+
+def test_run_power_sweep_rejects_an_antenna_spec(tmp_path):
+    # the gain ratio would be dropped without a word
+    spec = SweepSpec("antennas", TWO_USER_LOS, trials=1, values=(30, 40), gain_ratio=5.0)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="takes a 'power' spec, got 'antennas'"):
+        run_power_sweep(spec, out_path=str(out))
+    assert not out.exists()
 
 
 MONTE_CARLO = experiments.monte_carlo

@@ -743,3 +743,62 @@ def test_two_segment_closed_form_reads_split_columns_for_at_most_half_the_array(
             want.append(("_table_columns", (2, num_nlos, num_splits)) if split_columns
                         else ("_table_steering", (2, num_nlos, m_bs)))
         assert built == want
+
+
+def written_out_closed_form(gains, aods, aoas, m1_values, m_ue, m_bs):
+    """The split channels h(m1) of ``two_segment_closed_form``: its
+    intermediates computed as it computes them, then h(m1) written out with
+    no in-place step,
+
+        (lin_a + m1 lim_a) e_a - conj(e_a) Σ_a + conj(e_b) Σ_b
+        + (m2 lim_b - lin_b) e_b,
+
+    each product in the kernel's operand order, summed left to right."""
+    m1 = np.asarray(m1_values, dtype=np.int64)
+    c = np.cos(aods)
+    w = gains * ((1.0 / math.sqrt(m_ue * m_bs)) * _kernels.receive_kernel(aoas, m_ue))
+    sin_a = np.sin(0.5 * math.pi * (c[..., :1, :1] - c))
+    sin_b = np.sin(0.5 * math.pi * (c[..., 1:, :1] - c))
+    match_a = np.abs(sin_a) < _kernels.DIRICHLET_EPS
+    match_b = np.abs(sin_b) < _kernels.DIRICHLET_EPS
+    k_a = np.where(match_a, 0.0, -0.5j * w / np.where(match_a, 1.0, sin_a))
+    k_b = np.where(match_b, 0.0, -0.5j * w / np.where(match_b, 1.0, sin_b))
+    p = np.exp((-0.5j * math.pi * m_bs) * c)
+    q = np.exp((0.5j * math.pi * m_bs) * c[..., 1:, :1])
+    fold = np.exp(-0.5j * math.pi * c)
+    folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
+    e, los = _kernels._half_angle_phases(c[..., 0], m_bs, m1)
+    sums = folded[..., :1] * los[..., None, :]
+    if c.shape[-1] > 1:
+        columns = m_bs - 1 - m1
+        if _kernels._reads_split_columns(len(m1), m_bs):
+            sums = sums + folded[..., 1:] @ _kernels._table_columns(c[..., 1:], m_bs, columns)
+        else:
+            sums = sums + np.take(folded[..., 1:] @ _kernels._table_steering(c[..., 1:], m_bs),
+                                  columns, axis=-1)
+    lin_a = (k_a * p).sum(axis=-1)[..., None]
+    lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
+    lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]
+    lim_b = np.where(match_b, w, 0.0).sum(axis=-1)[..., None]
+    e_a, e_b = e[..., :1, :], e[..., 1:, :]
+    return ((lin_a + m1 * lim_a) * e_a - np.conj(e_a) * sums[..., 0, :]
+            + np.conj(e_b) * sums[..., 1, :] + ((m_bs - m1) * lim_b - lin_b) * e_b)
+
+
+@pytest.mark.parametrize("m_bs", (2, 3, 33, 128))
+@pytest.mark.parametrize("num_nlos", (0, 1, 30))
+def test_two_segment_closed_form_combines_its_terms_as_written(m_bs, num_nlos):
+    # The kernel adds up h(m1) in place; each step must keep the written-out
+    # formula's operands and order, or a last bit moves.
+    rng = np.random.default_rng(70 + m_bs + num_nlos)
+    planted = planted_paths(rng, num_nlos)
+    shape = (7, 2, 1 + num_nlos)
+    random = (rng.normal(size=shape) + 1j * rng.normal(size=shape),
+              rng.uniform(0.05, math.pi - 0.05, size=shape),
+              rng.uniform(0.05, math.pi - 0.05, size=shape))
+    splits = np.arange(1, m_bs, dtype=np.int64)
+    for gains, aods, aoas in (planted, random):
+        for m1_values in (splits, np.concatenate((splits[::-3], splits[:1]))):
+            split, _ = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, 4, m_bs)
+            assert_same_bits(split, written_out_closed_form(gains, aods, aoas, m1_values,
+                                                            4, m_bs))
