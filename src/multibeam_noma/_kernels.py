@@ -25,10 +25,15 @@ exponentials, for ``vhh_row``, ``two_segment_closed_form`` and
 
 Each distinct steering phase is computed once per call:
 
-* ``segment_gains`` takes a trial's rows stacked as a ``(K, M_BS)`` array
-  and weighs each with one dot against its ``segment_weights``: one set for
-  every row (the power sweep's split beam) or one per row (its full-array
-  TDMA beams, one segment each).  ``two_segment_sweep`` takes the rows of a
+* ``segment_gains`` takes rows stacked on any leading axes, ``(..., M_BS)``,
+  and weighs each with one dot against its ``segment_weights``, whose
+  steering broadcasts against those axes.  The power sweep hands it a run
+  of trials' rows, ``(T, K, M_BS)``: its split beam takes one steering set
+  per trial, ``(T, 1, K)``, so each trial's weights are built once for its
+  K rows, and its full-array TDMA beams (one segment each) take one user's
+  rows ``(T, M_BS)`` at a time with one steering per row, ``(T, 1)``.  The
+  dot per row keeps each row's bits whatever shares the call.
+  ``two_segment_sweep`` takes the rows of a
   whole block of trials, ``(T, K, M_BS)``, with one steering pair per
   trial, and builds each trial's phases once as a ``(T, 1, M_BS)`` array
   broadcast against its K rows.  ``vhh_row`` takes a block's paths as
@@ -302,8 +307,10 @@ def segment_weights(cos_steers, lengths, m_bs: int) -> np.ndarray:
 def segment_gains(rows: np.ndarray, cos_steers: np.ndarray, offsets: np.ndarray,
                   lengths: np.ndarray, m_bs: int) -> np.ndarray:
     """Effective channel of each row of ``rows`` (..., M_BS) under a
-    multi-segment precoder steered at ``cos_steers``, one (S,) precoder for
-    every row or one (..., S) per row; returns the (...) complex gains.
+    multi-segment precoder steered at ``cos_steers`` (..., S), which
+    broadcasts against the rows' leading axes: one (S,) precoder for every
+    row, one (T, 1, S) per trial for rows (T, K, M_BS), or one per row;
+    returns the complex gains of the broadcast leading shape.
 
     The segments run contiguously from antenna 0, as on one RF chain:
     ``offsets`` must be the running sum of ``lengths``.  Each row takes one

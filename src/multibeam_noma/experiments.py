@@ -19,20 +19,21 @@ row, and it takes every split phase from steering tables, with no exp per
 split: the segments are steered at the two users' LOS departures, whose
 half-angle tables give both the segment phases and the LOS paths' columns.
 
-The power sweep runs in two stages.  ``_power_trials`` observes one trial
-at a time: it draws the trial through ``drop_users`` and makes one
-``vhh_row`` call per user, whose row takes each path's receive gain from
-the Dirichlet kernel and its transmit steering from a two-level table of
-about 2 sqrt(M_BS / 2) exps; two ``segment_gains`` calls then give the
-split-beam and the TDMA channel magnitudes (the one-segment case: each row
-under a full-array beam steered at its own LOS).  The draw stays per trial
-because the traced benchmark self-test counts one trial span, one
-``generate_user_channel`` per user and the elements of one ``vhh_row`` per
-user (ROADMAP item 13 lets it count blocks).  ``monte_carlo`` hands the
-observations of each run of ``TRIAL_BLOCK`` trials to ``_power_results``,
-which computes the NOMA, TDMA and single-beam baseline rates and the
-asymptotic gain of the whole run as arrays; its only loop is over the
-baseline's rare clusters of two or more users.
+The power sweep runs in two stages.  Its evaluator, ``_power_trials``,
+only draws and builds rows, one trial at a time: it draws the trial through
+``drop_users`` and makes one ``vhh_row`` call per user, whose row takes
+each path's receive gain from the Dirichlet kernel and its transmit
+steering from a two-level table of about 2 sqrt(M_BS / 2) exps.  The draw
+stays per trial because the traced benchmark self-test counts one trial
+span, one ``generate_user_channel`` per user and the elements of one
+``vhh_row`` per user (ROADMAP item 13 lets it count blocks).  Everything
+else runs once per run of ``TRIAL_BLOCK`` trials that ``monte_carlo`` hands
+to ``finish``: ``_power_observations`` takes the split-beam channels of the
+whole run from one ``segment_gains`` call and the TDMA channels (the
+one-segment case: each row under a full-array beam steered at its own LOS)
+from one call per user, and ``_power_results`` computes the NOMA, TDMA and
+single-beam baseline rates and the asymptotic gain as arrays; its only
+loop is over the baseline's rare clusters of two or more users.
 
 This module holds no rate formula.  Both sweeps take their NOMA rates from
 ``rates.noma_rates_from_gains``, their TDMA rates from ``rates.tdma_rates``
@@ -199,7 +200,7 @@ class MonteCarloResult:
 # antenna-sweep trials (two users, 31 paths, 128 antennas) take it, with a
 # steering grid of about 8 MB: smaller blocks did not run them faster.  The
 # power sweep draws and builds its rows one trial at a time and computes its
-# rates over runs of this many trials.
+# channel magnitudes and rates over runs of this many trials.
 TRIAL_BLOCK = 64
 
 # Complex values of the (trial, user) temporaries an antenna-sweep block may
@@ -245,7 +246,11 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     the per-trial results that are reduced.  It runs in the calling thread,
     in trial order, on each run of blocks that first holds ``TRIAL_BLOCK``
     trials or more, and on the rest, and must return one result per trial
-    it gets.  So the outcome must not depend on where the runs are cut.
+    it gets.  So the outcome must not depend on where the runs are cut.  It
+    gets the blocks as the evaluator returned them, of any dtype.
+
+    The results that are reduced, the evaluator's without ``finish`` or
+    those of ``finish``, must be real: complex ones raise ``ValueError``.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -275,9 +280,9 @@ def _collect(blocks, finish: Callable[[np.ndarray], np.ndarray] | None
     ``finish`` over runs of consecutive blocks (see ``monte_carlo``)."""
     results, run, held = [], [], 0
     for r in blocks:
-        r = np.asarray(r, dtype=np.float64)
+        r = np.asarray(r)
         if finish is None:
-            results.append(r)
+            results.append(_real(r, "the evaluator"))
             continue
         run.append(r)
         held += len(r)
@@ -292,10 +297,19 @@ def _collect(blocks, finish: Callable[[np.ndarray], np.ndarray] | None
 def _finish_run(finish: Callable[[np.ndarray], np.ndarray], run: list[np.ndarray]
                 ) -> np.ndarray:
     stacked = np.concatenate(run, axis=0)
-    out = np.asarray(finish(stacked), dtype=np.float64)
+    out = _real(np.asarray(finish(stacked)), "finish")
     if len(out) != len(stacked):
         raise ValueError(f"finish returned {len(out)} results for {len(stacked)} trials")
     return out
+
+
+def _real(results: np.ndarray, source: str) -> np.ndarray:
+    """``results`` as float64, which a complex dtype would silently cut to
+    its real part."""
+    if np.iscomplexobj(results):
+        raise ValueError(f"{source} returned {results.dtype} results; only real "
+                         "per-trial results can be averaged")
+    return np.asarray(results, dtype=np.float64)
 
 
 def default_antenna_alloc(num_users: int, bs_antennas: int) -> tuple[int, ...]:
@@ -526,41 +540,65 @@ def run_antenna_sweep(spec: SweepSpec, workers: int = 1,
     return table
 
 
-def _power_trials(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
-                  lo: int, hi: int) -> np.ndarray:
-    """Power-sweep observations of trials [lo, hi): (hi - lo, 4, K).
+def _power_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
+    """Power-sweep rows of trials [lo, hi): (hi - lo, K, M_BS + 2) complex.
 
-    Per trial and user, strongest first: the split-beam channel magnitude
-    (users get the segments ``alloc`` starting at ``offsets``), the TDMA
-    channel magnitude, the LOS magnitude and the LOS AoD.
-    ``_power_results`` turns them into rates.
+    Per trial and user, strongest first: the v^H H row in columns
+    [0, M_BS), the LOS gain in column M_BS and the LOS AoD (real) in column
+    M_BS + 1.  ``_power_observations`` turns a run of them into channel
+    magnitudes.
     """
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
-    out = np.empty((hi - lo, 4, scenario.num_users))
+    out = np.empty((hi - lo, scenario.num_users, m_bs + 2), dtype=np.complex128)
     for t in range(lo, hi):
-        channels = drop_users(scenario, t)
-        aods = np.array([c.aods[0] for c in channels])
-        # one call per user, not one stacked call: the traced benchmark
-        # self-test counts len(gains) * M_BS vhh_row elements per call, and
-        # at 31 paths a stacked call would save nothing
-        rows = np.array([_kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
-                         for c in channels])
-        cos_aods = np.cos(aods)
-        obs = out[t - lo]
-        obs[0] = _scalar_abs(_kernels.segment_gains(rows, cos_aods, offsets, alloc, m_bs))
-        # TDMA serves each user alone, the full array steered at its own LOS
-        obs[1] = _scalar_abs(_kernels.segment_gains(rows, cos_aods[:, None], [0], [m_bs], m_bs))
-        obs[2] = _scalar_abs(np.array([c.gains[0] for c in channels]))
-        obs[3] = aods
+        trial = out[t - lo]
+        # one vhh_row call per user, not one stacked call: the traced
+        # benchmark self-test counts len(gains) * M_BS vhh_row elements per
+        # call, and at 31 paths a stacked call would save nothing
+        for k, c in enumerate(drop_users(scenario, t)):
+            trial[k, :m_bs] = _kernels.vhh_row(c.gains, c.aods, c.aoas, m_ue, m_bs)
+            trial[k, m_bs] = c.gains[0]
+            trial[k, m_bs + 1] = c.aods[0]
     return out
+
+
+def _power_observations(spec: SweepSpec, alloc: np.ndarray, offsets: np.ndarray,
+                        rows: np.ndarray) -> np.ndarray:
+    """Power-sweep observations (T, 4, K) of the rows (T, K, M_BS + 2) of
+    ``_power_trials``.
+
+    Per trial and user, strongest first: the split-beam channel magnitude
+    (users get the segments ``alloc`` starting at ``offsets``), the TDMA
+    channel magnitude, the LOS magnitude and the LOS AoD.  One
+    ``segment_gains`` call weighs every row under its trial's split beam,
+    and one per user its rows under full-array beams: each row keeps the
+    bits of its own BLAS dot, and the weights of the whole run take 1 + K
+    exp calls, not 2 per trial.  ``_power_results`` turns the observations
+    into rates.
+    """
+    m_bs = spec.scenario.bs_config.num_antennas
+    vhh = rows[..., :m_bs]
+    aods = rows[..., m_bs + 1].real
+    cos_aods = np.cos(aods)
+    obs = np.empty((len(rows), 4, rows.shape[1]))
+    obs[:, 0] = _scalar_abs(_kernels.segment_gains(vhh, cos_aods[:, None], offsets, alloc,
+                                                   m_bs))
+    # TDMA serves each user alone, the full array steered at its own LOS;
+    # one user at a time, so only (T, M_BS) weights exist at once
+    for k in range(rows.shape[1]):
+        obs[:, 1, k] = _scalar_abs(_kernels.segment_gains(vhh[:, k], cos_aods[:, k, None],
+                                                          [0], [m_bs], m_bs))
+    obs[:, 2] = _scalar_abs(rows[..., m_bs])
+    obs[:, 3] = aods
+    return obs
 
 
 def _power_results(spec: SweepSpec, alloc: np.ndarray, pmax_w: np.ndarray,
                    powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Power-sweep results (T, budgets, 4) of the observations ``obs``
-    (T, 4, K) of ``_power_trials``.
+    (T, 4, K) of ``_power_observations``.
 
     The (K, budgets) ``powers`` split each budget in ``pmax_w``.  Every step
     takes all T trials at once and gives each trial the bits of a call on it
@@ -627,17 +665,18 @@ def run_power_sweep(spec: SweepSpec, workers: int = 1,
     pmax_w = np.array([dbm_to_watt(v) for v in pmax_dbm])
     offsets = np.concatenate(([0], np.cumsum(alloc_arr)[:-1])).astype(np.int64)
     powers = np.tile(pmax_w / scenario.num_users, (scenario.num_users, 1))   # equal split
-    # Two stages.  The draw and the channel magnitudes run one trial per
-    # block through drop_users and one vhh_row per user: the traced
+    # Two stages.  The evaluator draws one trial per block through
+    # drop_users and builds its rows with one vhh_row per user: the traced
     # benchmark self-test (perfbench/test_perfbench.py) counts one
     # experiments.trial span per power-sweep trial, the paths of its
     # generate_user_channel calls and the elements of each vhh_row call.
     # They move onto _draw_block when that test counts blocks (ROADMAP).
-    # The rates, the baseline and the asymptotic gain then take runs of
-    # TRIAL_BLOCK trials at once.
-    observe = functools.partial(_power_trials, spec, alloc_arr, offsets)
-    finish = functools.partial(_power_results, spec, alloc_arr, pmax_w, powers)
-    result = monte_carlo(spec.trials, observe, workers, block=1, finish=finish)
+    # Everything else, the channel magnitudes, the rates, the baseline and
+    # the asymptotic gain, takes runs of TRIAL_BLOCK trials at once.
+    observe = functools.partial(_power_observations, spec, alloc_arr, offsets)
+    rates = functools.partial(_power_results, spec, alloc_arr, pmax_w, powers)
+    result = monte_carlo(spec.trials, functools.partial(_power_trials, spec), workers,
+                         block=1, finish=lambda rows: rates(observe(rows)))
     header = ("pmax_dbm", "noma_sum_mean", "baseline_sum_mean", "tdma_sum_mean",
               "predicted_gain")
     rows = []

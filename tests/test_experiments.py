@@ -165,6 +165,35 @@ def test_monte_carlo_finishes_runs_of_at_least_trial_block_in_trial_order(monkey
         monte_carlo(20, evaluator, workers, block=1, finish=lambda stacked: stacked[1:])
 
 
+def test_monte_carlo_refuses_to_average_complex_evaluator_results():
+    # a float64 cast would average the real parts, 1, with only a warning
+    with pytest.raises(ValueError, match="the evaluator returned complex128 results"):
+        monte_carlo(3, lambda lo, hi: np.full((hi - lo, 2), 1 + 5j))
+
+
+def test_monte_carlo_refuses_to_average_complex_finish_results():
+    with pytest.raises(ValueError, match="finish returned complex64 results"):
+        monte_carlo(3, lambda lo, hi: np.zeros((hi - lo, 2)),
+                    finish=lambda stacked: stacked.astype(np.complex64))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_hands_finish_the_complex_blocks_unchanged(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 4)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
+    runs = []
+
+    def finish(stacked):
+        runs.append(stacked)
+        return np.abs(stacked)
+
+    result = monte_carlo(10, lambda lo, hi: values[lo:hi], workers, block=2, finish=finish)
+    assert [len(r) for r in runs] == [4, 4, 2]
+    assert_same_bits(np.concatenate(runs), values)
+    np.testing.assert_array_equal(result.mean, np.abs(values).mean(axis=0))
+
+
 def antenna_block(num_nlos, m_bs, num_splits):
     return experiments._antenna_block(ScenarioConfig(num_users=2, num_nlos_paths=num_nlos,
                                                      bs_config=UlaConfig(m_bs)), num_splits)
@@ -454,7 +483,8 @@ def test_power_evaluator_matches_per_trial_oracle_bit_for_bit(m_bs, m_ue, num_us
     pmax_w = np.array([dbm_to_watt(v) for v in values])
     powers = np.tile(pmax_w / num_users, (num_users, 1))
     want, sizes = oracle_power_trials(spec, alloc, offsets, pmax_w, powers, 0, 60)
-    obs = experiments._power_trials(spec, alloc, offsets, 0, 60)
+    obs = experiments._power_observations(spec, alloc, offsets,
+                                          experiments._power_trials(spec, 0, 60))
     assert_same_bits(experiments._power_results(spec, alloc, pmax_w, powers, obs), want)
     if m_bs == 16 and num_users > 1:
         # a 6.4 deg beam: some drops put two or more users in one cluster
@@ -770,20 +800,24 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch, kind, num_users, nu
                 size = ANTENNA_BLOCK(scenario, 3) if block is None else block
             assert ranges == [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     if kind == "power":
-        # its evaluator gives the same observations over a range of several
-        # trials, and its second stage the same results over all of them as
-        # trial by trial
+        # its evaluator gives the same rows over a range of several trials,
+        # and its second stage the same results over all of them as trial by
+        # trial
         alloc = np.array(default_antenna_alloc(num_users, 128))
         offsets = np.concatenate(([0], np.cumsum(alloc)[:-1]))
         pmax_w = np.array([dbm_to_watt(v) for v in spec.values])
         powers = np.tile(pmax_w / num_users, (num_users, 1))
-        block = experiments._power_trials(spec, alloc, offsets, 0, trials)
+        block = experiments._power_trials(spec, 0, trials)
         assert_same_bits(block, data)
-        results = experiments._power_results(spec, alloc, pmax_w, powers, block)
+
+        def second_stage(rows):
+            obs = experiments._power_observations(spec, alloc, offsets, rows)
+            return experiments._power_results(spec, alloc, pmax_w, powers, obs)
+
+        results = second_stage(block)
         assert results.shape == (trials, len(spec.values), 4)
-        assert_same_bits(results, np.concatenate([
-            experiments._power_results(spec, alloc, pmax_w, powers, data[t:t + 1])
-            for t in range(trials)]))
+        assert_same_bits(results, np.concatenate([second_stage(data[t:t + 1])
+                                                  for t in range(trials)]))
 
 
 def oracle_beam_pattern_rows(angles, split, full):

@@ -413,6 +413,33 @@ def test_segment_gains_over_rows_matches_per_row_formula_bit_for_bit():
                 per_segment = [oracle_segment_gains(r, cos_steers, offsets, lengths, m_bs)
                                for r in rows]
                 np.testing.assert_allclose(got, per_segment, rtol=1e-13, atol=0.0)
+    # A run of T trials' rows (T, K, M_BS), as the power sweep stacks them:
+    # (64, 9, 128) complex passes the 256 KiB operand-reuse size (module
+    # notes).  Each (t, k) has the bits of its own trial's (K, M_BS) call,
+    # with one split beam per trial (T, 1, S) and one full-array beam per row
+    # (T, K, 1), contiguous or as a view of wider rows.
+    t = 64
+    for m_bs in (16, 33, 128):
+        for k in (1, 5, 9):
+            cuts = np.sort(rng.choice(np.arange(1, m_bs - 1), size=k - 1, replace=False))
+            lengths = np.diff(np.concatenate(([0], cuts, [m_bs - 1]))).astype(np.int64)
+            offsets = np.cumsum(lengths) - lengths
+            wide = rng.standard_normal((t, k, m_bs + 2, 2)) @ np.array([1.0, 1j])
+            split = np.cos(rng.uniform(0.05, math.pi - 0.05, size=(t, 1, k)))
+            full = np.cos(rng.uniform(0.05, math.pi - 0.05, size=(t, k, 1)))
+            for rows in (np.ascontiguousarray(wide[..., :m_bs]), wide[..., :m_bs]):
+                got = _kernels.segment_gains(rows, split, offsets, lengths, m_bs)
+                assert got.shape == (t, k)
+                assert_same_bits(got, np.array([_kernels.segment_gains(
+                    rows[i], split[i, 0], offsets, lengths, m_bs) for i in range(t)]))
+                got = _kernels.segment_gains(rows, full, [0], [m_bs], m_bs)
+                want = np.array([_kernels.segment_gains(rows[i], full[i], [0], [m_bs], m_bs)
+                                 for i in range(t)])
+                assert_same_bits(got, want)
+                # and one user's rows of every trial at a time
+                for j in range(k):
+                    assert_same_bits(_kernels.segment_gains(rows[:, j], full[:, j], [0],
+                                                            [m_bs], m_bs), want[:, j])
 
 
 def test_rf_chain_precoder_weights_are_the_segment_gains_weights_bit_for_bit():
