@@ -4,7 +4,9 @@ Every user of every trial draws from its own RNG substream, keyed by
 (master seed, trial index, user index).  ``monte_carlo`` hands a sweep's
 evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
-the block size and however many worker threads ran it.  The antenna sweep
+the block size and however many worker threads ran it.  It reduces that
+concatenation, its own copy, in place with numpy's own mean and standard
+deviation steps, and never writes the evaluator's blocks.  The antenna sweep
 takes blocks sized by ``_antenna_block`` from the shapes of its closed
 form: as many trials as keep the closed form's (trial, user) temporaries
 within ``BLOCK_ELEMENTS`` complex values (528 trials for the README
@@ -239,15 +241,20 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     given), are independent and may run on a thread pool of at most
     ``os.cpu_count()`` threads; the results are concatenated in trial order
     before the mean/standard-error reduction, so the outcome depends on
-    neither the block size nor ``workers``.  With one trial the standard
-    error is reported as zero.
+    neither the block size nor ``workers``.  The reduction takes the steps
+    of ``mean(axis=0)`` and ``std(axis=0, ddof=1)``, with their bits, on the
+    concatenation, which is a copy: it sums once for the mean and writes the
+    squared deviations over the copy, so the results are held twice at most
+    (the blocks and the copy) and the arrays the evaluator returned are
+    never written.  With one trial the standard error is reported as zero.
 
     ``finish``, if given, maps the stacked results of consecutive blocks to
     the per-trial results that are reduced.  It runs in the calling thread,
     in trial order, on each run of blocks that first holds ``TRIAL_BLOCK``
     trials or more, and on the rest, and must return one result per trial
     it gets.  So the outcome must not depend on where the runs are cut.  It
-    gets the blocks as the evaluator returned them, of any dtype.
+    gets the blocks as the evaluator returned them, of any dtype, in one
+    concatenation; by then ``monte_carlo`` holds none of the run's blocks.
 
     The results that are reduced, the evaluator's without ``finish`` or
     those of ``finish``, must be real: complex ones raise ``ValueError``.
@@ -263,12 +270,18 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = _collect(pool.map(evaluator, los, his), finish)
+    # np.concatenate copies, so ``data`` is ours to overwrite and the
+    # evaluator's blocks stay as they were returned
     data = np.concatenate(results, axis=0)
     if len(data) != trials:
         raise ValueError(f"the evaluator returned {len(data)} results for {trials} trials")
-    mean = data.mean(axis=0)
+    # numpy's own steps of mean and std(ddof=1), in their order and so with
+    # their bits, but with one sum for the mean and no second full-size array
+    mean = np.add.reduce(data, axis=0) / trials
     if trials > 1:
-        stderr = data.std(axis=0, ddof=1) / math.sqrt(trials)
+        np.subtract(data, mean, out=data)
+        np.square(data, out=data)
+        stderr = np.sqrt(np.add.reduce(data, axis=0) / (trials - 1)) / math.sqrt(trials)
     else:
         stderr = np.zeros_like(mean)
     return MonteCarloResult(mean, stderr, trials)
@@ -286,9 +299,10 @@ def _collect(blocks, finish: Callable[[np.ndarray], np.ndarray] | None
             continue
         run.append(r)
         held += len(r)
+        del r  # so that finish runs with the run's blocks held nowhere else
         if held >= TRIAL_BLOCK:
             results.append(_finish_run(finish, run))
-            run, held = [], 0
+            held = 0
     if run:
         results.append(_finish_run(finish, run))
     return results
@@ -296,7 +310,10 @@ def _collect(blocks, finish: Callable[[np.ndarray], np.ndarray] | None
 
 def _finish_run(finish: Callable[[np.ndarray], np.ndarray], run: list[np.ndarray]
                 ) -> np.ndarray:
+    """``finish`` over the concatenated ``run``, which it empties first, so
+    that ``finish`` runs with the run's trials held once."""
     stacked = np.concatenate(run, axis=0)
+    run.clear()
     out = _real(np.asarray(finish(stacked)), "finish")
     if len(out) != len(stacked):
         raise ValueError(f"finish returned {len(out)} results for {len(stacked)} trials")

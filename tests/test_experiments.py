@@ -1,6 +1,9 @@
 """Monte Carlo plumbing: user drops, aggregation, sweep tables, CSV output."""
 
 import math
+import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -298,6 +301,90 @@ def test_monte_carlo_stderr_shrinks_like_root_n():
     large = monte_carlo(800, evaluator)
     ratio = large.stderr[0] / small.stderr[0]
     assert 1.0 / math.sqrt(2.0) * 0.8 < ratio < 1.0 / math.sqrt(2.0) * 1.2
+
+
+def mixed_values(trials, shape, nan):
+    """Values of mixed sign and scale, so that the order of the sums shows in
+    the last bits; with ``nan`` one trial of the first column is NaN."""
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((trials,) + shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    if nan:
+        values.reshape(trials, -1)[trials // 2, 0] = np.nan
+    return values + 1e3 * rng.uniform(size=shape)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("trials, shape, block, finish", [
+    (1000, (31, 6), 300, False),  # the README antenna sweep's table, four blocks
+    (100, (9, 4), 16, True),      # runs of blocks through finish
+    (100, (1,), 100, False),      # one block; numpy sums this axis pairwise
+    (257, (), 64, False),         # pairwise too, with a short last block
+    (2, (3,), 64, False),         # the fewest trials with a standard error
+])
+def test_monte_carlo_has_the_bits_of_numpy_mean_and_std(monkeypatch, workers, nan, trials,
+                                                        shape, block, finish):
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 40)
+    values = mixed_values(trials, shape, nan)
+    kept = values.copy()
+    returned = []
+
+    def evaluator(lo, hi):
+        # finish gets complex blocks and returns a view of their imaginary part
+        r = values[lo:hi] * 1j if finish else values[lo:hi].copy()
+        returned.append((r, r.copy()))
+        return r
+
+    result = monte_carlo(trials, evaluator, workers, block=block,
+                         finish=(lambda stacked: stacked.imag) if finish else None)
+    expected = (values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(trials))
+    for got, want in zip((result.mean, result.stderr), expected):
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == want.dtype
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(want).view(np.int64))
+    # the reduction writes over its own concatenation, never the evaluator's blocks
+    assert len(returned) == -(-trials // block)
+    for r, copy in returned:
+        np.testing.assert_array_equal(r.view(np.int64), copy.view(np.int64))
+    np.testing.assert_array_equal(values.view(np.int64), kept.view(np.int64))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_releases_a_run_s_blocks_before_finish(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 8)
+    refs, runs = {}, []
+
+    def evaluator(lo, hi):
+        r = np.arange(lo, hi, dtype=np.float64)[:, None]
+        refs[lo] = weakref.ref(r)
+        return r
+
+    def finish(stacked):
+        # a pool thread drops its own reference just after handing a block over
+        time.sleep(0.005)
+        lo = int(stacked[0, 0])
+        runs.append(sorted(t for t in refs if lo <= t < lo + len(stacked)))
+        assert all(refs[t]() is None for t in runs[-1]), "a block outlived its run"
+        return stacked
+
+    monte_carlo(30, evaluator, workers, block=3, finish=finish)
+    assert runs == [[0, 3, 6], [9, 12, 15], [18, 21, 24], [27]]
+
+
+def test_monte_carlo_holds_about_two_copies_of_the_results():
+    # the blocks and their concatenation; the standard error takes no third
+    values = mixed_values(1000, (31, 6), False)
+
+    def evaluator(lo, hi):
+        return values[lo:hi].copy()
+
+    tracemalloc.start()
+    try:
+        monte_carlo(len(values), evaluator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * values.nbytes
 
 
 def dropped_arrays(scenario, trial, gain_ratio):
