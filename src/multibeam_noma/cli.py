@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pin the two-user LOS gain ratio")
         if command.workers:
             p.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="worker threads, capped at the core count "
+                           help="worker threads, capped at the CPUs the process may use "
                                 "(output is identical for any count)")
     return parser
 

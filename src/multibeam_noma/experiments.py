@@ -6,12 +6,16 @@ evaluator consecutive blocks of trials and concatenates the per-trial
 results in trial order, so a sweep produces byte-identical CSV whatever
 the block size and however many worker threads ran it.  It reduces that
 concatenation, its own copy, in place with numpy's own mean and standard
-deviation steps, and never writes the evaluator's blocks.  The antenna sweep
-takes blocks sized by ``_antenna_block`` from the shapes of its closed
-form: as many trials as keep the closed form's (trial, user) temporaries
-within ``BLOCK_ELEMENTS`` complex values (528 trials for the README
-``sweep.cfg``, two LOS-only users and 31 splits on 128 antennas), and never
-fewer than ``TRIAL_BLOCK`` (64 at 30 NLOS paths).  A block seeds all of its
+deviation steps, and never writes the evaluator's blocks.  Its first call
+raises glibc's mmap and trim thresholds for the whole process (to 32 and
+64 MiB), so the memory of freed blocks stays mapped for the next block rather
+than being page-faulted back in; with several workers each thread's heap
+keeps its own, which raises peak memory.  The antenna sweep takes blocks
+sized by ``_antenna_block`` from the shapes of its closed form: as many
+trials as keep the closed form's (trial, user) temporaries within
+``BLOCK_ELEMENTS`` complex values (528 trials for the README ``sweep.cfg``,
+two LOS-only users and 31 splits on 128 antennas), and never fewer than
+``TRIAL_BLOCK`` (64 at 30 NLOS paths).  A block seeds all of its
 keys at once, draws every user's paths as arrays (the paths of
 ``drop_users``, bit for bit) and evaluates all of its trials along an array
 axis, split-beam sweep, full-array gains and threshold included, with no
@@ -54,6 +58,7 @@ so each file can be recomputed in isolation.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -230,6 +235,36 @@ def _antenna_block(scenario: ScenarioConfig, num_splits: int) -> int:
 MAX_TRIALS = 2 ** 32
 
 
+# glibc's mallopt parameters (malloc.h) and the values they get: the
+# ceilings its own dynamic rule reaches on 64-bit, an mmap threshold of
+# 32 MiB and a trim threshold of twice that.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 2 ** 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Keep the memory of freed blocks in the C heap, process-wide.
+
+    By default glibc serves each block's multi-megabyte temporaries from
+    fresh mmaps, or trims the heap once they are freed, so the next block
+    page-faults the same memory back in: 950 minor faults per README
+    ``sweep.cfg`` call, about a fifth of its time.  Raising both thresholds
+    to the ceilings of glibc's dynamic rule keeps that memory mapped between
+    blocks.  Where the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
                 workers: int = 1, *, block: int | None = None,
                 finish: Callable[[np.ndarray], np.ndarray] | None = None
@@ -238,15 +273,19 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
 
     ``evaluator(lo, hi)`` returns one result per trial of [lo, hi), stacked
     on the first axis.  Blocks hold ``block`` trials (``TRIAL_BLOCK`` unless
-    given), are independent and may run on a thread pool of at most
-    ``os.cpu_count()`` threads; the results are concatenated in trial order
-    before the mean/standard-error reduction, so the outcome depends on
-    neither the block size nor ``workers``.  The reduction takes the steps
-    of ``mean(axis=0)`` and ``std(axis=0, ddof=1)``, with their bits, on the
-    concatenation, which is a copy: it sums once for the mean and writes the
-    squared deviations over the copy, so the results are held twice at most
-    (the blocks and the copy) and the arrays the evaluator returned are
-    never written.  With one trial the standard error is reported as zero.
+    given), are independent and may run on a thread pool of at most one
+    thread per CPU the process may run on (its affinity set where the
+    platform has one, else ``os.cpu_count()``); the results are concatenated
+    in trial order before the mean/standard-error reduction, so the outcome
+    depends on neither the block size nor ``workers``.  The reduction takes
+    the steps of ``mean(axis=0)`` and ``std(axis=0, ddof=1)``, with their
+    bits, on the concatenation, which is a copy: it sums once for the mean
+    and writes the squared deviations over the copy, so the results are held
+    twice at most (the blocks and the copy) and the arrays the evaluator
+    returned are never written.  With one trial the standard error is
+    reported as zero.  The first call sets the process's C allocator to keep
+    freed memory (``_keep_freed_blocks``), which spares each block's page
+    faults and costs peak memory when several threads each keep their heap.
 
     ``finish``, if given, maps the stacked results of consecutive blocks to
     the per-trial results that are reduced.  It runs in the calling thread,
@@ -261,7 +300,11 @@ def monte_carlo(trials: int, evaluator: Callable[[int, int], np.ndarray],
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    workers = min(workers, os.cpu_count() or 1)
+    _keep_freed_blocks()
+    # the CPUs this process may run on, which a cpuset or taskset narrows
+    # below the host's count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     block = TRIAL_BLOCK if block is None else block
     los = range(0, trials, block)
     his = [min(lo + block, trials) for lo in los]

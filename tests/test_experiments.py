@@ -1,6 +1,10 @@
 """Monte Carlo plumbing: user drops, aggregation, sweep tables, CSV output."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -287,12 +291,20 @@ def test_monte_carlo_caps_workers_at_core_count(monkeypatch):
 
     evaluator = per_trial(lambda t: np.array([float(t)]))
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    # a cpuset or taskset leaves the process 2 of the host's 8 CPUs
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {1, 5},
+                        raising=False)
+    monte_carlo(4, evaluator, workers=10_000)
+    assert pools == [2]
+    # without affinity sets the host's count is the cap
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     monte_carlo(4, evaluator, workers=10_000)
-    assert pools == [3]
+    assert pools == [2, 3]
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     result = monte_carlo(4, evaluator, workers=10_000)
-    assert pools == [3] and result.mean[0] == 1.5
+    assert pools == [2, 3] and result.mean[0] == 1.5
 
 
 def test_monte_carlo_stderr_shrinks_like_root_n():
@@ -385,6 +397,77 @@ def test_monte_carlo_holds_about_two_copies_of_the_results():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * values.nbytes
+
+
+FAULTS_PER_CALL = """
+import resource
+from multibeam_noma import experiments
+from multibeam_noma.channel import ScenarioConfig
+
+# README sweep.cfg: 2 LOS-only users, ratio 5, m1 = 30:90:2, 1000 trials
+spec = experiments.SweepSpec(
+    kind="antennas", scenario=ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=1),
+    trials=1000, values=tuple(range(30, 91, 2)), gain_ratio=5.0)
+for _ in range(3):
+    experiments.run_antenna_sweep(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    experiments.run_antenna_sweep(spec)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+def libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
+def test_antenna_sweep_reuses_its_block_memory():
+    # in a fresh process, so that no earlier test has set the allocator up;
+    # glibc's default thresholds give about 950 faults a call
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 64
+
+
+def test_keep_freed_blocks_without_mallopt_and_once_per_process(monkeypatch):
+    calls = []
+
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    class FakeLibc:
+        # a plain function, which takes the argtypes and restype set on it
+        def __init__(self, name):
+            self.mallopt = mallopt
+
+    keep = experiments._keep_freed_blocks
+    keep.cache_clear()
+    try:
+        monkeypatch.setattr(experiments.ctypes, "CDLL", NoMallopt)
+        keep()
+        keep.cache_clear()
+        monkeypatch.setattr(experiments.ctypes, "CDLL", FakeLibc)
+        spec = SweepSpec(kind="antennas", scenario=TWO_USER_LOS, trials=3,
+                         values=(30, 64), gain_ratio=5.0)
+        for workers in (1, 2, 1):
+            run_antenna_sweep(spec, workers)
+        monte_carlo(4, per_trial(lambda t: np.array([float(t)])))
+    finally:
+        keep.cache_clear()
+    assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
 
 
 def dropped_arrays(scenario, trial, gain_ratio):
