@@ -11,17 +11,22 @@ thread count.
 
 The antenna sweep builds no rows: ``two_segment_closed_form`` takes a
 block's paths as (T, K, 1 + L) arrays and gives every split-beam and
-full-array channel from the paper's Dirichlet-kernel closed form, with
-``dirichlet`` (shared with ``effective`` and the single-beam baseline of
-``rates``) and steering tables, with no exp per split.  Its segments are
-steered at the two users' LOS departures, so one half-angle table call
-(``_half_angle_phases``) gives both the segment phases e^{iπ c m1/2} and the
-LOS paths' own split columns; the NLOS paths' tables are read at the split
-columns alone or as a full grid.  ``two_segment_sweep`` is its row-path
-oracle in the tests.  The receive side has one formula:
-``receive_kernel`` gives D(M_UE, κ_l) of every path, with no receive
-exponentials, for ``vhh_row``, ``two_segment_closed_form`` and
-``effective.effective_closed_form``.
+full-array gain |h|^2 from the paper's Dirichlet-kernel closed form, with no
+exp per split.  Its segments are steered at the two users' LOS departures,
+and a phase common to all of a user's terms leaves |h| as it is, so each
+user's channel is taken in its own-segment frame: user 0's times
+e^{iπ c_a m2/2}, user 1's times e^{-iπ c_b m1/2}.  As m1 + m2 = M_BS, the
+user's own LOS path then gives w_0 (m_own + e^{±iπ c M_BS/2} D(m_other, x))
+with one x per trial, so LOS paths take ``dirichlet`` (shared with
+``effective`` and the single-beam baseline of ``rates``) and no steering
+table: a LOS-only block builds none.  The NLOS paths' terms keep the
+unrotated form, with the segment phases e^{iπ c m1/2} from one half-angle
+table call (``_half_angle_phases``) and their own tables read at the split
+columns alone or as a full grid, and are turned into the same frame.
+``two_segment_sweep`` is its row-path oracle in the tests.  The receive
+side has one formula: ``receive_kernel`` gives D(M_UE, κ_l) of every path,
+with no receive exponentials, for ``vhh_row``, ``two_segment_closed_form``
+and ``effective.effective_closed_form``.
 
 Each distinct steering phase is computed once per call:
 
@@ -66,12 +71,11 @@ Each distinct steering phase is computed once per call:
   ``vhh_row``, and the NLOS paths' grid in ``two_segment_closed_form`` when
   more than half the columns are splits), and ``_table_columns`` makes only
   the columns a split set reads, each with the bits of its grid element: the
-  half-angle columns of the LOS departures at every split, and the NLOS
-  paths' columns of a sparse split set.  At the half cosine c/2, column
-  M - 1 - m1 times column 0 is e^{iπ c m1/2} and its square is column
-  M - 1 - m1 at c, each within a few ulps of 1 (the product's rounding on
-  top of the tables'), where one exp of π c m1/2 rounds the phase to an ulp
-  of its own size.
+  half-angle columns of the LOS departures at every split of a sweep with
+  NLOS paths, and the NLOS paths' columns of a sparse split set.  At the
+  half cosine c/2, column M - 1 - m1 times column 0 is e^{iπ c m1/2}, within
+  a few ulps of 1 (the product's rounding on top of the tables'), where one
+  exp of π c m1/2 rounds the phase to an ulp of its own size.
 
 Split-beam weights have one formula, ``segment_weights``: contiguous
 segments end to end, each steered at one user, all from one exp with the
@@ -370,7 +374,7 @@ def _reads_split_columns(num_splits: int, m: int) -> bool:
     one conjugation, against half a product and half a mirrored copy per
     grid column, and the (2, L) @ (L, S) product shrinks with it.  Timed
     in-process at 33, 128 and 256 elements, 0 to 30 NLOS paths and blocks
-    of 64 to 256 trials, with the LOS path among the tables' 1 + L paths,
+    of 64 to 256 trials, then with the LOS path among the tables' 1 + L paths,
     the split columns ran 1.1-1.9x as fast as the grid wherever 2 S <= m,
     0.8-1.4x at 5m/8 and 3m/4 of the splits, and 0.54-1.05x at every split,
     slowest with the most paths.
@@ -378,37 +382,37 @@ def _reads_split_columns(num_splits: int, m: int) -> bool:
     return 2 * num_splits <= m
 
 
-def _half_angle_phases(cos_los, m: int, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^{iπ c m1/2} and e^{iπ c (m1 - (m - 1)/2)} for every LOS cosine c in
-    ``cos_los`` (any shape) and split m1 of an m-element array, each on a
-    new last axis: the segment phases e_a, e_b of ``two_segment_closed_form``
-    and each LOS path's own split column.
+def _half_angle_phases(cos_los, m: int, m1: np.ndarray) -> np.ndarray:
+    """e^{iπ c m1/2} for every LOS cosine c in ``cos_los`` (any shape) and
+    split m1 of an m-element array, on a new last axis: the segment phases
+    e_a, e_b of ``two_segment_closed_form``'s NLOS terms.
 
     One ``_table_columns`` call at the half cosine c/2 gives
     u(m1) = e^{iπ (c/2)(m1 - (m - 1)/2)} at the split columns m - 1 - m1 and
-    e^{iπ (c/2)(m - 1)/2} at column 0; their product is the first and u^2
-    the second.  So no phase is an exp per split, and both keep the tables'
-    exact modulo-4 reduction (module notes).
+    e^{iπ (c/2)(m - 1)/2} at column 0, and their product is the phase.  So no
+    phase is an exp per split, and each keeps the tables' exact modulo-4
+    reduction (module notes).
     """
     half = _table_columns(0.5 * cos_los, m, np.append(m - 1 - m1, 0))
-    u = half[..., :-1]
-    # new arrays, not written over u, which overlaps half[..., -1:] (module
-    # notes)
-    return u * half[..., -1:], u * u
+    # a new array, not written over half[..., :-1], which overlaps
+    # half[..., -1:] (module notes)
+    return half[..., :-1] * half[..., -1:]
 
 
 def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarray,
                             m1_values: np.ndarray, m_ue: int, m_bs: int
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Effective channels v^H H w from the paper's Dirichlet-kernel closed
-    form, for two users with paths ``gains``, ``aods``, ``aoas`` (..., 2, P)
-    and combiners matched to their own LOS arrival; no v^H H row is built.
+    """Effective channel gains |v^H H w|^2 from the paper's Dirichlet-kernel
+    closed form, for two users with paths ``gains``, ``aods``, ``aoas``
+    (..., 2, P) and combiners matched to their own LOS arrival; no v^H H row
+    is built.
 
-    Returns the (..., 2, len(m1_values)) channels of every split
+    Returns the (..., 2, len(m1_values)) gains of every split
     (m1, m_bs - m1) of a two-segment chain whose segment a is steered at
-    user 0's LOS departure (path 0) and segment b at user 1's, the values
-    ``two_segment_sweep`` takes from the rows, and the (..., 2) channels of
-    a full-array beam steered at each user's own LOS departure.
+    user 0's LOS departure (path 0) and segment b at user 1's, the squared
+    magnitudes of the channels ``two_segment_sweep`` takes from the rows,
+    and the (..., 2) gains of a full-array beam steered at each user's own
+    LOS departure, each the square of its ``np.hypot`` magnitude.
 
     Path l weighs in with w_l = g_l D(M_UE, κ_l) / sqrt(M_UE M_BS), and its
     two segment terms are
@@ -416,34 +420,29 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
         w_l (e^{-iπ c_l m2/2} D(m1, x_a) + e^{iπ c_l m1/2} D(m2, x_b))
 
     with c_l = cos(aod_l), x_a = π/2 (c_a - c_l), x_b = π/2 (c_b - c_l) and
-    c_a, c_b the two LOS cosines.  Writing D(m, x) = Im(e^{imx}) / sin x,
-    with k_l = w_l / (2i sin x) over the unmatched paths,
-    e_a = e^{iπ c_a m1/2}, e_b = e^{iπ c_b m1/2}, p_l = e^{-iπ c_l M_BS/2}
-    and q = e^{iπ c_b M_BS/2}, the channel is
+    c_a, c_b the two LOS cosines.  A phase common to every term leaves |h|
+    as it is, so user 0's channel is taken times e^{iπ c_a m2/2} and user
+    1's times e^{-iπ c_b m1/2}, each user's own-segment frame.  There, as
+    m1 + m2 = M_BS, the user's own LOS path (x = 0 on its own segment)
+    contributes
 
-        h(m1) = e_a Σ k_a p - conj(e_a) Σ k_a p e^{iπ c m1}
-                + conj(e_b) Σ k_b p q e^{iπ c m1} - e_b Σ k_b conj(p q)
-                + m1 e_a Σ' w p + m2 e_b Σ'' w
+        w_0 (m1 + e^{iπ c_a M_BS/2} D(m2, x))   (user 0)
+        w_0 (m2 + e^{-iπ c_b M_BS/2} D(m1, x))  (user 1)
 
-    where Σ' and Σ'' run over the paths matched to segment a and b
-    (|sin x| < ``DIRICHLET_EPS``), which take the kernel's limit m with no
-    division and their phase at the steering angle.
+    with x = π/2 (c_b - c_a) (D is even): a ``dirichlet`` kernel per
+    segment length, which holds its digits at any x, and a phase e^{iφ}
+    that no split changes, with no steering table.  With no NLOS path the
+    gain is |w_0|^2 ((m + cos φ D)^2 + (sin φ D)^2), from reals alone.
 
-    No phase is an exp per split.  The segment phases e_a, e_b and each
-    LOS path's own column e^{iπ c_0 (m1 - (M_BS - 1)/2)} come from one
-    half-angle table call (``_half_angle_phases``).  The sums over the L
-    NLOS paths' e^{iπ c_l m1} come from their own tables, about
-    2 L sqrt(M_BS / 2) exps per user whatever the number of splits, and one
-    stacked (2, L) @ (L, N) product per user.  With splits in at most half
-    the columns (``_reads_split_columns``) those tables are read at the S
-    split columns alone (``_table_columns``, N = S); otherwise the full grid
-    is built (``_table_steering``, N = M_BS) and the split columns are read
-    from the product.  Each column has the bits of its grid element either
-    way, and with one NLOS path the product keeps its bits too; a sum of
-    L > 1 paths may round differently at another N.  Near the
-    ``DIRICHLET_EPS`` edge the terms k_l are large and cancel, so the result
-    there holds fewer digits than a row product.  The full-array channel is
-    Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
+    The L NLOS paths' share is summed as in the unrotated frame over paths
+    1..L (``_nlos_own_frame``) and turned into each user's own-segment
+    frame with the segment phases e_a = e^{iπ c_a m1/2} and
+    e_b = e^{iπ c_b m1/2}: times e^{iπ c_a M_BS/2} conj(e_a) for user 0
+    and conj(e_b) for user 1.  Only this share reads steering tables: the
+    half-angle columns of the segment phases (``_half_angle_phases``) and
+    the NLOS paths' own.  Near the ``DIRICHLET_EPS`` edge an NLOS path's
+    terms are large and cancel, so the result there holds fewer digits than
+    a row product.  The full-array channel is Σ_l w_l D(M_BS, π/2 (c_0 - c_l)).
     """
     if gains.shape[-2] != 2:
         raise ValueError(f"the two-segment closed form takes 2 users, got {gains.shape[-2]}")
@@ -451,40 +450,100 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     c = np.cos(aods)
     w = gains * ((1.0 / math.sqrt(m_ue * m_bs)) * receive_kernel(aoas, m_ue))
     full = (w * dirichlet(m_bs, 0.5 * math.pi * (c[..., :1] - c))).sum(axis=-1)
+    full_mags = np.hypot(full.real, full.imag)
+    full_gains = full_mags * full_mags
 
+    # each user's own LOS path, m_k + e^{iφ_k} D(m_other, x), with
+    # φ = π c_a M/2 for user 0 and -π c_b M/2 for user 1; one kernel per
+    # distinct segment length, as the two users' lengths overlap (the same
+    # set for splits symmetric about M_BS/2)
+    own = np.stack((m1, m_bs - m1)).astype(np.float64)
+    lengths, other = np.unique(own[::-1], return_inverse=True)
+    cos_los = c[..., 0]
+    d = np.take(dirichlet(lengths, 0.5 * math.pi * (cos_los[..., 1:] - cos_los[..., :1])),
+                other.reshape(own.shape), axis=-1)
+    turn = np.exp((0.5j * math.pi * m_bs) * (cos_los * (1.0, -1.0)))
+    w_los = w[..., :1]
+    if c.shape[-1] == 1:
+        # |w_0|^2 ((m + cos φ D)^2 + (sin φ D)^2), all real
+        re = turn.real[..., None] * d
+        re += own
+        im = np.multiply(turn.imag[..., None], d, out=d)
+        re *= re
+        im *= im
+        re += im
+        re *= w_los.real * w_los.real + w_los.imag * w_los.imag
+        return re, full_gains
+    h = _nlos_own_frame(c, w, m1, turn, m_bs)
+    h += (w_los * turn[..., None]) * d
+    h += w_los * own
+    gains = h.real * h.real
+    gains += h.imag * h.imag
+    return gains, full_gains
+
+
+def _nlos_own_frame(c: np.ndarray, w: np.ndarray, m1: np.ndarray, turn: np.ndarray,
+                    m_bs: int) -> np.ndarray:
+    """The NLOS paths' share of ``two_segment_closed_form``'s split channels,
+    (..., 2, S), in each user's own-segment frame: for cosines ``c`` and
+    weights ``w`` (..., 2, 1 + L) with the LOS path first, and ``turn``
+    (..., 2) = e^{iπ c_a M/2}, e^{-iπ c_b M/2}.
+
+    Writing D(m, x) = Im(e^{imx}) / sin x, with k_l = w_l / (2i sin x) over
+    the unmatched paths, p_l = e^{-iπ c_l M_BS/2} and q = e^{iπ c_b M_BS/2},
+    the unrotated sum over the paths l = 1..L is
+
+        N(m1) = e_a Σ k_a p - conj(e_a) Σ k_a p e^{iπ c m1}
+                + conj(e_b) Σ k_b p q e^{iπ c m1} - e_b Σ k_b conj(p q)
+                + m1 e_a Σ' w p + m2 e_b Σ'' w
+
+    where Σ' and Σ'' run over the paths matched to segment a and b
+    (|sin x| < ``DIRICHLET_EPS``), which take the kernel's limit m with no
+    division and their phase at the steering angle.  The sums of
+    e^{iπ c_l m1} come from the paths' tables, about 2 L sqrt(M_BS / 2)
+    exps per user whatever the number of splits, and one stacked
+    (2, L) @ (L, N) product per user.  With splits in at most half the
+    columns (``_reads_split_columns``) those tables are read at the S split
+    columns alone (``_table_columns``, N = S); otherwise the full grid is
+    built (``_table_steering``, N = M_BS) and the split columns are read
+    from the product.  Each column has the bits of its grid element either
+    way, and with one NLOS path the product keeps its bits too; a sum of
+    L > 1 paths may round differently at another N.
+    """
     cos_a = c[..., :1, :1]
     cos_b = c[..., 1:, :1]
+    e = _half_angle_phases(c[..., 0], m_bs, m1)
+    # contiguous copies, whose element-wise passes run as one loop each
+    c, w = np.ascontiguousarray(c[..., 1:]), np.ascontiguousarray(w[..., 1:])
     sin_a = np.sin(0.5 * math.pi * (cos_a - c))
     sin_b = np.sin(0.5 * math.pi * (cos_b - c))
     match_a = np.abs(sin_a) < DIRICHLET_EPS
     match_b = np.abs(sin_b) < DIRICHLET_EPS
     # Each product below that takes a temporary of its own shape takes it
     # on the left, where numpy's reuse of it keeps the operand order (module
-    # notes).  k_l = w_l / (2i sin x) of each unmatched path, 0 if matched:
-    k_a = np.where(match_a, 0.0, -0.5j * w / np.where(match_a, 1.0, sin_a))
-    k_b = np.where(match_b, 0.0, -0.5j * w / np.where(match_b, 1.0, sin_b))
+    # notes).  k_l = w_l / (2i sin x) = (-1 / (2 sin x)) i w_l of each
+    # unmatched path, 0 if matched, with a real division:
+    iw = 1j * w
+    k_a = np.where(match_a, 0.0, -0.5 / np.where(match_a, 1.0, sin_a)) * iw
+    k_b = np.where(match_b, 0.0, -0.5 / np.where(match_b, 1.0, sin_b)) * iw
     p = np.exp((-0.5j * math.pi * m_bs) * c)                  # e^{-iπ c_l M/2}
-    q = np.exp((0.5j * math.pi * m_bs) * cos_b)               # e^{iπ c_b M/2}
+    q = np.conj(turn[..., 1:, None])                          # e^{iπ c_b M/2}
     # Σ_l k_l p_l e^{iπ c_l m1} at every split: column M - 1 - m1 of the
     # centred grid holds e^{iπ c_l (m1 - (M - 1)/2)}, and the fold makes up
     # the difference, p_l e^{iπ c_l (M - 1)/2} = e^{-iπ c_l / 2}
     fold = np.exp(-0.5j * math.pi * c)
     folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
-    e, los = _half_angle_phases(c[..., 0], m_bs, m1)
-    sums = folded[..., :1] * los[..., None, :]
-    if c.shape[-1] > 1:
-        columns = m_bs - 1 - m1
-        if _reads_split_columns(len(m1), m_bs):
-            sums += folded[..., 1:] @ _table_columns(c[..., 1:], m_bs, columns)
-        else:
-            sums += np.take(folded[..., 1:] @ _table_steering(c[..., 1:], m_bs), columns,
-                            axis=-1)
+    columns = m_bs - 1 - m1
+    if _reads_split_columns(len(m1), m_bs):
+        sums = folded @ _table_columns(c, m_bs, columns)
+    else:
+        sums = np.take(folded @ _table_steering(c, m_bs), columns, axis=-1)
     lin_a = (k_a * p).sum(axis=-1)[..., None]
     lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
     lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]
     lim_b = np.where(match_b, w, 0.0).sum(axis=-1)[..., None]
 
-    # h(m1) in place: each term keeps the formula's operands in their order,
+    # N(m1) in place: each term keeps the formula's operands in their order,
     # and the terms are added in the formula's order
     split = np.multiply(m1, lim_a)
     np.add(lin_a, split, out=split)
@@ -497,7 +556,10 @@ def two_segment_closed_form(gains: np.ndarray, aods: np.ndarray, aoas: np.ndarra
     split -= sums[..., 0, :]
     split += sums[..., 1, :]
     split += last
-    return split, full
+    # into the own-segment frames: e^{iπ c_a M/2} conj(e_a) and conj(e_b)
+    e[..., :1, :] *= turn[..., :1, None]
+    split *= e
+    return split
 
 
 def pattern_mags(weights: np.ndarray, cos_angles: np.ndarray) -> np.ndarray:

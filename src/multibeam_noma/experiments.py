@@ -13,17 +13,19 @@ than being page-faulted back in; with several workers each thread's heap
 keeps its own, which raises peak memory.  The antenna sweep takes blocks
 sized by ``_antenna_block`` from the shapes of its closed form: as many
 trials as keep the closed form's (trial, user) temporaries within
-``BLOCK_ELEMENTS`` complex values (528 trials for the README ``sweep.cfg``,
+``BLOCK_ELEMENTS`` complex values (3171 trials for the README ``sweep.cfg``,
 two LOS-only users and 31 splits on 128 antennas), and never fewer than
 ``TRIAL_BLOCK`` (64 at 30 NLOS paths).  A block seeds all of its
 keys at once, draws every user's paths as arrays (the paths of
 ``drop_users``, bit for bit) and evaluates all of its trials along an array
 axis, split-beam sweep, full-array gains and threshold included, with no
-loop over trials.  Its channels come from the paper's Dirichlet-kernel
-closed form (``_kernels.two_segment_closed_form``), so it builds no v^H H
-row, and it takes every split phase from steering tables, with no exp per
-split: the segments are steered at the two users' LOS departures, whose
-half-angle tables give both the segment phases and the LOS paths' columns.
+loop over trials.  Its gains come from the paper's Dirichlet-kernel closed
+form (``_kernels.two_segment_closed_form``), so it builds no v^H H row and
+takes no exp per split: each user's channel is taken in its own-segment
+frame, where its LOS path needs one Dirichlet kernel per segment length and
+no steering table, so a LOS-only block builds none; the NLOS paths take
+the segment phases from half-angle tables and their own terms from tables
+read at the split columns.
 
 The power sweep runs in two stages.  Its evaluator, ``_power_trials``,
 only draws and builds rows, one trial at a time: it draws the trial through
@@ -220,15 +222,22 @@ def _antenna_block(scenario: ScenarioConfig, num_splits: int) -> int:
 
     A block takes as many trials as keep the temporaries of
     ``_kernels.two_segment_closed_form`` within ``BLOCK_ELEMENTS``, and never
-    fewer than ``TRIAL_BLOCK``.  With L NLOS paths the closed form holds
-    (3 + L) min(2 S, M_BS) complex values per trial and user for S splits:
-    528 trials for the README ``sweep.cfg`` (two LOS-only users, 31 splits),
-    256 for every split of a 128-element array and 64 at 30 NLOS paths.
-    Larger blocks share each block's fixed numpy calls among more trials.
+    fewer than ``TRIAL_BLOCK``.  Per trial and user, S splits and an M-element
+    array, the closed form holds about S complex values for the LOS paths'
+    Dirichlet kernels and gains (two reals a split); with L > 0 NLOS paths it
+    also holds (2 + L) min(2 S, M) for their steering columns, sums and
+    phases.  That gives 3171 trials for the README ``sweep.cfg`` (two LOS-only
+    users, 31 splits), 774 for every split of a 128-element array and 64 at
+    30 NLOS paths.  Larger blocks share each block's fixed numpy calls among
+    more trials.
     """
     m_bs = scenario.bs_config.num_antennas
-    per_user = (3 + scenario.num_nlos_paths) * min(2 * num_splits, m_bs)
+    num_nlos = scenario.num_nlos_paths
+    per_user = num_splits
+    if num_nlos:
+        per_user += (2 + num_nlos) * min(2 * num_splits, m_bs)
     return max(TRIAL_BLOCK, BLOCK_ELEMENTS // (scenario.num_users * per_user))
+
 
 # Most trials a run takes: a trial index is one 32-bit word of its users'
 # spawn keys (channel.spawn_state_words), so indices stop at 2**32 - 1.
@@ -520,12 +529,12 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
     """Antenna-sweep results of trials [lo, hi): (hi - lo, splits, 6).
 
     Every step takes the whole block: ``two_segment_closed_form`` gives the
-    split and full-array channels of every (trial, user) from its paths, the
+    split and full-array gains of every (trial, user) from its paths, the
     threshold takes the (trial, user) LOS magnitudes, and the rates and
     the large-array laws take the (trial, split) pairs of one scenario, the
     drops (T, 1, 2) against the splits (S, 2).  After the channels every
     step is element-wise, or a sum over the two users, which rounds the
-    same in any order.
+    same in any order and in any memory layout.
     """
     scenario = spec.scenario
     m_bs = scenario.bs_config.num_antennas
@@ -535,17 +544,16 @@ def _antenna_trials(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
 
     gains, aods, aoas = _draw_block(scenario, lo, hi, spec.gain_ratio)
     mags = _scalar_abs(gains[..., 0])
-    swept, full = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, m_ue, m_bs)
-    # the C-contiguous (user, trial, split) layout that a per-trial loop
-    # fills: numpy may take another complex-abs loop for a strided view
-    h = np.ascontiguousarray(swept.transpose(1, 0, 2))
-    full_mags = _scalar_abs(full)
+    split_gains, full_gains = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values,
+                                                               m_ue, m_bs)
     splits = np.array((m1_values, m_bs - m1_values)).T
     asym = _asym_scenario(mags[:, None], splits, scenario, scenario.max_power_w)
     out = np.empty((hi - lo, len(m1_values), 6))
-    out[..., 0] = noma_rates_from_gains(np.abs(h) ** 2, np.array([p_user, p_user]),
+    # the user axis leads in the rate laws
+    out[..., 0] = noma_rates_from_gains(split_gains.transpose(1, 0, 2),
+                                        np.array([p_user, p_user]),
                                         scenario.noise_w).sum(axis=0)
-    out[..., 1] = tdma_rates(full_mags * full_mags, equal_time_shares(2), scenario.max_power_w,
+    out[..., 1] = tdma_rates(full_gains, equal_time_shares(2), scenario.max_power_w,
                              scenario.noise_w).system_sum[:, None]
     out[..., 2] = strongest_user_rate_asymptotic(asym, scenario.max_power_w)
     out[..., 3] = tdma_sum_rate_asymptotic(asym)

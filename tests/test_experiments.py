@@ -208,18 +208,20 @@ def antenna_block(num_nlos, m_bs, num_splits):
 
 def test_antenna_block_is_the_largest_within_the_closed_form_budget():
     # the README sweep.cfg, the CLI default of 30 NLOS paths and every split
-    assert antenna_block(0, 128, 31) == 528
+    assert antenna_block(0, 128, 31) == 3171
     assert antenna_block(30, 128, 63) == experiments.TRIAL_BLOCK == 64
-    assert antenna_block(0, 128, 127) == 256
-    assert antenna_block(0, 256, 255) == antenna_block(0, 128, 127) // 2
+    assert antenna_block(0, 128, 127) == 774
+    assert antenna_block(0, 256, 255) == 385
     for num_nlos in (0, 1, 3, 30, 300):
         for m_bs in (2, 33, 128, 256):
             for num_splits in {1, m_bs // 2, m_bs // 2 + 1, m_bs - 1}:
                 block = antenna_block(num_nlos, m_bs, num_splits)
-                if 2 * num_splits <= m_bs:
-                    per_trial = 2 * (6 + 2 * num_nlos) * num_splits
-                else:
-                    per_trial = 2 * (3 + num_nlos) * m_bs
+                # S for the LOS terms; with NLOS paths, (2 + L) steering
+                # columns, sums and phases per column read
+                per_user = num_splits
+                if num_nlos:
+                    per_user += (2 + num_nlos) * min(2 * num_splits, m_bs)
+                per_trial = 2 * per_user
                 case = (num_nlos, m_bs, num_splits)
                 assert block >= experiments.TRIAL_BLOCK, case
                 if block > experiments.TRIAL_BLOCK:
@@ -251,18 +253,20 @@ def recorded_tables(monkeypatch, num_nlos, m_bs, m1_values, trials=5):
 
 def test_antenna_block_counts_the_closed_form_steering_grid(monkeypatch):
     # the rule's L grid rows per user: one (T, K, L, M_BS) grid a call at
-    # every split, beside the (T, K, S + 1) half-angle columns of the LOS
-    # paths
+    # every split, beside the (T, K, S + 1) half-angle columns of the
+    # segment phases; with no NLOS path, no table at all
     assert recorded_tables(monkeypatch, 3, 33, np.arange(1, 33)) == [
         ("_table_columns", (5, 2, 33)), ("_table_steering", (5, 2, 3, 33))]
+    assert recorded_tables(monkeypatch, 0, 33, np.arange(1, 33)) == []
 
 
 def test_antenna_block_covers_the_split_column_read(monkeypatch):
     # With at most half the array's splits the closed form reads L S
     # columns per user beside the S + 1 half-angle columns: one
-    # (T, K, L, S) array a call, S <= M_BS / 2
+    # (T, K, L, S) array a call, S <= M_BS / 2; with no NLOS path, none
     assert recorded_tables(monkeypatch, 3, 33, np.arange(1, 33, 2)) == [
         ("_table_columns", (5, 2, 17)), ("_table_columns", (5, 2, 3, 16))]
+    assert recorded_tables(monkeypatch, 0, 33, np.arange(1, 33, 2)) == []
 
 
 def test_monte_carlo_result_is_independent_of_workers():

@@ -294,20 +294,20 @@ def test_table_columns_are_the_grid_columns_bit_for_bit(lead):
 def test_half_angle_phases_match_one_exp_and_the_table_columns():
     # e = e^{iπ c m1/2} from the half-angle table against one exp of the
     # phase, which rounds π c m1/2 to an ulp of its own size: within 4 ulps
-    # of the phase plus 4 of 1 (2.2 seen, at 256 elements).  The LOS column
-    # u^2 against the table's own column at c: within 16 ulps of 1 (9.2
-    # seen); both reduce their phases exactly modulo 2π.
+    # of the phase plus 4 of 1 (2.2 seen, at 256 elements).  Bit for bit the
+    # product of the half cosine's split column and column 0.
     eps = np.finfo(np.float64).eps
     cos = table_cosines(28, n=500)
     for m in (2, 3, 4, 33, 128, 256):
         m1 = np.arange(1, m)
         for lead in ((len(cos),), (len(cos) // 2, 2)):
             c = cos.reshape(lead)
-            e, los = _kernels._half_angle_phases(c, m, m1)
-            assert e.shape == los.shape == lead + (m - 1,)
+            e = _kernels._half_angle_phases(c, m, m1)
+            assert e.shape == lead + (m - 1,)
             phase = (0.5 * math.pi) * (c[..., None] * m1)
             assert (np.abs(e - np.exp(1j * phase)) <= 4 * eps * (1.0 + np.abs(phase))).all(), m
-            assert (np.abs(los - _kernels._table_columns(c, m, m - 1 - m1)) <= 16 * eps).all(), m
+            half = _kernels._table_columns(0.5 * c, m, np.append(m - 1 - m1, 0))
+            assert_same_bits(e, half[..., :-1] * half[..., -1:])
 
 
 def test_two_segment_closed_form_takes_two_users():
@@ -575,17 +575,27 @@ def test_full_array_gains_match_per_row_segment_gains_bit_for_bit():
 
 
 
-def planted_paths(rng, num_nlos):
+def planted_paths(rng, num_nlos, los_sin_x=None, gain_ratio=None):
     """Two users' paths as (2, 1 + L) arrays, LOS first.  The first NLOS
     paths of each user sit on the closed form's special cases for a chain
     steered at the two LOS departures: exactly on the other user's LOS
     (x = 0), then |sin x| 1% below and 1% above ``DIRICHLET_EPS`` from its
-    own and from the other user's LOS; the rest are random."""
+    own and from the other user's LOS; the rest are random.  With
+    ``los_sin_x``, user 1's LOS departure is first planted at |sin x| =
+    ``los_sin_x`` from user 0's (exactly on it at 0); with ``gain_ratio``,
+    user 1's gains are scaled so that user 0's LOS gain is that many times
+    as strong."""
     shape = (2, 1 + num_nlos)
     gains = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     gains[:, 1:] *= 0.1
     aods = rng.uniform(0.05, math.pi - 0.05, size=shape)
     aoas = rng.uniform(0.05, math.pi - 0.05, size=shape)
+    if los_sin_x is not None:
+        aods[1, 0] = math.acos(math.cos(aods[0, 0]) - 2.0 / math.pi * math.asin(los_sin_x))
+        if los_sin_x == 0.0:
+            aods[1, 0] = aods[0, 0]
+    if gain_ratio is not None:
+        gains[1] *= abs(gains[0, 0]) / (gain_ratio * abs(gains[1, 0]))
     for u in range(2):
         cases = [(1 - u, 0.0)] + [(v, f * _kernels.DIRICHLET_EPS)
                                   for f in (0.99, 1.01) for v in (u, 1 - u)]
@@ -609,52 +619,72 @@ def closed_form_scale(gains, aods, aoas, m1_values, m_ue, m_bs):
     return (w * seg).sum(axis=-1).T, (w * full).sum(axis=-1)
 
 
-@pytest.mark.parametrize("m_bs", (2, 3, 128, 256))
-@pytest.mark.parametrize("num_nlos", (0, 1, 30))
+# user 1's LOS departure: drawn, on user 0's (x = 0), and |sin x| 1% below
+# and 1% above DIRICHLET_EPS from it
+LOS_PLANTS = (None, 0.0, 0.99 * _kernels.DIRICHLET_EPS, 1.01 * _kernels.DIRICHLET_EPS)
+
+
+@pytest.mark.parametrize("m_bs", (2, 3, 4, 33, 128, 256))
+@pytest.mark.parametrize("num_nlos", (0, 1, 3, 30))
 def test_two_segment_closed_form_matches_direct_product_and_row_path(m_bs, num_nlos):
-    # Tolerances relative to the closed form's Σ|terms|.  Split channels:
-    # 1e-12 (4.5e-13 seen), or 1e-6 with paths planted 1% from the
-    # DIRICHLET_EPS edge, where the w / (2i sin x) terms of an unmatched path
-    # cancel and a matched path takes its phase at the steering angle (3.1e-7
-    # seen, at 256 elements).  Full-array channels: 1e-14 (2.6e-15 seen).
-    split_tol = 1e-6 if num_nlos > 1 else 1e-12
+    # Gains |h|^2 against |h|^2 of the direct product and of the row path,
+    # with tolerances relative to the square of the closed form's Σ|terms|.
+    # Split gains: 1e-12 (1.9e-13 seen, LOS only at 256 elements), or 1e-6
+    # with an NLOS path within 1% of the DIRICHLET_EPS edge, where the
+    # w / (2i sin x) terms of an unmatched path cancel and a matched path
+    # takes its phase at the steering angle (1.2e-7 seen): the planted NLOS
+    # paths from L = 2 on, and with L = 1 the path planted on the other
+    # user's LOS when that LOS is itself planted 1% off the edge from the
+    # user's own.  LOS departures planted on or 1% either side of the edge
+    # take the Dirichlet kernel and hold 1e-12 (3.3e-14 seen).  Full-array
+    # gains: 1e-14 (6.7e-15 seen).
     m_ue = 4
     scenario = ScenarioConfig(num_users=2, num_nlos_paths=num_nlos, bs_config=UlaConfig(m_bs),
                               ue_config=UlaConfig(m_ue))
     full_plan = experiments.single_chain_plan(
         ScenarioConfig(num_users=1, bs_config=UlaConfig(m_bs)), (m_bs,))
-    m1_values = np.unique([1, m_bs // 2, m_bs - 1])
+    every_split = np.arange(1, m_bs)
+    sparse = np.unique([1, m_bs // 3 + 1, m_bs - 1])
     rng = np.random.default_rng(31 + m_bs + num_nlos)
-    for _ in range(20):
-        gains, aods, aoas = planted_paths(rng, num_nlos)
-        cos_los = np.cos(aods[:, 0])
-        if num_nlos > 1:
+    for los_sin_x in LOS_PLANTS:
+        for gain_ratio in (None, 5.0):
+            gains, aods, aoas = planted_paths(rng, num_nlos, los_sin_x, gain_ratio)
+            near_edge = num_nlos > 1 or (num_nlos == 1 and bool(los_sin_x))
+            split_tol = 1e-6 if near_edge else 1e-12
+            cos_los = np.cos(aods[:, 0])
+            if los_sin_x:
+                sin_x = abs(math.sin(0.5 * math.pi * (cos_los[1] - cos_los[0])))
+                assert (sin_x < _kernels.DIRICHLET_EPS) == (los_sin_x < _kernels.DIRICHLET_EPS)
             # the planted paths 2 to 5 lie on their side of the edge
-            steer = cos_los[np.array([[0, 1, 0, 1], [1, 0, 1, 0]])]
-            sin_x = np.abs(np.sin(0.5 * math.pi * (steer - np.cos(aods[:, 2:6]))))
+            planted = min(num_nlos, 5) - 1
+            steer = cos_los[np.array([[0, 1, 0, 1], [1, 0, 1, 0]])][:, :max(planted, 0)]
+            sin_x = np.abs(np.sin(0.5 * math.pi * (steer - np.cos(aods[:, 2:2 + planted]))))
             assert (sin_x[:, :2] < _kernels.DIRICHLET_EPS).all()
             assert (sin_x[:, 2:] > _kernels.DIRICHLET_EPS).all()
-        split, full = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values, m_ue, m_bs)
-        assert split.shape == (2, len(m1_values)) and full.shape == (2,)
-        channels = [UserChannel(gains[u], aods[u], aoas[u], UlaConfig(m_ue), UlaConfig(m_bs))
-                    for u in range(2)]
-        combiners = [user_combiner(m_ue, aoas[u, 0]) for u in range(2)]
-        direct = np.array([[effective_direct(ch, v, rf_chain_precoder(
-            experiments.single_chain_plan(scenario, (m1, m_bs - m1)), 0, aods[:, 0]))
-            for m1 in m1_values.tolist()] for ch, v in zip(channels, combiners)])
-        direct_full = np.array([effective_direct(ch, v, rf_chain_precoder(
-            full_plan, 0, aods[u, :1])) for u, (ch, v) in enumerate(zip(channels, combiners))])
-        rows = _kernels.vhh_row(gains, aods, aoas, m_ue, m_bs)
-        row_split = _kernels.two_segment_sweep(rows, cos_los[0], cos_los[1], m1_values, m_bs)
-        row_full = np.array([_kernels.segment_gains(rows[u:u + 1], cos_los[u:u + 1],
-                                                    np.zeros(1, dtype=np.int64),
-                                                    np.full(1, m_bs), m_bs)[0]
-                             for u in range(2)])
-        scale, scale_full = closed_form_scale(gains, aods, aoas, m1_values, m_ue, m_bs)
-        for want in (direct, row_split):
-            assert (np.abs(split - want) <= split_tol * scale).all()
-        for want in (direct_full, row_full):
-            assert (np.abs(full - want) <= 1e-14 * scale_full).all()
+            channels = [UserChannel(gains[u], aods[u], aoas[u], UlaConfig(m_ue), UlaConfig(m_bs))
+                        for u in range(2)]
+            combiners = [user_combiner(m_ue, aoas[u, 0]) for u in range(2)]
+            rows = _kernels.vhh_row(gains, aods, aoas, m_ue, m_bs)
+            for m1_values in (every_split, sparse):
+                split, full = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values,
+                                                               m_ue, m_bs)
+                assert split.shape == (2, len(m1_values)) and full.shape == (2,)
+                scale, scale_full = closed_form_scale(gains, aods, aoas, m1_values, m_ue, m_bs)
+                wants = [_kernels.two_segment_sweep(rows, cos_los[0], cos_los[1], m1_values, m_bs)]
+                wants_full = [np.array([_kernels.segment_gains(
+                    rows[u:u + 1], cos_los[u:u + 1], np.zeros(1, dtype=np.int64),
+                    np.full(1, m_bs), m_bs)[0] for u in range(2)])]
+                if m1_values is sparse:
+                    wants.append(np.array([[effective_direct(ch, v, rf_chain_precoder(
+                        experiments.single_chain_plan(scenario, (m1, m_bs - m1)), 0, aods[:, 0]))
+                        for m1 in m1_values.tolist()] for ch, v in zip(channels, combiners)]))
+                    wants_full.append(np.array([effective_direct(ch, v, rf_chain_precoder(
+                        full_plan, 0, aods[u, :1]))
+                        for u, (ch, v) in enumerate(zip(channels, combiners))]))
+                for want in wants:
+                    assert (np.abs(split - np.abs(want) ** 2) <= split_tol * scale ** 2).all()
+                for want in wants_full:
+                    assert (np.abs(full - np.abs(want) ** 2) <= 1e-14 * scale_full ** 2).all()
 
 
 @pytest.mark.parametrize("m_bs", (32, 256))
@@ -663,7 +693,8 @@ def test_two_segment_closed_form_over_trials_matches_per_trial_calls_bit_for_bit
     # At 64 trials, 256 elements and every split, or at 200 paths, the
     # block's (T, K, splits) and (T, K, P) products are large enough for
     # numpy to reuse a temporary operand as their output.  One-path trials
-    # also run in the 256-trial blocks the antenna sweep gives LOS-only users.
+    # also run in a 256-trial block: the antenna sweep gives LOS-only users
+    # blocks of hundreds to thousands of trials.
     rng = np.random.default_rng(40 + m_bs + num_paths)
     all_splits = np.arange(1, m_bs, dtype=np.int64)
     for t in (1, 7, 64) + ((256,) if num_paths == 1 else ()):
@@ -683,16 +714,16 @@ def test_two_segment_closed_form_over_trials_matches_per_trial_calls_bit_for_bit
 def closed_form_rounding_scale(gains, aods, aoas, m_ue, m_bs):
     """Σ_l (|k_a| + |k_b| + M_BS |w_l|) per (trial, user): a bound on the
     magnitude of every term the closed form sums or adds up for a split,
-    the w_l / (2 sin x) terms of the unmatched paths and up to M_BS times
-    the matched ones, with segment a steered at user 0's LOS and b at user
-    1's."""
+    the w_l / (2 sin x) terms of the unmatched NLOS paths and up to M_BS
+    times the matched ones or the LOS path, with segment a steered at user
+    0's LOS and b at user 1's."""
     c = np.cos(aods)
     w = np.abs(gains * _kernels.receive_kernel(aoas, m_ue)) / math.sqrt(m_ue * m_bs)
     scale = m_bs * w
     for cos in (c[..., :1, :1], c[..., 1:, :1]):
-        sin_x = np.abs(np.sin(0.5 * math.pi * (cos - c)))
+        sin_x = np.abs(np.sin(0.5 * math.pi * (cos - c[..., 1:])))
         matched = sin_x < _kernels.DIRICHLET_EPS
-        scale += np.where(matched, 0.0, 0.5 * w / np.where(matched, 1.0, sin_x))
+        scale[..., 1:] += np.where(matched, 0.0, 0.5 * w[..., 1:] / np.where(matched, 1.0, sin_x))
     return scale.sum(axis=-1)
 
 
@@ -701,11 +732,11 @@ def closed_form_rounding_scale(gains, aods, aoas, m_ue, m_bs):
 def test_two_segment_closed_form_assemblies_agree(monkeypatch, m_bs, num_nlos):
     # Both assemblies give every grid element of the NLOS paths its bits;
     # only the N of the (2, L) @ (L, N) product differs, M_BS for the grid
-    # and S for the split columns.  LOS paths take neither (they are the
-    # squares of the half-angle columns), and with one NLOS path the product
-    # is one complex multiply per element: bit for bit.  An L-term dot may
-    # round otherwise at another N: bound 1e-14 relative to the closed
-    # form's terms (7.8e-16 seen).
+    # and S for the split columns.  LOS paths take neither (they take the
+    # Dirichlet kernel), and with one NLOS path the product is one complex
+    # multiply per element: bit for bit.  An L-term dot may round otherwise
+    # at another N: bound 1e-14 relative to the square of the closed form's
+    # terms (2.7e-17 seen).
     rng = np.random.default_rng(50 + m_bs + num_nlos)
     planted = planted_paths(rng, num_nlos)
     shape = (7, 2, 1 + num_nlos)
@@ -727,17 +758,17 @@ def test_two_segment_closed_form_assemblies_agree(monkeypatch, m_bs, num_nlos):
                 assert_same_bits(got[True][0], got[False][0])
             else:
                 assert (np.abs(got[True][0] - got[False][0])
-                        <= 1e-14 * scale[..., None]).all()
+                        <= 1e-14 * scale[..., None] ** 2).all()
 
 
 @pytest.mark.parametrize("num_nlos", (0, 1, 3, 7, 15, 30))
 def test_two_segment_closed_form_reads_split_columns_for_at_most_half_the_array(
         monkeypatch, num_nlos):
-    # One half-angle call reads the two LOS cosines' tables at the S split
-    # columns and column 0, (2, S + 1).  The NLOS paths' assembly follows
-    # the split count and the array size alone, whatever their number: the
-    # (2, L, S) split columns or the (2, L, M_BS) grid; none without NLOS
-    # paths.
+    # With NLOS paths, one half-angle call reads the two LOS cosines'
+    # tables at the S split columns and column 0, (2, S + 1), for the
+    # segment phases, and the NLOS paths' assembly follows the split count
+    # and the array size alone, whatever their number: the (2, L, S) split
+    # columns or the (2, L, M_BS) grid.  Without NLOS paths no table is read.
     built = []
 
     def recording(name):
@@ -765,58 +796,105 @@ def test_two_segment_closed_form_reads_split_columns_for_at_most_half_the_array(
         built.clear()
         _kernels.two_segment_closed_form(gains, aods, aoas, np.array(m1_values), 4, m_bs)
         num_splits = len(m1_values)
-        want = [("_table_columns", (2, num_splits + 1))]
+        want = []
         if num_nlos:
+            want.append(("_table_columns", (2, num_splits + 1)))
             want.append(("_table_columns", (2, num_nlos, num_splits)) if split_columns
                         else ("_table_steering", (2, num_nlos, m_bs)))
         assert built == want
 
 
+@pytest.mark.parametrize("gain_ratio", (None, 5.0))
+def test_two_segment_closed_form_builds_no_steering_table_without_nlos_paths(
+        monkeypatch, gain_ratio):
+    # LOS paths take the Dirichlet kernel in their own-segment frames, so a
+    # LOS-only block, and a LOS-only sweep, builds no steering table at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("a steering table was built")
+
+    monkeypatch.setattr(_kernels, "_steering_tables", refuse)
+    rng = np.random.default_rng(65)
+    for m_bs in (2, 3, 33, 128, 256):
+        for m1_values in (np.arange(1, m_bs), np.arange(1, m_bs)[::-5]):
+            for lead in ((), (1,), (9,)):
+                gains, aods, aoas = (x.reshape(lead + (2, 1))
+                                     for x in random_inputs(rng.integers(99), 2 * math.prod(lead)))
+                split, full = _kernels.two_segment_closed_form(gains, aods, aoas, m1_values,
+                                                               4, m_bs)
+                assert split.shape == lead + (2, len(m1_values)) and full.shape == lead + (2,)
+    scenario = ScenarioConfig(num_users=2, num_nlos_paths=0, rng_seed=5)
+    experiments.run_antenna_sweep(experiments.SweepSpec("antennas", scenario, 70,
+                                                        tuple(range(30, 91, 2)),
+                                                        gain_ratio=gain_ratio))
+    with pytest.raises(AssertionError, match="steering table"):
+        _kernels.two_segment_closed_form(*(x.reshape(2, 2) for x in random_inputs(3, 4)),
+                                         np.array([1, 5]), 4, 8)
+
+
 def written_out_closed_form(gains, aods, aoas, m1_values, m_ue, m_bs):
-    """The split channels h(m1) of ``two_segment_closed_form``: its
-    intermediates computed as it computes them, then h(m1) written out with
-    no in-place step,
+    """The split gains |h(m1)|^2 of ``two_segment_closed_form``: its
+    intermediates computed as it computes them, then the gains written out
+    with no in-place step.  With no NLOS path
 
-        (lin_a + m1 lim_a) e_a - conj(e_a) Σ_a + conj(e_b) Σ_b
-        + (m2 lim_b - lin_b) e_b,
+        |w_0|^2 ((cos φ D + m) ^2 + (sin φ D)^2),
 
-    each product in the kernel's operand order, summed left to right."""
+    and otherwise |h|^2 = Re(h)^2 + Im(h)^2 of
+
+        h = N r + (w_0 e^{iφ}) D + w_0 m,
+        N = (lin_a + m1 lim_a) e_a - conj(e_a) Σ_a + conj(e_b) Σ_b
+            + (m2 lim_b - lin_b) e_b,
+
+    with r = conj(e_a) e^{iπ c_a M/2} for user 0 and conj(e_b) for user 1,
+    m each user's own segment length and D the Dirichlet kernel of the
+    other's; each product in the kernel's operand order, summed left to
+    right."""
     m1 = np.asarray(m1_values, dtype=np.int64)
     c = np.cos(aods)
     w = gains * ((1.0 / math.sqrt(m_ue * m_bs)) * _kernels.receive_kernel(aoas, m_ue))
-    sin_a = np.sin(0.5 * math.pi * (c[..., :1, :1] - c))
-    sin_b = np.sin(0.5 * math.pi * (c[..., 1:, :1] - c))
+    own = np.stack((m1, m_bs - m1)).astype(np.float64)
+    x = 0.5 * math.pi * (c[..., 1:, 0] - c[..., :1, 0])
+    d = _kernels.dirichlet(own[::-1], x[..., None])
+    turn = np.exp((0.5j * math.pi * m_bs) * (c[..., 0] * (1.0, -1.0)))
+    w_los = w[..., :1]
+    if c.shape[-1] == 1:
+        re = turn.real[..., None] * d + own
+        im = turn.imag[..., None] * d
+        return (re * re + im * im) * (w_los.real * w_los.real + w_los.imag * w_los.imag)
+    e = _kernels._half_angle_phases(c[..., 0], m_bs, m1)
+    cos_a, cos_b = c[..., :1, :1], c[..., 1:, :1]
+    c, w = c[..., 1:], w[..., 1:]
+    sin_a = np.sin(0.5 * math.pi * (cos_a - c))
+    sin_b = np.sin(0.5 * math.pi * (cos_b - c))
     match_a = np.abs(sin_a) < _kernels.DIRICHLET_EPS
     match_b = np.abs(sin_b) < _kernels.DIRICHLET_EPS
-    k_a = np.where(match_a, 0.0, -0.5j * w / np.where(match_a, 1.0, sin_a))
-    k_b = np.where(match_b, 0.0, -0.5j * w / np.where(match_b, 1.0, sin_b))
+    k_a = np.where(match_a, 0.0, -0.5 / np.where(match_a, 1.0, sin_a)) * (1j * w)
+    k_b = np.where(match_b, 0.0, -0.5 / np.where(match_b, 1.0, sin_b)) * (1j * w)
     p = np.exp((-0.5j * math.pi * m_bs) * c)
-    q = np.exp((0.5j * math.pi * m_bs) * c[..., 1:, :1])
+    q = np.conj(turn[..., 1:, None])
     fold = np.exp(-0.5j * math.pi * c)
     folded = np.stack((k_a * fold, k_b * q * fold), axis=-2)
-    e, los = _kernels._half_angle_phases(c[..., 0], m_bs, m1)
-    sums = folded[..., :1] * los[..., None, :]
-    if c.shape[-1] > 1:
-        columns = m_bs - 1 - m1
-        if _kernels._reads_split_columns(len(m1), m_bs):
-            sums = sums + folded[..., 1:] @ _kernels._table_columns(c[..., 1:], m_bs, columns)
-        else:
-            sums = sums + np.take(folded[..., 1:] @ _kernels._table_steering(c[..., 1:], m_bs),
-                                  columns, axis=-1)
+    columns = m_bs - 1 - m1
+    if _kernels._reads_split_columns(len(m1), m_bs):
+        sums = folded @ _kernels._table_columns(c, m_bs, columns)
+    else:
+        sums = np.take(folded @ _kernels._table_steering(c, m_bs), columns, axis=-1)
     lin_a = (k_a * p).sum(axis=-1)[..., None]
     lin_b = (np.conj(p * q) * k_b).sum(axis=-1)[..., None]
     lim_a = np.where(match_a, w * p, 0.0).sum(axis=-1)[..., None]
     lim_b = np.where(match_b, w, 0.0).sum(axis=-1)[..., None]
     e_a, e_b = e[..., :1, :], e[..., 1:, :]
-    return ((lin_a + m1 * lim_a) * e_a - np.conj(e_a) * sums[..., 0, :]
-            + np.conj(e_b) * sums[..., 1, :] + ((m_bs - m1) * lim_b - lin_b) * e_b)
+    n = ((lin_a + m1 * lim_a) * e_a - np.conj(e_a) * sums[..., 0, :]
+         + np.conj(e_b) * sums[..., 1, :] + ((m_bs - m1) * lim_b - lin_b) * e_b)
+    r = np.concatenate((np.conj(e_a) * turn[..., :1, None], np.conj(e_b)), axis=-2)
+    h = n * r + (w_los * turn[..., None]) * d + w_los * own
+    return h.real * h.real + h.imag * h.imag
 
 
 @pytest.mark.parametrize("m_bs", (2, 3, 33, 128))
 @pytest.mark.parametrize("num_nlos", (0, 1, 30))
 def test_two_segment_closed_form_combines_its_terms_as_written(m_bs, num_nlos):
-    # The kernel adds up h(m1) in place; each step must keep the written-out
-    # formula's operands and order, or a last bit moves.
+    # The kernel adds up the gains in place; each step must keep the
+    # written-out formula's operands and order, or a last bit moves.
     rng = np.random.default_rng(70 + m_bs + num_nlos)
     planted = planted_paths(rng, num_nlos)
     shape = (7, 2, 1 + num_nlos)

@@ -14,7 +14,8 @@ path counts, array sizes (an odd one, 33 elements, in both sweeps, and up to
 256 elements for the antenna sweep, which also runs every split at 30 NLOS
 paths and every split of 2- and 3-element arrays), pinned gain ratios, explicit power-sweep antenna splits, trial
 counts on either side of multiples of 64, antenna sweeps that span
-several of the larger blocks of light trials and antenna sweeps over several
+several blocks (LOS-only ones among them, whose blocks are the largest and
+whose closed form reads no steering table) and antenna sweeps over several
 blocks on either side of the closed form's choice between reading its
 steering tables at the split columns and building the full grid, plus the
 CLI ``effective``, ``rates`` and ``beampattern`` reports and both CLI sweeps
@@ -54,26 +55,31 @@ ANTENNA_ARRAYS = ARRAYS + ((256, 10),) + ODD_ARRAYS
 ANTENNA_NLOS_PATHS = (0, 1, 3)
 # Antenna sweeps over every split of the smallest arrays, whose half-width
 # steering tables shrink to one coarse and one fine phase (2 elements) and to
-# an odd centre column (3 elements), as the closed form reads them at the
-# LOS departures' half cosines and at the NLOS paths' cosines.
+# an odd centre column (3 elements), as the closed form of a sweep with NLOS
+# paths reads them at the LOS departures' half cosines (its segment phases)
+# and at the NLOS paths' cosines; LOS-only sweeps read no table.
 TINY_ARRAYS = ((2, 1), (3, 1))
 # Antenna sweeps over every split, m1 = 1 .. M_BS - 1, with 30 NLOS paths: the
 # closed form then reads every column of its steering grid, for many paths.
 FULL_SWEEP_ARRAYS = ((128, 10), (256, 10))
 FULL_SWEEP_NLOS_PATHS = 30
-# Antenna sweeps of 600 trials, which span 2 to 7 blocks of
-# experiments._antenna_block (381 trials at 128 elements, 43 splits and no
-# NLOS path, down to 96 at 256 elements and 3 paths).  The 70 and 130 trials
-# above are one block on up to 128 elements; at 256 elements and 3 NLOS
-# paths 130 trials take two.
+# Antenna sweeps that span 2 to 6 blocks of experiments._antenna_block: 600
+# trials with NLOS paths (326 trials a block at 128 elements, 43 splits and
+# 1 path, down to 105 at 256 elements and 3 paths) and 4000 with none, whose
+# blocks are larger (2286 trials at 128 elements, 1156 at 256).  The 70 and
+# 130 trials above are one block on up to 128 elements; at 256 elements and
+# 3 NLOS paths 130 trials take two.
 BLOCK_SPAN_SEEDS = (1, 12345)
 BLOCK_SPAN_TRIALS = 600
+BLOCK_SPAN_LOS_TRIALS = 4000
 BLOCK_SPAN_ARRAYS = ((128, 10), (256, 10))
-# Antenna sweeps of 600 trials on 128 elements, over 2 to 10 blocks, on
-# either side of _kernels._reads_split_columns: the closed form reads its
-# steering tables at the split columns for the README sweep.cfg splits
-# (m1 = 30, 32, .., 90) and for the 64 splits m1 = 1 .. 64, and builds the
-# full grid for the 65 splits m1 = 1 .. 65.
+# Antenna sweeps on 128 elements, of 600 trials over 4 to 10 blocks with 7
+# or 15 NLOS paths and of 4000 trials over 2 or 3 blocks (3171 trials a
+# block for the README splits, 1536 and 1512 for the others) with none, on
+# either side of _kernels._reads_split_columns: with NLOS paths the closed
+# form reads their steering tables at the split columns for the README
+# sweep.cfg splits (m1 = 30, 32, .., 90) and for the 64 splits m1 = 1 .. 64,
+# and builds the full grid for the 65 splits m1 = 1 .. 65.
 SPLIT_SETS = (("README splits", tuple(range(30, 91, 2))),
               ("64 splits", tuple(range(1, 65))), ("65 splits", tuple(range(1, 66))))
 SPLIT_SET_NLOS_PATHS = (0, 7, 15)
@@ -109,6 +115,10 @@ def scenario(num_users: int, num_nlos: int, arrays: tuple[int, int], seed: int):
     return ScenarioConfig(num_users=num_users, num_nlos_paths=num_nlos,
                           bs_config=UlaConfig(m_bs), ue_config=UlaConfig(m_ue),
                           rng_seed=seed)
+
+
+def block_span_trials(num_nlos: int) -> int:
+    return BLOCK_SPAN_TRIALS if num_nlos else BLOCK_SPAN_LOS_TRIALS
 
 
 def sweep_tables():
@@ -163,20 +173,22 @@ def sweep_tables():
         for arrays in BLOCK_SPAN_ARRAYS:
             m_bs = arrays[0]
             for num_nlos in ANTENNA_NLOS_PATHS:
+                trials = block_span_trials(num_nlos)
                 for ratio in RATIOS:
                     spec = experiments.SweepSpec(
-                        "antennas", scenario(2, num_nlos, arrays, seed), BLOCK_SPAN_TRIALS,
+                        "antennas", scenario(2, num_nlos, arrays, seed), trials,
                         tuple(range(1, m_bs, 3)), gain_ratio=ratio)
-                    yield (f"antennas seed={seed} trials={BLOCK_SPAN_TRIALS} m_bs={m_bs} "
+                    yield (f"antennas seed={seed} trials={trials} m_bs={m_bs} "
                            f"nlos={num_nlos} ratio={ratio}",
                            experiments.run_antenna_sweep(spec))
         for label, splits in SPLIT_SETS:
             for num_nlos in SPLIT_SET_NLOS_PATHS:
+                trials = block_span_trials(num_nlos)
                 for ratio in RATIOS:
                     spec = experiments.SweepSpec(
-                        "antennas", scenario(2, num_nlos, (128, 10), seed), BLOCK_SPAN_TRIALS,
+                        "antennas", scenario(2, num_nlos, (128, 10), seed), trials,
                         splits, gain_ratio=ratio)
-                    yield (f"antennas seed={seed} trials={BLOCK_SPAN_TRIALS} m_bs=128 "
+                    yield (f"antennas seed={seed} trials={trials} m_bs=128 "
                            f"nlos={num_nlos} ratio={ratio} {label}",
                            experiments.run_antenna_sweep(spec))
 
