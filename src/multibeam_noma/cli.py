@@ -68,9 +68,8 @@ SWEEP_FIELDS = {
     "trials": ("trials", _same),
     "ratio": ("gain_ratio", _same),
     "antenna_alloc": ("antenna_alloc", _same),
-    "max_group_size": ("max_group_size", _same),
 }
-PLAN_KEYS = frozenset({"antenna_alloc", "max_group_size"})
+PLAN_KEYS = frozenset({"antenna_alloc"})
 DROP_KEYS = frozenset(SCENARIO_FIELDS) | {"trials", "ratio"}
 
 
@@ -128,7 +127,7 @@ def _report(cfg: dict, args) -> None:
     if alloc is None:
         alloc = default_antenna_alloc(scenario.num_users, scenario.bs_config.num_antennas)
     try:
-        plan = single_chain_plan(scenario, alloc, cfg.get("max_group_size"))
+        plan = single_chain_plan(scenario, alloc)
     except PlanError as exc:
         raise InfeasibleSpecError(str(exc)) from exc
     trials = cfg.get("trials", 1)

@@ -65,7 +65,6 @@ KEY_PARSERS: dict[str, Callable[[str], object]] = {
     "ue_antennas": _parse_int,
     "pmax_dbm": _parse_float,
     "noise_dbm": _parse_float,
-    "max_group_size": _parse_int,
     "seed": _parse_int,
     "trials": _parse_int,
     "ratio": _parse_float,

@@ -40,8 +40,8 @@ to ``finish``: ``_power_observations`` takes the split-beam channels of the
 whole run from one ``segment_gains`` call and the TDMA channels (the
 one-segment case: each row under a full-array beam steered at its own LOS)
 from one call per user, and ``_power_results`` computes the NOMA, TDMA and
-single-beam baseline rates and the asymptotic gain as arrays; its only
-loop is over the baseline's rare clusters of two or more users.
+single-beam baseline rates and the asymptotic gain as arrays, with no loop
+over trials, clusters or budgets.
 
 This module holds no rate formula.  Both sweeps take their NOMA rates from
 ``rates.noma_rates_from_gains``, their TDMA rates from ``rates.tdma_rates``
@@ -394,8 +394,7 @@ def default_antenna_alloc(num_users: int, bs_antennas: int) -> tuple[int, ...]:
     return (first,) + (rest,) * (num_users - 1)
 
 
-def single_chain_plan(scenario: ScenarioConfig, antenna_alloc: Sequence[int],
-                      max_group_size: int | None = None) -> GroupPlan:
+def single_chain_plan(scenario: ScenarioConfig, antenna_alloc: Sequence[int]) -> GroupPlan:
     """All users NOMA-grouped on one RF chain with equal transmit power."""
     k = scenario.num_users
     # an entry count other than K fails the plan's shape check
@@ -405,7 +404,7 @@ def single_chain_plan(scenario: ScenarioConfig, antenna_alloc: Sequence[int],
         scheduling=np.ones((k, 1), dtype=np.int64),
         antenna_alloc=alloc,
         power_alloc=powers,
-        max_group_size=k if max_group_size is None else max_group_size,
+        max_group_size=k,
         bs_antennas=scenario.bs_config.num_antennas,
         max_power_w=scenario.max_power_w,
     )
@@ -421,7 +420,6 @@ class SweepSpec:
     values: tuple
     gain_ratio: float | None = None
     antenna_alloc: tuple[int, ...] | None = None
-    max_group_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("antennas", "power"):
@@ -434,8 +432,8 @@ class SweepSpec:
             raise InfeasibleSpecError("sweep needs at least one value")
         m_bs = self.scenario.bs_config.num_antennas
         if self.kind == "antennas":
-            if self.antenna_alloc is not None or self.max_group_size is not None:
-                raise ValueError("the antenna sweep takes neither antenna_alloc nor max_group_size")
+            if self.antenna_alloc is not None:
+                raise ValueError("the antenna sweep does not take antenna_alloc")
             if self.scenario.num_users != 2:
                 raise InfeasibleSpecError("the antenna sweep is defined for two users")
             _check_gain_ratio(2, self.gain_ratio)
@@ -456,8 +454,6 @@ class SweepSpec:
                     raise InfeasibleSpecError("antenna_alloc needs one entry per user")
                 if any(a < 1 for a in alloc) or sum(alloc) > m_bs:
                     raise InfeasibleSpecError("antenna_alloc must be positive and fit the array")
-        if self.max_group_size is not None and self.max_group_size < self.scenario.num_users:
-            raise InfeasibleSpecError("max_group_size too small to schedule every user")
 
 
 @dataclass(frozen=True)
@@ -679,14 +675,13 @@ def _power_results(spec: SweepSpec, alloc: np.ndarray, pmax_w: np.ndarray,
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
     k = scenario.num_users
-    group_size = k if spec.max_group_size is None else spec.max_group_size
     split_mags, full_mags, mags, aods = obs.transpose(1, 0, 2)
 
     out = np.empty((len(obs), len(pmax_w), 4))
     # (user, trial, budget)
     out[..., 0] = noma_rates_from_gains((split_mags * split_mags).T[..., None],
                                         powers[:, None], scenario.noise_w).sum(axis=0)
-    out[..., 1] = single_beam_noma_baseline(aods, mags, m_ue, m_bs, group_size, pmax_w,
+    out[..., 1] = single_beam_noma_baseline(aods, mags, m_ue, m_bs, k, pmax_w,
                                             scenario.noise_w).system_sum
     out[..., 2] = tdma_rates((full_mags * full_mags)[:, None], equal_time_shares(k),
                              pmax_w[:, None], scenario.noise_w).system_sum

@@ -10,15 +10,17 @@ must cancel; the SIC audit checks this.
 Every rate here is one expression, ``_rate``: log2(1 + p·g / (g·S + I + σ²))
 for a receiver of gain g decoding a message of power p, with S the summed
 power of the messages stronger than it and I the inter-group interference
-at the receiver.  ``sic_rates`` evaluates it for a group in SIC order, on
-the diagonal for the rates and on the receiver x message grid for the
-decode rates of the audit.  The sweeps' NOMA rates
-(``noma_rates_from_gains``), the plan reports (``system_sum_rate``, one
-``sic_rates`` call per RF chain), the single-beam baseline and TDMA all use
-it.  TDMA is ``tdma_rates``: each user alone, S = I = 0, its rates reduced
-with ``@ time_shares``; both sweeps take their TDMA column from it, over
-drops (and budgets) on leading axes, as they take the baseline from
-``single_beam_noma_baseline``.
+at the receiver.  ``group_sic`` evaluates it for NOMA groups in SIC order,
+over any leading axes, on the receiver x message grid: the diagonal holds
+the rates, the rest the decode rates of the audit; ``_audit`` turns the
+pairs it audits into ``SicCheck``s.  The plan reports (``system_sum_rate``,
+every chain in one call) and the single-beam baseline (every drop, budget
+and cluster in one call) take their rates from it.  The sweeps' NOMA rates
+(``noma_rates_from_gains``, one group with no (K, K) audit grid) and TDMA
+(``tdma_rates``: each user alone, S = I = 0, its rates reduced with
+``@ time_shares``) call ``_rate`` directly.  Both sweeps take their TDMA
+column from ``tdma_rates``, over drops (and budgets) on leading axes, as the
+power sweep takes its baseline from ``single_beam_noma_baseline``.
 """
 
 from __future__ import annotations
@@ -127,66 +129,80 @@ def noma_rates_from_gains(gains_sq: np.ndarray, powers: np.ndarray,
     return _rate(*_sic_terms(gains_sq, powers), 0.0, noise_w)
 
 
-def sic_rates(gains_sq: np.ndarray, powers: np.ndarray, noise_w: float,
-              inter=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and decode rates of one NOMA group, gains in SIC order.
+def group_sic(gains_sq, powers, groups, inter, noise_w):
+    """Rates, decode rates and audited pairs of NOMA groups under SIC.
 
-    ``gains_sq`` and ``powers`` are laid out as for ``noma_rates_from_gains``.
-    ``inter`` is the inter-group interference power at each receiver: a
-    scalar, or (K,) with one value per user shared by the n columns.
-    Returns ``rates``, of the broadcast shape (K,) or (K, n), and
-    ``decode`` of shape (K, K) or (K, K, n), where ``decode[i, j]`` is the
-    rate at which user i decodes user j's message.  Both come from the
-    same expression: ``rates`` is the diagonal of ``decode``, so the SIC
-    step i -> j (i stronger, i < j) holds when ``decode[i, j] >= rates[j]``.
+    The users sit on the last axis in SIC order, strongest first, under any
+    leading axes; the inputs broadcast together.  ``gains_sq`` is each
+    user's gain to its group's beam, ``powers`` its message power,
+    ``groups`` its group label (negative: unscheduled, in no pair) and
+    ``inter`` the power of other groups' beams at it.  Returns the (..., K)
+    rates; the (..., K, K) decode rates, ``decode[..., i, j]`` being the
+    rate at which user i decodes user j's message, whose diagonal is the
+    rates; and the (..., K, K) pairs to audit, i stronger than j in one
+    group.
     """
-    gain, power, stronger = _sic_terms(gains_sq, powers)
-    # one value per receiver (row), shared by the n columns
-    inter = np.reshape(inter, (-1,) + (1,) * (gain.ndim - 1))
-    rates = _rate(gain, power, stronger, inter, noise_w)
-    # receiver on axis 0, message on axis 1
-    decode = _rate(gain[:, None], power[None], stronger[None], inter[:, None], noise_w)
-    return rates, decode
+    gains_sq = np.asarray(gains_sq, dtype=np.float64)
+    powers = np.asarray(powers, dtype=np.float64)
+    groups = np.asarray(groups)
+    inter = np.asarray(inter, dtype=np.float64)
+    position = np.arange(groups.shape[-1])
+    pairs = ((groups[..., :, None] == groups[..., None, :]) & (groups[..., None, :] >= 0)
+             & np.less.outer(position, position))
+    # adds one row at a time in SIC order: the bits of a cumsum over the group
+    stronger = np.where(pairs, powers[..., :, None], 0.0).sum(axis=-2)
+    # receiver on axis -2, message on axis -1
+    decode = _rate(gains_sq[..., :, None], powers[..., None, :], stronger[..., None, :],
+                   inter[..., None], noise_w)
+    return np.diagonal(decode, axis1=-2, axis2=-1), decode, pairs
 
 
-def _pair_checks(users: list[int], chain: int, rates: list[float],
-                 decode: list[list[float]]) -> list[SicCheck]:
-    """One check per pair (stronger i, weaker j) of a group in SIC order, from
-    one scenario's ``sic_rates`` results, (K,) rates and (K, K) decode rates,
-    as nested lists."""
-    return [SicCheck(users[i], users[j], chain, decode[i][j], rates[j],
-                     decode[i][j] >= rates[j])
-            for i in range(len(users)) for j in range(i + 1, len(users))]
+def _audit(rates, decode, pairs, users, groups) -> tuple[tuple[SicCheck, ...], np.ndarray]:
+    """The SIC audit of ``group_sic``'s results: one ``SicCheck`` per pair,
+    sorted by the leading axes, then by group, then by pair, and whether
+    every step of each leading index holds.  ``users`` names the user at
+    each SIC position; it and ``groups`` have the shape of ``rates``."""
+    ok = decode >= rates[..., None, :]
+    *lead, i, j = np.nonzero(pairs)
+    decoder, message = (*lead, i), (*lead, j)
+    chains = groups[decoder]
+    keys = np.lexsort((chains, *lead[::-1]))
+    checks = tuple(map(SicCheck, users[decoder][keys].tolist(), users[message][keys].tolist(),
+                       chains[keys].tolist(), decode[pairs][keys].tolist(),
+                       rates[message][keys].tolist(), ok[pairs][keys].tolist()))
+    return checks, (ok | ~pairs).all(axis=(-2, -1))
 
 
 def system_sum_rate(eff: EffectiveChannelMatrix, plan: GroupPlan, order: SicOrder,
                     noise_w: float) -> RateReport:
     """Sum rate over all users and RF chains, with the SIC audit attached.
 
-    Each chain's scheduled users are taken in SIC order and evaluated by one
-    ``sic_rates`` call.  Every other chain's full transmit power reaches a
-    user through its gain to that chain, as inter-group interference.  For
-    each scheduled pair (stronger k, weaker j) the audit checks that k
-    decodes j's message at least as fast as j itself does; pairs involving
+    One ``group_sic`` call takes every user in SIC order, grouped by its
+    chain.  Every other chain's full transmit power reaches a user through
+    its gain to that chain, as inter-group interference.  For each
+    scheduled pair (stronger k, weaker j) the audit checks that k decodes
+    j's message at least as fast as j itself does; pairs involving
     unscheduled users impose nothing.
     """
     g = eff.gains_sq
     per_chain = (plan.scheduling * plan.power_alloc).sum(axis=0)
     received = g @ per_chain
     sic = np.asarray(order.order)
+    # each user's chain, -1 if it has none, in SIC order; an unscheduled user
+    # reads chain 0's columns but enters no pair and no table cell
+    chain = plan.scheduling[sic] @ np.arange(1, plan.num_chains + 1) - 1
+    own = np.maximum(chain, 0)
+    gains = g[sic, own]
+    rates, decode, pairs = group_sic(gains, plan.power_alloc[sic, own], chain,
+                                     received[sic] - gains * per_chain[own], noise_w)
+    checks, feasible = _audit(rates, decode, pairs, sic, chain)
     # (user, chain): a user's rate sums its row, a chain's its column
-    rates = np.zeros((plan.num_users, plan.num_chains))
-    checks = []
-    for chain in range(plan.num_chains):
-        users = sic[plan.scheduling[sic, chain] == 1]
-        gains = g[users, chain]
-        inter = received[users] - gains * per_chain[chain]
-        own, decode = sic_rates(gains, plan.power_alloc[users, chain], noise_w, inter)
-        rates[users, chain] = own
-        checks += _pair_checks(users.tolist(), chain, own.tolist(), decode.tolist())
-    per_user = rates.sum(axis=1)
-    return RateReport(per_user, rates.sum(axis=0), float(per_user.sum()), tuple(checks),
-                      all(c.ok for c in checks))
+    table = np.zeros((plan.num_users, plan.num_chains))
+    scheduled = chain >= 0
+    table[sic[scheduled], chain[scheduled]] = rates[scheduled]
+    per_user = table.sum(axis=1)
+    return RateReport(per_user, table.sum(axis=0), float(per_user.sum()), checks,
+                      bool(feasible))
 
 
 def sic_feasible(eff: EffectiveChannelMatrix, plan: GroupPlan, order: SicOrder,
@@ -272,7 +288,10 @@ def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,
     Users whose LOS departure angles fall inside one 3 dB beamwidth share
     a beam pointed at the strongest member and superpose with equal power;
     clusters split the frame evenly.  With every user angularly isolated
-    this collapses to plain TDMA.
+    this collapses to plain TDMA.  Every drop, budget and cluster takes its
+    rates and audit from one ``group_sic`` call, the clusters as groups: a
+    lone user is a group of one, its beam's Dirichlet factor exactly M_BS
+    and its power the whole budget.
 
     ``max_power_w`` is one budget or a 1-D array of n budgets.  The
     clustering and the beam gains do not depend on power, so they are built
@@ -287,51 +306,34 @@ def single_beam_noma_baseline(los_aods: np.ndarray, los_gains: np.ndarray,
     the bits of that call.
     """
     los_aods = np.asarray(los_aods, dtype=np.float64)
-    los_gains = np.asarray(los_gains)
     budgets = np.atleast_1d(np.asarray(max_power_w, dtype=np.float64))
     beamwidth_rad = math.radians(beamwidth_3db_deg(m_bs))
     lead, num_users = los_aods.shape[:-1], los_aods.shape[-1]
     aods = los_aods.reshape(-1, num_users)
-    gains = los_gains.reshape(aods.shape)
-    labels = cluster_users(aods, gains, beamwidth_rad, max_group_size)
+    mags = np.abs(np.asarray(los_gains)).reshape(aods.shape)
+    labels = cluster_users(aods, mags, beamwidth_rad, max_group_size)
     share = 1.0 / (labels.max(axis=-1) + 1)
-    clustered = (labels[:, :, None] == labels[:, None, :]).sum(axis=-1) > 1
 
-    # (drop, budget, user): each row sums along its contiguous axis exactly
-    # as a single budget's (K,) vector does.  A singleton's beam points at
-    # itself, so its Dirichlet factor is exactly m_bs (x is 0, or a last-bit
-    # cos difference far below dirichlet's threshold) and its power the
-    # whole budget: every user starts with that rate, with nothing stronger,
-    # and the members of larger clusters are overwritten below.
-    gains_sq = np.abs(gains) ** 2 * (m_ue / m_bs) * float(m_bs * m_bs)
-    per_user = share[:, None, None] * _rate(gains_sq[:, None, :], budgets[:, None],
-                                            0.0, 0.0, noise_w)
-    order = strongest_first(np.abs(gains))
+    # (drop, user) in SIC order; a cluster's first user is its head, the
+    # strongest, at which its beam points, and its members split the budget
+    order = strongest_first(mags)
     ranked = np.take_along_axis(labels, order, axis=-1)
-    feasible = np.ones(per_user.shape[:2], dtype=bool)
-    all_checks = []
-    for t in np.flatnonzero(clustered.any(axis=-1)).tolist():
-        audits = []
-        for chain in sorted(set(labels[t][clustered[t]].tolist())):
-            # members in the order they joined: strongest first
-            members = order[t][ranked[t] == chain].tolist()
-            head = members[0]
-            x = 0.5 * math.pi * (math.cos(aods[t, head]) - np.cos(aods[t, members]))
-            beam_sq = (np.abs(gains[t, members]) ** 2 * (m_ue / m_bs)
-                       * np.asarray(dirichlet(m_bs, x)) ** 2)
-            powers = np.tile(budgets / len(members), (len(members), 1))
-            rates, decode = sic_rates(beam_sq, powers, noise_w)
-            # budget first: rates[b] is (K,), decode[b] is (K, K)
-            audits.append((chain, members, rates.T.tolist(),
-                           decode.transpose(2, 0, 1).tolist()))
-            per_user[t][:, members] = share[t] * rates.T
-        for b in range(len(budgets)):
-            checks = [c for chain, members, rates, decode in audits
-                      for c in _pair_checks(members, chain, rates[b], decode[b])]
-            feasible[t, b] = all(c.ok for c in checks)
-            all_checks += checks
+    same = ranked[:, :, None] == ranked[:, None, :]
+    cos_aods = np.cos(np.take_along_axis(aods, order, axis=-1))
+    heads = np.take_along_axis(cos_aods, same.argmax(axis=1), axis=-1)
+    x = 0.5 * math.pi * (heads - cos_aods)
+    gains_sq = (np.take_along_axis(mags, order, axis=-1) ** 2 * (m_ue / m_bs)
+                * dirichlet(m_bs, x) ** 2)
+    # (drop, budget, user)
+    powers = budgets[:, None] / same.sum(axis=-1)[:, None]
+    groups, users = (np.broadcast_to(a[:, None], powers.shape) for a in (ranked, order))
+    rates, decode, pairs = group_sic(gains_sq[:, None], powers, groups, 0.0, noise_w)
+    all_checks, feasible = _audit(rates, decode, pairs, users, groups)
+    # back in user order: each row sums along its contiguous axis exactly
+    # as a single budget's (K,) vector does
+    per_user = np.empty(rates.shape)
+    np.put_along_axis(per_user, order[:, None], share[:, None, None] * rates, axis=-1)
     totals = per_user.sum(axis=-1)
-    all_checks = tuple(all_checks)
     # (drop, user, budget) and (drop, chain, budget)
     fields = [per_user.transpose(0, 2, 1), totals[:, None, :], totals, feasible]
     if np.ndim(max_power_w) == 0:

@@ -112,6 +112,8 @@ def test_commands_reject_fields_they_do_not_read(tmp_path, capsys):
         ("sweep-antennas", "antenna_alloc = 60, 60", []),
         ("sweep-antennas", "max_group_size = 7", []),
         ("sweep-power", "ratio = 3", []),
+        ("sweep-power", "max_group_size = 5", []),
+        ("effective", "max_group_size = 5", []),
         ("beampattern", "", ["--ratio", "3", "--trials", "5"]),
         ("beampattern", "", ["--trials", "5"]),
         ("beampattern", "ratio = 3", []),

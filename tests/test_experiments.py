@@ -603,7 +603,6 @@ def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):
     m_bs = scenario.bs_config.num_antennas
     m_ue = scenario.ue_config.num_antennas
     k = scenario.num_users
-    group_size = k if spec.max_group_size is None else spec.max_group_size
     shares = equal_time_shares(k)
     out = np.empty((hi - lo, len(pmax_w), 4))
     sizes = []
@@ -623,7 +622,7 @@ def oracle_power_trials(spec, alloc, offsets, pmax_w, powers, lo, hi):
         trial = out[t - lo]
         trial[:, 0] = noma_rates_from_gains(split_mags * split_mags, powers,
                                             scenario.noise_w).sum(axis=0)
-        baseline, trial_sizes = per_cluster_baseline(aods, mags, m_ue, m_bs, group_size,
+        baseline, trial_sizes = per_cluster_baseline(aods, mags, m_ue, m_bs, k,
                                                      pmax_w, scenario.noise_w)
         trial[:, 1] = baseline.system_sum
         sizes += trial_sizes
@@ -733,18 +732,14 @@ def test_sweep_spec_validation():
         SweepSpec("power", TWO_USER_LOS, 1, (30.0,), antenna_alloc=(50,))
     with pytest.raises(InfeasibleSpecError, match="fit the array"):
         SweepSpec("power", TWO_USER_LOS, 1, (30.0,), antenna_alloc=(128, 1))
-    with pytest.raises(InfeasibleSpecError, match="max_group_size"):
-        SweepSpec("power", TWO_USER_LOS, 1, (30.0,), max_group_size=1)
     for ratio in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gain ratio must be finite"):
             SweepSpec("antennas", TWO_USER_LOS, 1, (10,), gain_ratio=ratio)
     # a field that the sweep's kind does not read is an error, not ignored
     with pytest.raises(ValueError, match="does not take a gain ratio"):
         SweepSpec("power", TWO_USER_LOS, 1, (30.0,), gain_ratio=3.0)
-    for fields in ({"antenna_alloc": (1, 1)}, {"max_group_size": 7},
-                   {"antenna_alloc": (1, 1), "max_group_size": 7}):
-        with pytest.raises(ValueError, match="neither antenna_alloc nor max_group_size"):
-            SweepSpec("antennas", TWO_USER_LOS, 1, (10,), **fields)
+    with pytest.raises(ValueError, match="does not take antenna_alloc"):
+        SweepSpec("antennas", TWO_USER_LOS, 1, (10,), antenna_alloc=(1, 1))
     for values in ((30.0, math.nan), (math.inf,), (-math.inf,), (4000.0,), (-4000.0,),
                    (30.0, 3000.0)):
         with pytest.raises(ValueError, match="dBm"):

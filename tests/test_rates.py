@@ -9,19 +9,61 @@ from multibeam_noma.beams import GroupPlan
 from multibeam_noma.effective import EffectiveChannelMatrix, dirichlet, tdma_effective_gain
 from multibeam_noma.rates import (
     RateReport,
+    SicCheck,
     SicOrder,
-    _pair_checks,
+    _rate,
+    _sic_terms,
     beamwidth_3db_deg,
     cluster_users,
     equal_time_shares,
     noma_rates_from_gains,
     sic_feasible,
-    sic_rates,
     single_beam_noma_baseline,
     strongest_first,
     system_sum_rate,
     tdma_rates,
 )
+
+
+def sic_rates(gains_sq, powers, noise_w, inter=0.0):
+    """Rates and decode rates of one NOMA group, gains in SIC order: the
+    per-group form that ``system_sum_rate`` and the single-beam baseline
+    called once per chain and per cluster before ``group_sic`` took every
+    group at once.  ``decode[i, j]`` is the rate at which user i decodes
+    user j's message; ``rates`` is its diagonal."""
+    gain, power, stronger = _sic_terms(gains_sq, powers)
+    inter = np.reshape(inter, (-1,) + (1,) * (gain.ndim - 1))
+    rates = _rate(gain, power, stronger, inter, noise_w)
+    decode = _rate(gain[:, None], power[None], stronger[None], inter[:, None], noise_w)
+    return rates, decode
+
+
+def pair_checks(users, chain, rates, decode):
+    """One check per pair (stronger i, weaker j) of a group in SIC order, from
+    one scenario's ``sic_rates`` results as nested lists."""
+    return [SicCheck(users[i], users[j], chain, decode[i][j], rates[j],
+                     decode[i][j] >= rates[j])
+            for i in range(len(users)) for j in range(i + 1, len(users))]
+
+
+def per_chain_system_sum_rate(eff, plan, order, noise_w):
+    """``system_sum_rate`` as one ``sic_rates`` call per chain."""
+    g = eff.gains_sq
+    per_chain = (plan.scheduling * plan.power_alloc).sum(axis=0)
+    received = g @ per_chain
+    sic = np.asarray(order.order)
+    rates = np.zeros((plan.num_users, plan.num_chains))
+    checks = []
+    for chain in range(plan.num_chains):
+        users = sic[plan.scheduling[sic, chain] == 1]
+        gains = g[users, chain]
+        inter = received[users] - gains * per_chain[chain]
+        own, decode = sic_rates(gains, plan.power_alloc[users, chain], noise_w, inter)
+        rates[users, chain] = own
+        checks += pair_checks(users.tolist(), chain, own.tolist(), decode.tolist())
+    per_user = rates.sum(axis=1)
+    return RateReport(per_user, rates.sum(axis=0), float(per_user.sum()), tuple(checks),
+                      all(c.ok for c in checks))
 
 
 def make_plan(scheduling, alloc, power, m_bs=128, budget=None, group=None):
@@ -249,6 +291,8 @@ def test_system_sum_rate_matches_per_pair_formulas_on_random_multi_chain_plans()
             outcomes.add(check.ok)
         assert report.sic_feasible is all(c.ok for c in report.sic_checks)
         assert (report.per_user[chain_of < 0] == 0.0).all()
+        # one group_sic call over every chain keeps the bits of one call per chain
+        assert_same_report(report, per_chain_system_sum_rate(eff, plan, order, noise))
     assert outcomes == {True, False}
 
 
@@ -501,7 +545,7 @@ def per_cluster_baseline(los_aods, los_gains, m_ue, m_bs, max_group_size, max_po
                            decode.transpose(2, 0, 1).tolist()))
         per_user[:, members] = share * rates.T
     checks = [[c for chain, members, rates, decode in audits
-               for c in _pair_checks(members, chain, rates[b], decode[b])]
+               for c in pair_checks(members, chain, rates[b], decode[b])]
               for b in range(len(budgets))]
     totals = per_user.sum(axis=1)
     feasible = np.array([all(c.ok for c in cs) for cs in checks])
@@ -531,13 +575,15 @@ def assert_same_report(actual, expected):
     assert all(type(c.ok) is bool for c in actual.sic_checks)
 
 
-@pytest.mark.parametrize("num_users", (1, 2, 5, 8))
+@pytest.mark.parametrize("num_users", (1, 2, 5, 8, 12))
 @pytest.mark.parametrize("m_bs", (128, 100))
 def test_single_beam_baseline_matches_per_cluster_oracle_bit_for_bit(num_users, m_bs):
     # For every cluster size s, drops in which s users sit inside one 3 dB
     # beam of their head and the rest stand apart, plus random drops inside
     # a few beamwidths.  An array size that is not a power of two makes
-    # m_ue / m_bs inexact, so reordering the gain products shows.
+    # m_ue / m_bs inexact, so reordering the gain products shows.  At 12
+    # users a cluster outgrows numpy's 8-element pairwise sum block, so a
+    # stronger power summed pairwise, not one member at a time, would show.
     rng = np.random.default_rng(30 + num_users + m_bs)
     m_ue, noise = 10, 3.98e-12
     width = math.radians(beamwidth_3db_deg(m_bs))

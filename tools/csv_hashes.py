@@ -3,9 +3,9 @@
     python3 tools/csv_hashes.py > hashes.txt
 
 Prints one ``<sha256>  <name>`` line per CSV, then one line for the digest of
-all of them concatenated in that order: 2236 CSVs.  After that section come
+all of them concatenated in that order: 2254 CSVs.  After that section come
 one ``<sha256>  bits <name>`` line per sweep, the digest of its rows as
-full-precision float64 values, and one line for all 2124 sweeps.  The CSV
+full-precision float64 values, and one line for all 2142 sweeps.  The CSV
 cells carry 9 significant digits, which hide most last-bit moves: equal CSV
 lines with unequal ``bits`` lines mean the bytes held and the bits did not.
 
@@ -93,9 +93,13 @@ POWER_BUDGETS_DBM = (30.0, 34.0, 38.0, 42.0, 46.0)
 RATIOS = (None, 5.0, 1.5)
 # (arrays, num_users, num_nlos_paths, antenna_alloc) of power sweeps with an
 # explicit split that leaves antennas unused.  On 32 elements the 3 dB beam
-# is 3.2 deg wide, so the single-beam baseline forms clusters of 2 and more.
+# is 3.2 deg wide, so the single-beam baseline forms clusters of 2 and more
+# (up to 5 members at 12 users).  Clusters of more than 8 members, past
+# numpy's 8-element pairwise sum block, practically never form when every
+# user holds an antenna; tests/test_rates.py places users to form them.
 POWER_ALLOCS = (((128, 10), 5, 30, (60, 20, 10, 5, 3)),
-                ((32, 1), 9, 2, (8, 4, 3, 3, 2, 2, 2, 2, 1)))
+                ((32, 1), 9, 2, (8, 4, 3, 3, 2, 2, 2, 2, 1)),
+                ((32, 1), 12, 2, (8, 4, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1)))
 # (num_users, num_nlos_paths, ratio, antenna_alloc) of the effective and rates
 # reports.  At 9 users and 30 NLOS paths a chain's closed form sums 279 terms,
 # where a pairwise sum rounds differently from a sequential one; the explicit
